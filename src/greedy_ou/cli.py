@@ -28,7 +28,7 @@ from .config import (SCHEMA_VERSION, ConfigError, ExperimentConfig, build_proble
 from .diagnostics import fourier_coeffs, rate_class_report
 from .eigen import EigenSystem, EigenError, resolved_factor_eigens, weyl_fit
 from .fem import AssemblyError
-from .greedy import GreedyError, exact_dual_norm, run_oga, run_pga
+from .greedy import GreedyError, SeparatedFunction, exact_dual_norm, run_oga, run_pga
 from .springs import normalize
 
 logger = logging.getLogger(__name__)
@@ -69,14 +69,9 @@ def _run_algorithm(cfg: ExperimentConfig, name: str, form, mats, rhs, target):
 
 def _residual_at(rhs, approx_terms, row):
     """Residual functional after the update recorded in a trace row."""
-    res = rhs.copy()
     if row.alpha is None:
-        for w, t in approx_terms[:row.n]:
-            res.append_energy(-w, t)
-    else:
-        for a, (_, t) in zip(row.alpha, approx_terms):
-            res.append_energy(-float(a), t)
-    return res
+        return rhs.minus(SeparatedFunction(approx_terms[:row.n]))
+    return rhs.minus(SeparatedFunction([(a, t) for a, (_, t) in zip(row.alpha, approx_terms)]))
 
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path, exact_dual: bool = False) -> int:

@@ -55,6 +55,15 @@ def _number(d, key, path, default=None, minimum=None, strict=False):
     return value
 
 
+def _integer(d, key, path, default=None, minimum=1):
+    """Integer field at least minimum (1 or 0); required when default is None."""
+    value = _require(d, key, path) if default is None else d.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        word = "positive" if minimum > 0 else "non-negative"
+        raise ConfigError(f"{path}.{key}" if path else key, f"expected a {word} integer")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     n_factors: int
@@ -134,7 +143,7 @@ def _parse_target(raw):
         for i, ck in enumerate(coeffs):
             if isinstance(ck, bool) or not isinstance(ck, (int, float)):
                 raise ConfigError(f"target.coefficients[{i}]", "expected a number")
-        seed = int(_number(spec, "seed", "target", default=7))
+        seed = _integer(spec, "seed", "target", default=7, minimum=0)
         return {"kind": kind, "coefficients": [float(c) for c in coeffs], "seed": seed}
     if kind == "eigen":
         terms = _require(spec, "terms", "target", list)
@@ -164,9 +173,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     version = _require(raw, "schema_version", "")
     if version != SCHEMA_VERSION:
         raise ConfigError("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
-    n_factors = _require(raw, "n_factors", "")
-    if not isinstance(n_factors, int) or isinstance(n_factors, bool) or n_factors < 1:
-        raise ConfigError("n_factors", "expected a positive integer")
+    n_factors = _integer(raw, "n_factors", "")
     models = _parse_factors(raw, n_factors)
     coupling = _parse_coupling(raw, n_factors)
     evals = np.linalg.eigvalsh(0.5 * (coupling + coupling.T))
@@ -189,26 +196,19 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if algorithm not in ("pga", "oga"):
         raise ConfigError("algorithm", f"must be 'pga' or 'oga', got {algorithm!r}")
     tol_stop = _number(raw, "tol_stop", "", default=1e-6, minimum=0, strict=True)
-    n_max = raw.get("n_max", 30)
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
-        raise ConfigError("n_max", "expected a positive integer")
+    n_max = _integer(raw, "n_max", "", default=30)
     als = raw.get("als", {})
     if not isinstance(als, dict):
         raise ConfigError("als", "expected an object")
     als_tol = _number(als, "tol", "als", default=1e-10, minimum=0)
-    max_sweeps = als.get("max_sweeps", 60)
-    restarts = als.get("restarts", 1)
-    seed = als.get("seed", 42)
-    for name, val in (("max_sweeps", max_sweeps), ("restarts", restarts), ("seed", seed)):
-        if not isinstance(val, int) or isinstance(val, bool) or val < (0 if name == "seed" else 1):
-            raise ConfigError(f"als.{name}", "expected a positive integer")
+    max_sweeps = _integer(als, "max_sweeps", "als", default=60)
+    restarts = _integer(als, "restarts", "als", default=1)
+    seed = _integer(als, "seed", "als", default=42, minimum=0)
     target = _parse_target(raw)
     eig = raw.get("eig", {})
     if not isinstance(eig, dict):
         raise ConfigError("eig", "expected an object")
-    eig_k = eig.get("k", 40)
-    if not isinstance(eig_k, int) or isinstance(eig_k, bool) or eig_k < 1:
-        raise ConfigError("eig.k", "expected a positive integer")
+    eig_k = _integer(eig, "k", "eig", default=40)
     box = raw.get("box")
     if box is not None:
         if (not isinstance(box, list) or len(box) != n_factors

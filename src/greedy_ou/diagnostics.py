@@ -130,9 +130,7 @@ def _weighted_sum_with_tail(contrib: np.ndarray, box):
 
 def sigma_norm(coeffs: CoeffTensor, sys: EigenSystem, w: WeightFamily) -> float:
     """(sum_n sigma_n <tau,e_n>^2)^(1/2) over the box, extended-precision sum."""
-    sigma = _sigma_tensor(sys, coeffs.box, w)
-    total = np.sum(np.longdouble(sigma) * np.longdouble(coeffs.values) ** 2)
-    return float(np.sqrt(total))
+    return _sigma_norm_with_tail(coeffs, sys, w)[0]
 
 
 def _sigma_norm_with_tail(coeffs, sys, w):

@@ -5,11 +5,14 @@ an N-fold product domain is
 
     a(u, v) = sum_ij (A_ij / 4 wi) int M du/dq_j dv/dq_i + c int M u v
 
-with A the symmetric positive-definite coupling matrix.  On rank-one tensors
-the integrals factor into per-coordinate pairings against the assembled
-factor matrices, which keeps every residual evaluation low-rank: a greedy
-iterate is a list of (weight, rank-one term) pairs and its residual is the
-right-hand side minus the corresponding list of energy pairings.
+with A the symmetric positive-definite coupling matrix.  The form is a short
+sum of Kronecker products of per-factor matrices; operator_terms is the one
+place it is expanded, and every pairing, slot vector and slot Hessian is a
+contraction of those terms over per-factor stacks of rank-one factors.  A
+greedy iterate is a list of (weight, rank-one term) pairs and its residual
+is the right-hand side minus the matching energy pairings, so it stays
+low-rank.  assemble_dense expands the form by hand on purpose: it is the
+independent Kronecker oracle for small grids.
 
 The rank-one subproblem min_u J_f(u) = 1/2 a(u,u) - f(u) is solved by
 alternating sweeps: freezing all factors but slot j leaves a small symmetric
@@ -41,6 +44,12 @@ _GRAM_COND_LIMIT = 1e12
 ENERGY = "energy"
 SOURCE = "source"
 
+# per-factor operators of an operator term; GRAD_T is the transposed grad_coupling
+MASS = "mass"
+STIFFNESS = "stiffness"
+GRAD = "grad_coupling"
+GRAD_T = "grad_coupling_t"
+
 
 class GreedyError(RuntimeError):
     """Driver-level failure, carries the iteration index in the message."""
@@ -61,6 +70,7 @@ class EnergyForm:
     coupling: np.ndarray
     wi: float
     c: float
+    terms: list = field(init=False, repr=False, compare=False)  # see operator_terms
 
     def __post_init__(self):
         a = np.asarray(self.coupling, dtype=float)
@@ -78,6 +88,7 @@ class EnergyForm:
         if self.c <= 0:
             raise ValueError(f"c must be positive, got {self.c!r}")
         object.__setattr__(self, "_eig_range", (float(evals[0]), float(evals[-1])))
+        object.__setattr__(self, "terms", operator_terms(self))
 
     @property
     def n_factors(self) -> int:
@@ -151,49 +162,90 @@ def _check_sizes(form: EnergyForm, mats, *terms):
                                  f"basis has {mats[k].ndof}")
 
 
-def _prod_except(vals, skip):
-    out = 1.0
-    for k, v in enumerate(vals):
-        if k not in skip:
-            out *= v
+def operator_terms(form: EnergyForm) -> list:
+    """The energy form as (coef, ops) terms: a(u, v) = sum_t coef_t prod_k v_k . op_{t,k} u_k.
+
+    c with the mass in every slot, A_ii/4wi with the stiffness in slot i, and
+    A_ij/4wi with the gradient coupling on the trial factor j and its
+    transpose on the test factor i.
+    """
+    n = form.n_factors
+    quarter = 1.0 / (4.0 * form.wi)
+    terms = [(form.c, (MASS,) * n)]
+    for i in range(n):
+        for j in range(n):
+            if form.coupling[i, j] == 0.0:
+                continue
+            ops = [MASS] * n
+            if i == j:
+                ops[i] = STIFFNESS
+            else:
+                ops[j], ops[i] = GRAD, GRAD_T
+            terms.append((form.coupling[i, j] * quarter, tuple(ops)))
+    return terms
+
+
+def _mass_terms(n: int) -> list:
+    """The weighted L2_M pairing as operator terms."""
+    return [(1.0, (MASS,) * n)]
+
+
+def _op(mats_k: FactorMatrices, name: str) -> np.ndarray:
+    if name == GRAD_T:
+        return mats_k.grad_coupling.T
+    return getattr(mats_k, name)
+
+
+def _stack(mats, terms) -> list:
+    """Per-factor ndof x R stacks of the factors of a list of rank-one terms."""
+    return [np.array([t.factors[k] for t in terms], dtype=float).reshape(len(terms), m.ndof).T
+            for k, m in enumerate(mats)]
+
+
+def _contract(op_terms, mats, trial, test, skip=None) -> np.ndarray:
+    """coef_t prod_{k != skip} V_k^T op_{t,k} U_k, shape (len(op_terms), S, R).
+
+    trial and test are per-factor stacks U_k (ndof x R) and V_k (ndof x S).
+    Summed over terms this is the form on every trial/test pair; with a
+    skipped slot each entry is the coefficient of op_{t,skip} there.
+    """
+    pairs = [{} for _ in mats]
+    out = np.empty((len(op_terms), test[0].shape[1], trial[0].shape[1]))
+    for t, (coef, ops) in enumerate(op_terms):
+        prod = np.full(out.shape[1:], coef)
+        for k, name in enumerate(ops):
+            if k == skip:
+                continue
+            if name not in pairs[k]:
+                pairs[k][name] = (test[k].T @ _op(mats[k], name)) @ trial[k]
+            prod = prod * pairs[k][name]
+        out[t] = prod
     return out
 
 
 def energy_rank1(form: EnergyForm, mats, u: RankOneTerm, v: RankOneTerm) -> float:
-    """a(u, v) for rank-one u (trial) and v (test).
-
-    Factorizes into per-coordinate mass, stiffness, and gradient pairings;
-    the (i, j) coupling entry puts the derivative on u's factor j and v's
-    factor i.
-    """
+    """a(u, v) for rank-one u (trial) and v (test)."""
     _check_sizes(form, mats, u, v)
-    n = form.n_factors
-    a, quarter = form.coupling, 1.0 / (4.0 * form.wi)
-    m = [v.factors[k] @ (mats[k].mass @ u.factors[k]) for k in range(n)]
-    s = [v.factors[k] @ (mats[k].stiffness @ u.factors[k]) for k in range(n)]
-    du = [v.factors[k] @ (mats[k].grad_coupling @ u.factors[k]) for k in range(n)]
-    dv = [u.factors[k] @ (mats[k].grad_coupling @ v.factors[k]) for k in range(n)]
-    total = form.c * _prod_except(m, ())
-    for i in range(n):
-        total += a[i, i] * quarter * s[i] * _prod_except(m, {i})
-    for i in range(n):
-        for j in range(n):
-            if i != j and a[i, j] != 0.0:
-                total += a[i, j] * quarter * du[j] * dv[i] * _prod_except(m, {i, j})
-    return float(total)
+    return float(_contract(form.terms, mats, _stack(mats, [u]), _stack(mats, [v])).sum())
 
 
 def mass_rank1(mats, u: RankOneTerm, v: RankOneTerm) -> float:
     """L2_M pairing of two rank-one terms."""
-    out = 1.0
-    for k, m in enumerate(mats):
-        out *= v.factors[k] @ (m.mass @ u.factors[k])
-    return float(out)
+    return float(_contract(_mass_terms(len(mats)), mats,
+                           _stack(mats, [u]), _stack(mats, [v])).sum())
+
+
+def _pairing(op_terms, mats, f: SeparatedFunction, g: SeparatedFunction) -> float:
+    wf = np.array([w for w, _ in f.terms], dtype=float)
+    wg = np.array([w for w, _ in g.terms], dtype=float)
+    pairs = _contract(op_terms, mats, _stack(mats, [t for _, t in f.terms]),
+                      _stack(mats, [t for _, t in g.terms])).sum(axis=0)
+    return float(wg @ pairs @ wf)
 
 
 def energy_pairing(form: EnergyForm, mats, f: SeparatedFunction, g: SeparatedFunction) -> float:
-    return float(sum(wf * wg * energy_rank1(form, mats, tf, tg)
-                     for wf, tf in f.terms for wg, tg in g.terms))
+    _check_sizes(form, mats, *(t for _, t in f.terms), *(t for _, t in g.terms))
+    return _pairing(form.terms, mats, f, g)
 
 
 def energy_norm(form: EnergyForm, mats, f: SeparatedFunction) -> float:
@@ -201,8 +253,7 @@ def energy_norm(form: EnergyForm, mats, f: SeparatedFunction) -> float:
 
 
 def mass_pairing(mats, f: SeparatedFunction, g: SeparatedFunction) -> float:
-    return float(sum(wf * wg * mass_rank1(mats, tf, tg)
-                     for wf, tf in f.terms for wg, tg in g.terms))
+    return _pairing(_mass_terms(len(mats)), mats, f, g)
 
 
 @dataclass
@@ -226,82 +277,41 @@ class Functional:
         """f = (g, .)_{L2_M} for a separated source g."""
         return cls([(w, t, SOURCE) for w, t in source.terms])
 
-    def copy(self) -> "Functional":
-        return Functional(list(self.terms))
+    def minus(self, approx: SeparatedFunction) -> "Functional":
+        """The residual functional f - a(approx, .)."""
+        return Functional(self.terms + [(-float(w), t, ENERGY) for w, t in approx.terms])
 
-    def append_energy(self, weight: float, term: RankOneTerm):
-        self.terms.append((float(weight), term, ENERGY))
+    def _by_kind(self, form: EnergyForm, mats):
+        """(operator terms, weights, per-factor stacks) for each kind present."""
+        groups = {}
+        for w, t, kind in self.terms:
+            groups.setdefault(kind, []).append((w, t))
+        for kind, picked in groups.items():
+            op_terms = form.terms if kind == ENERGY else _mass_terms(form.n_factors)
+            yield (op_terms, np.array([w for w, _ in picked], dtype=float),
+                   _stack(mats, [t for _, t in picked]))
 
     def value_rank1(self, form: EnergyForm, mats, v: RankOneTerm) -> float:
-        total = 0.0
-        for w, t, kind in self.terms:
-            if kind == ENERGY:
-                total += w * energy_rank1(form, mats, t, v)
-            else:
-                total += w * mass_rank1(mats, t, v)
-        return total
+        test = _stack(mats, [v])
+        return float(sum(_contract(op_terms, mats, stack, test).sum(axis=0)[0] @ w
+                         for op_terms, w, stack in self._by_kind(form, mats)))
 
     def slot_vector(self, form: EnergyForm, mats, frozen: RankOneTerm, j: int) -> np.ndarray:
         """Vector b with f(frozen but slot j -> y) = y . b."""
-        n = form.n_factors
-        a, quarter = form.coupling, 1.0 / (4.0 * form.wi)
+        test = _stack(mats, [frozen])
         b = np.zeros(mats[j].ndof)
-        for w, t, kind in self.terms:
-            if kind == SOURCE:
-                coeff = w * _prod_except(
-                    [frozen.factors[k] @ (mats[k].mass @ t.factors[k]) for k in range(n)], {j})
-                b += coeff * (mats[j].mass @ t.factors[j])
-                continue
-            r = frozen.factors
-            m = [r[k] @ (mats[k].mass @ t.factors[k]) for k in range(n)]
-            s = [r[k] @ (mats[k].stiffness @ t.factors[k]) for k in range(n)]
-            du = [r[k] @ (mats[k].grad_coupling @ t.factors[k]) for k in range(n)]
-            dv = [t.factors[k] @ (mats[k].grad_coupling @ r[k]) for k in range(n)]
-            mass_coeff = form.c * _prod_except(m, {j})
-            for i in range(n):
-                if i != j:
-                    mass_coeff += a[i, i] * quarter * s[i] * _prod_except(m, {i, j})
-            for i in range(n):
-                for jp in range(n):
-                    if i != jp and i != j and jp != j and a[i, jp] != 0.0:
-                        mass_coeff += (a[i, jp] * quarter * du[jp] * dv[i]
-                                       * _prod_except(m, {i, jp, j}))
-            b += w * mass_coeff * (mats[j].mass @ t.factors[j])
-            b += w * a[j, j] * quarter * _prod_except(m, {j}) * (mats[j].stiffness @ t.factors[j])
-            grad_coeff = sum(a[i, j] * quarter * dv[i] * _prod_except(m, {i, j})
-                             for i in range(n) if i != j)
-            tgrad_coeff = sum(a[j, jp] * quarter * du[jp] * _prod_except(m, {j, jp})
-                              for jp in range(n) if jp != j)
-            if grad_coeff != 0.0:
-                b += w * grad_coeff * (mats[j].grad_coupling @ t.factors[j])
-            if tgrad_coeff != 0.0:
-                b += w * tgrad_coeff * (mats[j].grad_coupling.T @ t.factors[j])
+        for op_terms, w, stack in self._by_kind(form, mats):
+            coeffs = _contract(op_terms, mats, stack, test, skip=j)[:, 0, :]
+            for (_, ops), c in zip(op_terms, coeffs):
+                b += _op(mats[j], ops[j]) @ (stack[j] @ (c * w))
         return b
 
 
 def _slot_hessian(form: EnergyForm, mats, frozen: RankOneTerm, j: int) -> np.ndarray:
     """Hessian of u -> a(term with slot j -> u, same) over slot-j coefficients."""
-    n = form.n_factors
-    a, quarter = form.coupling, 1.0 / (4.0 * form.wi)
-    r = frozen.factors
-    p = [r[k] @ (mats[k].mass @ r[k]) for k in range(n)]
-    s = [r[k] @ (mats[k].stiffness @ r[k]) for k in range(n)]
-    th = [r[k] @ (mats[k].grad_coupling @ r[k]) for k in range(n)]
-    beta = form.c * _prod_except(p, {j})
-    for i in range(n):
-        if i != j:
-            beta += a[i, i] * quarter * s[i] * _prod_except(p, {i, j})
-    for i in range(n):
-        for ip in range(n):
-            if i != ip and i != j and ip != j and a[i, ip] != 0.0:
-                beta += a[i, ip] * quarter * th[i] * th[ip] * _prod_except(p, {i, ip, j})
-    gamma = a[j, j] * quarter * _prod_except(p, {j})
-    kappa = sum(a[i, j] * quarter * th[i] * _prod_except(p, {i, j})
-                for i in range(n) if i != j)
-    h = beta * mats[j].mass + gamma * mats[j].stiffness
-    if kappa != 0.0:
-        h = h + kappa * (mats[j].grad_coupling + mats[j].grad_coupling.T)
-    return h
+    r = _stack(mats, [frozen])
+    coeffs = _contract(form.terms, mats, r, r, skip=j)[:, 0, 0]
+    return sum(c * _op(mats[j], ops[j]) for (_, ops), c in zip(form.terms, coeffs))
 
 
 def als_rank1(form: EnergyForm, mats, rhs: Functional, init: RankOneTerm,
@@ -424,9 +434,11 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
                  restarts, rng, target, orthogonal):
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
+    if rng is None:
+        rng = np.random.default_rng(0)
     approx = SeparatedFunction([])
     trace = GreedyTrace()
-    residual = rhs.copy()
+    residual = rhs
     captured = []  # normalized dictionary terms
     alpha = np.zeros(0)
     gram = np.zeros((0, 0))
@@ -456,23 +468,17 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
             return approx, trace
         captured.append(term)
         if orthogonal:
-            k = len(captured)
-            g = np.zeros((k, k))
-            g[:-1, :-1] = gram
-            for i in range(k):
-                g[i, -1] = g[-1, i] = energy_rank1(form, mats, captured[i], term)
-            gram = 0.5 * (g + g.T)
+            column = _contract(form.terms, mats, _stack(mats, captured),
+                               _stack(mats, [term])).sum(axis=0)[0]
+            gram = np.block([[gram, column[:-1, None]], [column]])
             fvec = np.append(fvec, rhs.value_rank1(form, mats, term))
             alpha = _solve_galerkin(gram, fvec)
             approx = SeparatedFunction([(float(a), t) for a, t in zip(alpha, captured)])
-            residual = rhs.copy()
-            for a, t in zip(alpha, captured):
-                residual.append_energy(-float(a), t)
             alpha_out = tuple(float(a) for a in alpha)
         else:
             approx.terms.append((1.0, term))
-            residual.append_energy(-1.0, term)
             alpha_out = None
+        residual = rhs.minus(approx)
         ortho_defect = residual.value_rank1(form, mats, term)
         trace.rows.append(TraceRow(
             n=n,
@@ -517,8 +523,6 @@ def run_pga(form: EnergyForm, mats, rhs: Functional, tol_stop: float = 1e-6,
     captured term's relative norm drops below tol_stop, the residual is
     orthogonal to every rank-one candidate, or n_max is reached.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     return _greedy_loop(form, mats, rhs, tol_stop, n_max, als_tol=als_tol,
                         max_sweeps=max_sweeps, restarts=restarts, rng=rng,
                         target=target, orthogonal=False)
@@ -529,8 +533,6 @@ def run_oga(form: EnergyForm, mats, rhs: Functional, tol_stop: float = 1e-6,
             restarts: int = 1, rng=None, target: SeparatedFunction | None = None):
     """Orthogonal greedy loop: after each capture, re-solve the Galerkin
     system over the captured span and rebuild the residual from scratch."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     return _greedy_loop(form, mats, rhs, tol_stop, n_max, als_tol=als_tol,
                         max_sweeps=max_sweeps, restarts=restarts, rng=rng,
                         target=target, orthogonal=True)

@@ -100,6 +100,30 @@ def test_validate_config_rejects_unknown_kinds():
         validate_config(base_config(schema_version=99))
 
 
+@pytest.mark.parametrize("seed", [-1, 3.7, True, "7"])
+def test_seeds_must_be_non_negative_integers(seed):
+    with pytest.raises(ConfigError, match=r"^target\.seed: expected a non-negative integer$"):
+        validate_config(base_config(target={"seed": seed}))
+    with pytest.raises(ConfigError, match=r"^als\.seed: expected a non-negative integer$"):
+        validate_config(base_config(als={"seed": seed}))
+
+
+def test_zero_seeds_accepted():
+    cfg = validate_config(base_config(target={"seed": 0}, als={"seed": 0}))
+    assert cfg.seed == 0 and cfg.target["seed"] == 0
+
+
+def test_negative_target_seed_fails_sweep_before_any_run(tmp_path, capsys):
+    sweep = {"schema_version": 1, "base": base_config(),
+             "runs": [{"name": "ok", "overrides": {}},
+                      {"name": "bad", "overrides": {"target": {"seed": -1}}}]}
+    code = cli.main(["sweep", "--config", write_config(tmp_path, sweep), "--out",
+                     str(tmp_path / "out")])
+    assert code == 1
+    assert "target.seed" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "ok").exists()
+
+
 # --- solve ---
 
 def test_solve_writes_csv_and_runrecord(tmp_path):

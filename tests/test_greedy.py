@@ -1,7 +1,12 @@
 """Energy form, rank-one alternating solver, and greedy drivers."""
 
+import dataclasses
+from functools import lru_cache, reduce
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from greedy_ou.fem import assemble, build_mesh
@@ -30,7 +35,7 @@ from greedy_ou.greedy import (
     stopping_surrogate,
     zero_term,
 )
-from greedy_ou.springs import FENE, SpringModel, normalize
+from greedy_ou.springs import CPAIL, FENE, SpringModel, normalize
 
 ROUSE2 = np.array([[1.0, -0.5], [-0.5, 1.0]])
 
@@ -380,10 +385,105 @@ def test_surrogate_within_dual_norm_bounds():
     approx, trace = run_pga(form, mats, rhs, tol_stop=1e-13, n_max=4, restarts=4,
                             rng=rng, target=target)
     bound = np.sqrt(form.continuity / form.coercivity)
-    residual = rhs.copy()
-    for row, (w, r) in zip(trace.rows, approx.terms):
-        dual = exact_dual_norm(form, mats, residual)
+    for k, row in enumerate(trace.rows):
+        dual = exact_dual_norm(form, mats, rhs.minus(SeparatedFunction(approx.terms[:k])))
         assert row.term_norm_a <= dual * (1 + 1e-8)
         ratio = dual / row.term_norm_a
         assert ratio <= bound * np.sqrt(row.n)
-        residual.append_energy(-w, r)
+
+
+@lru_cache(maxsize=None)
+def small_factor(kind, degree):
+    b = 4.0 if kind == FENE else 6.0
+    return assemble(build_mesh(b, 4), normalize(SpringModel(kind, b)), degree)
+
+
+@st.composite
+def separated_problems(draw):
+    """N in 1..4 factors (P1/P2, FENE/CPAIL) and an SPD coupling with zero entries.
+
+    Strict diagonal dominance keeps the coupling positive definite; at N=4
+    only the first factor may be P2, so the dense form stays near 1000 dof.
+    """
+    n = draw(st.integers(1, 4))
+    degrees = draw(st.lists(st.sampled_from([1, 2]), min_size=n, max_size=n))
+    if n == 4:
+        degrees[1:] = [1, 1, 1]
+    kinds = draw(st.lists(st.sampled_from([FENE, CPAIL]), min_size=n, max_size=n))
+    coupling = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            coupling[i, j] = coupling[j, i] = draw(
+                st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))
+    for i in range(n):
+        coupling[i, i] = np.abs(coupling[i]).sum() + draw(st.floats(0.1, 1.0))
+    form = EnergyForm(coupling, wi=draw(st.floats(0.2, 2.0)), c=draw(st.floats(0.2, 2.0)))
+    mats = [small_factor(k, d) for k, d in zip(kinds, degrees)]
+    return form, mats, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+def absolute_problem(form, mats):
+    """Entrywise absolute values of every matrix: the dense oracle on these data,
+    applied to absolute factor vectors, bounds each computed sum term by term."""
+    abs_form = EnergyForm(np.abs(form.coupling), wi=form.wi, c=form.c)
+    abs_mats = [dataclasses.replace(m, mass=np.abs(m.mass), stiffness=np.abs(m.stiffness),
+                                    grad_coupling=np.abs(m.grad_coupling)) for m in mats]
+    return abs_form, abs_mats
+
+
+def slot_embedding(term, j, ndof_j):
+    """Kronecker map from slot-j coefficients to the full tensor vector."""
+    return reduce(np.kron, [np.eye(ndof_j) if k == j else f[:, None]
+                            for k, f in enumerate(term.factors)])
+
+
+def abs_term(term):
+    return RankOneTerm([np.abs(f) for f in term.factors])
+
+
+def abs_function(f):
+    return SeparatedFunction([(abs(w), abs_term(t)) for w, t in f.terms])
+
+
+def assert_close(got, want, scale):
+    """Error within 1e-12 of the term-by-term magnitude of the sum."""
+    err = np.max(np.abs(np.asarray(got) - np.asarray(want)))
+    assert err <= 1e-12 * np.max(scale), (err, np.max(scale))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(problem=separated_problems(), ranks=st.tuples(st.integers(2, 3), st.integers(2, 3)))
+def test_separated_operator_matches_dense_oracle(problem, ranks):
+    form, mats, rng = problem
+    n = form.n_factors
+    abs_form, abs_mats = absolute_problem(form, mats)
+    a_full, a_abs = assemble_dense(form, mats), assemble_dense(abs_form, abs_mats)
+
+    u, v = random_term(mats, rng, normalized=False), random_term(mats, rng, normalized=False)
+    assert_close(energy_rank1(form, mats, u, v), kron_vec(v) @ a_full @ kron_vec(u),
+                 kron_vec(abs_term(v)) @ a_abs @ kron_vec(abs_term(u)))
+
+    f = SeparatedFunction([(rng.uniform(-1.5, 1.5), random_term(mats, rng, normalized=False))
+                           for _ in range(ranks[0])])
+    g = SeparatedFunction([(rng.uniform(-1.5, 1.5), random_term(mats, rng, normalized=False))
+                           for _ in range(ranks[1])])
+
+    def dense(h):
+        return sum(w * kron_vec(t) for w, t in h.terms)
+
+    assert_close(energy_pairing(form, mats, f, g), dense(g) @ a_full @ dense(f),
+                 dense(abs_function(g)) @ a_abs @ dense(abs_function(f)))
+
+    rhs = Functional(Functional.from_target(f).terms + Functional.from_source(g).terms)
+    abs_rhs = Functional(Functional.from_target(abs_function(f)).terms
+                         + Functional.from_source(abs_function(g)).terms)
+    f_full = dense_functional_vector(form, mats, rhs, a_full)
+    f_abs = dense_functional_vector(abs_form, abs_mats, abs_rhs, a_abs)
+    assert_close(rhs.value_rank1(form, mats, v), kron_vec(v) @ f_full,
+                 kron_vec(abs_term(v)) @ f_abs)
+    for j in range(n):
+        embed = slot_embedding(v, j, mats[j].ndof)
+        abs_embed = slot_embedding(abs_term(v), j, mats[j].ndof)
+        assert_close(rhs.slot_vector(form, mats, v, j), embed.T @ f_full, abs_embed.T @ f_abs)
+        assert_close(_slot_hessian(form, mats, v, j), embed.T @ a_full @ embed,
+                     abs_embed.T @ a_abs @ abs_embed)
