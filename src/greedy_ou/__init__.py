@@ -11,7 +11,7 @@ from .fem import (AssemblyError, FactorMatrices, FactorMesh, assemble, build_mes
 from .greedy import (AlsError, EnergyForm, Functional, GreedyError, GreedyTrace,
                      NullTermError, RankOneTerm, SeparatedFunction, TraceRow, als_best,
                      als_rank1, assemble_dense, energy_norm, energy_pairing,
-                     energy_rank1, exact_dual_norm, mass_pairing, normalize_term,
+                     energy_rank1, exact_dual_norms, mass_pairing, normalize_term,
                      run_oga, run_pga, stopping_surrogate)
 from .springs import (MaxwellianWeight, SpringModel, boundary_limit_d2q,
                       integrate_weighted, normalize, q_theta)
@@ -26,7 +26,7 @@ __all__ = [
     "SpringModel", "TraceRow", "WeightFamily", "WeylFit", "__version__", "als_best",
     "als_rank1", "assemble", "assemble_dense", "b1_bound", "boundary_limit_d2q",
     "build_mesh", "build_problem", "build_target", "dof_coordinates", "energy_norm",
-    "energy_pairing", "energy_rank1", "exact_dual_norm", "fourier_coeffs",
+    "energy_pairing", "energy_rank1", "exact_dual_norms", "fourier_coeffs",
     "integrate_weighted", "interpolate", "load_config", "mass_pairing",
     "normalize", "normalize_term", "q_theta", "rate_class_report",
     "resolved_factor_eigens", "run_oga", "run_pga", "sigma_norm",

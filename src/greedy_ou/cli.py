@@ -24,12 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import (SCHEMA_VERSION, ConfigError, ExperimentConfig, build_problem,
-                     build_target, validate_config)
+                     build_target, load_raw, validate_config)
 from .diagnostics import fourier_coeffs, rate_class_report
 from .eigen import EigenSystem, EigenError, resolved_factor_eigens, weyl_fit
 from .fem import AssemblyError
-from .greedy import GreedyError, SeparatedFunction, exact_dual_norm, run_oga, run_pga
-from .springs import normalize
+from .greedy import GreedyError, SeparatedFunction, exact_dual_norms, run_oga, run_pga
+from .springs import normalize  # noqa: F401  (perfbench/spans.py patches cli.normalize)
 
 logger = logging.getLogger(__name__)
 
@@ -87,11 +87,13 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, exact_dual: bool = False) ->
     rows = []
     for row in trace.rows:
         alpha_json = json.dumps(list(row.alpha)) if row.alpha is not None else ""
-        values = [row.n, row.err_energy, row.term_norm_a, row.ortho_defect,
-                  row.surrogate, alpha_json]
-        if exact_dual:
-            values.append(exact_dual_norm(form, mats, _residual_at(rhs, approx.terms, row)))
-        rows.append(values)
+        rows.append([row.n, row.err_energy, row.term_norm_a, row.ortho_defect,
+                     row.surrogate, alpha_json])
+    if exact_dual:
+        duals = exact_dual_norms(form, mats,
+                                 [_residual_at(rhs, approx.terms, row) for row in trace.rows])
+        for values, dual in zip(rows, duals):
+            values.append(dual)
     _write_csv(out_dir / "solve.csv", header, rows)
 
     record = {
@@ -113,26 +115,19 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, exact_dual: bool = False) ->
     return _EXIT_BY_STATUS[trace.status]
 
 
-def _clamped_k(cfg: ExperimentConfig, factor: int) -> int:
-    ndof = cfg.degree * cfg.n_el + 1
-    if cfg.eig_k > ndof:
-        logger.warning("factor %d: k=%d exceeds %d degrees of freedom, clamping",
-                       factor, cfg.eig_k, ndof)
-        return ndof
-    return cfg.eig_k
-
-
-def _resolved_system(cfg: ExperimentConfig) -> EigenSystem:
+def _resolved_system(cfg: ExperimentConfig, mats) -> EigenSystem:
     factors = []
-    for i, model in enumerate(cfg.factor_models):
-        k = _clamped_k(cfg, i)
-        factors.append(resolved_factor_eigens(normalize(model), cfg.n_el, k,
-                                              cfg.grading, cfg.degree))
+    for i, m in enumerate(mats):
+        if cfg.eig_k > m.ndof:
+            logger.warning("factor %d: k=%d exceeds %d degrees of freedom, clamping",
+                           i, cfg.eig_k, m.ndof)
+        factors.append(resolved_factor_eigens(m, min(cfg.eig_k, m.ndof)))
     return EigenSystem(factors)
 
 
 def cmd_eig(cfg: ExperimentConfig, out_dir: Path) -> int:
-    system = _resolved_system(cfg)
+    _, mats = build_problem(cfg)
+    system = _resolved_system(cfg, mats)
     rows = []
     summary = {}
     for i, (model, eig) in enumerate(zip(cfg.factor_models, system.factors)):
@@ -182,7 +177,7 @@ def cmd_rates(cfg: ExperimentConfig, out_dir: Path) -> int:
 def cmd_regularity(cfg: ExperimentConfig, out_dir: Path) -> int:
     form, mats = build_problem(cfg)
     target, _, _ = build_target(cfg, form, mats)
-    system = _resolved_system(cfg)
+    system = _resolved_system(cfg, mats)
     box = cfg.box or tuple(min(20, eig.n_resolved) for eig in system.factors)
     clamped = tuple(min(b, eig.n_resolved) for b, eig in zip(box, system.factors))
     if clamped != box:
@@ -257,14 +252,6 @@ def cmd_sweep(raw_sweep: dict, out_dir: Path, jobs: int) -> int:
     return 0
 
 
-def _load_raw(path) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("", f"invalid JSON in {path}: {exc}") from exc
-
-
 def _apply_seed(raw: dict, seed) -> dict:
     if seed is None or not isinstance(raw, dict):
         return raw
@@ -310,7 +297,7 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        raw = _load_raw(args.config)
+        raw = load_raw(args.config)
         if args.command == "sweep":
             if isinstance(raw, dict) and "base" in raw:
                 raw["base"] = _apply_seed(raw["base"], args.seed)

@@ -133,7 +133,7 @@ def _parse_coupling(raw, n_factors):
     return a
 
 
-def _parse_target(raw):
+def _parse_target(raw, n_factors):
     spec = _require(raw, "target", "", dict)
     kind = _require(spec, "kind", "target", str)
     if kind == "manufactured":
@@ -159,6 +159,9 @@ def _parse_target(raw):
             if not idx or any(not isinstance(n, int) or isinstance(n, bool) or n < 1
                               for n in idx):
                 raise ConfigError(f"{path}.index", "expected a list of positive integers")
+            if len(idx) != n_factors:
+                raise ConfigError(f"{path}.index",
+                                  f"expected {n_factors} entries, got {len(idx)}")
             parsed.append({"weight": w, "index": [int(n) for n in idx]})
         return {"kind": kind, "terms": parsed}
     if kind == "coefficient_file":
@@ -176,21 +179,19 @@ def validate_config(raw: dict) -> ExperimentConfig:
     n_factors = _integer(raw, "n_factors", "")
     models = _parse_factors(raw, n_factors)
     coupling = _parse_coupling(raw, n_factors)
-    evals = np.linalg.eigvalsh(0.5 * (coupling + coupling.T))
-    if not np.allclose(coupling, coupling.T, rtol=0, atol=1e-12 * (1 + np.abs(coupling).max())):
-        raise ConfigError("coupling", "matrix must be symmetric")
-    if evals[0] <= 0:
-        raise ConfigError("coupling",
-                          f"matrix not positive definite: smallest eigenvalue is {evals[0]:.6e}")
     wi = _number(raw, "wi", "", minimum=0, strict=True)
     c = _number(raw, "c", "", minimum=0, strict=True)
+    try:
+        EnergyForm(coupling, wi=wi, c=c)
+    except ValueError as exc:
+        raise ConfigError("coupling", str(exc)) from exc
     mesh = _require(raw, "mesh", "", dict)
     n_el = _require(mesh, "n_el", "mesh", int)
     if n_el < 4:
         raise ConfigError("mesh.n_el", "must be at least 4")
     grading = _number(mesh, "grading", "mesh", default=1.0, minimum=1.0)
     degree = mesh.get("degree", 2)
-    if degree not in (1, 2):
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree not in (1, 2):
         raise ConfigError("mesh.degree", f"must be 1 or 2, got {degree!r}")
     algorithm = raw.get("algorithm", "pga")
     if algorithm not in ("pga", "oga"):
@@ -204,7 +205,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     max_sweeps = _integer(als, "max_sweeps", "als", default=60)
     restarts = _integer(als, "restarts", "als", default=1)
     seed = _integer(als, "seed", "als", default=42, minimum=0)
-    target = _parse_target(raw)
+    target = _parse_target(raw, n_factors)
     eig = raw.get("eig", {})
     if not isinstance(eig, dict):
         raise ConfigError("eig", "expected an object")
@@ -222,13 +223,17 @@ def validate_config(raw: dict) -> ExperimentConfig:
         als_restarts=restarts, seed=seed, target=target, eig_k=eig_k, box=box, raw=raw)
 
 
-def load_config(path) -> ExperimentConfig:
+def load_raw(path):
+    """Parsed JSON of a file, not yet validated; invalid JSON is a ConfigError."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"invalid JSON in {path}: {exc}") from exc
-    return validate_config(raw)
+
+
+def load_config(path) -> ExperimentConfig:
+    return validate_config(load_raw(path))
 
 
 def build_problem(cfg: ExperimentConfig):
@@ -265,19 +270,16 @@ def build_target(cfg: ExperimentConfig, form: EnergyForm, mats):
         bound = float(sum(abs(c) for c in spec["coefficients"]))
         return target, Functional.from_target(target), bound
     if spec["kind"] == "coefficient_file":
-        with open(spec["path"]) as fh:
-            file_spec = json.load(fh)
+        file_spec = load_raw(spec["path"])
         terms = file_spec.get("terms") if isinstance(file_spec, dict) else None
         if not terms:
             raise ConfigError("target.path", f"{spec['path']} has no terms list")
-        spec = _parse_target({"target": {"kind": "eigen", "terms": terms}})
+        spec = _parse_target({"target": {"kind": "eigen", "terms": terms}}, cfg.n_factors)
     k_needed = [max(t["index"][i] for t in spec["terms"]) for i in range(cfg.n_factors)]
     eigens = [solve_factor_eigens(m, min(k, m.ndof)) for m, k in zip(mats, k_needed)]
     terms = []
     bound = 0.0
     for t in spec["terms"]:
-        if len(t["index"]) != cfg.n_factors:
-            raise ConfigError("target.terms", f"index {t['index']} has wrong length")
         factors = []
         for i, n in enumerate(t["index"]):
             if n > eigens[i].k:

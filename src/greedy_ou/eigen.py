@@ -21,7 +21,6 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .fem import FactorMatrices, assemble, build_mesh
-from .springs import MaxwellianWeight
 
 logger = logging.getLogger(__name__)
 
@@ -82,25 +81,22 @@ def solve_factor_eigens(mats: FactorMatrices, k: int) -> FactorEigens:
     return FactorEigens(values=values, vectors=_fix_signs(vectors), mats=mats)
 
 
-def resolved_factor_eigens(weight: MaxwellianWeight, n_el: int, k: int,
-                           grading: float = 1.0, degree: int = 2,
+def resolved_factor_eigens(mats: FactorMatrices, k: int,
                            rel_tol: float = RESOLVED_REL_TOL) -> FactorEigens:
-    """Eigens on the requested mesh, gated against a once-refined mesh.
+    """Eigens of the given basis, gated against its once-refined mesh.
 
-    Eigenvalue n is resolved when doubling the element count changes it by
-    at most rel_tol relatively.  Vectors stay on the requested mesh so they
-    remain usable against that basis.
+    Only the refined basis is assembled here: same weight, grading and
+    degree, twice the elements.  Eigenvalue n is resolved when that doubling
+    changes it by at most rel_tol relatively.  Vectors and mats stay those of
+    the given basis so they remain usable against it.
     """
-    b = weight.q_max ** 2
-    coarse = assemble(build_mesh(b, n_el, grading), weight, degree)
-    fine = assemble(build_mesh(b, 2 * n_el, grading), weight, degree)
-    if k > coarse.ndof:
-        raise ValueError(f"k must be in [1, {coarse.ndof}], got {k}")
-    eig_c = solve_factor_eigens(coarse, k)
+    eig_c = solve_factor_eigens(mats, k)
+    fine = assemble(build_mesh(mats.weight.model.b, 2 * mats.mesh.n_el, mats.mesh.grading),
+                    mats.weight, mats.degree)
     eig_f = solve_factor_eigens(fine, k)
     rel = np.abs(eig_f.values - eig_c.values) / eig_c.values
     return FactorEigens(values=eig_c.values, vectors=eig_c.vectors,
-                        mats=coarse, resolved=rel <= rel_tol)
+                        mats=mats, resolved=rel <= rel_tol)
 
 
 def tensor_eigenvalue(sys: EigenSystem, idx) -> float:

@@ -578,17 +578,22 @@ def dense_functional_vector(form: EnergyForm, mats, functional: Functional,
     return out
 
 
-def exact_dual_norm(form: EnergyForm, mats, functional: Functional,
-                    max_dof: int = 10_000) -> float:
-    """Dual norm of a functional via the dense Riesz representer.
+def exact_dual_norms(form: EnergyForm, mats, functionals,
+                     max_dof: int = 10_000) -> list:
+    """Dual norms of functionals via their dense Riesz representers.
 
-    Solves a(zeta, .) = f(.) on the full tensor grid; refused above max_dof
-    total degrees of freedom.
+    Solves a(zeta, .) = f(.) on the full tensor grid for each functional,
+    assembling and factoring the form once; refused above max_dof total
+    degrees of freedom.
     """
     total_dof = int(np.prod([m.ndof for m in mats]))
     if total_dof > max_dof:
         raise ValueError(f"dense dual norm needs {total_dof} dof, budget is {max_dof}")
     a_full = assemble_dense(form, mats)
-    fvec = dense_functional_vector(form, mats, functional, a_full)
-    zeta = cho_solve(cho_factor(a_full), fvec)
-    return float(np.sqrt(max(zeta @ fvec, 0.0)))
+    factor = cho_factor(a_full)
+    norms = []
+    for functional in functionals:
+        fvec = dense_functional_vector(form, mats, functional, a_full)
+        zeta = cho_solve(factor, fvec)
+        norms.append(float(np.sqrt(max(zeta @ fvec, 0.0))))
+    return norms

@@ -102,7 +102,7 @@ def test_criterion_02_weyl_tail():
     weight = normalize(SpringModel(FENE, 4.0))
     fits = {}
     for n_el in (200, 400):
-        eig = resolved_factor_eigens(weight, n_el, 45)
+        eig = resolved_factor_eigens(assemble(build_mesh(4.0, n_el), weight, 2), 45)
         if eig.n_resolved < 40:
             failures.append(f"n_el={n_el}: only {eig.n_resolved} resolved eigenvalues")
             continue

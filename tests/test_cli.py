@@ -6,7 +6,7 @@ import logging
 
 import pytest
 
-from greedy_ou import cli
+from greedy_ou import cli, greedy
 from greedy_ou.config import ConfigError, validate_config
 
 
@@ -106,6 +106,36 @@ def test_seeds_must_be_non_negative_integers(seed):
         validate_config(base_config(target={"seed": seed}))
     with pytest.raises(ConfigError, match=r"^als\.seed: expected a non-negative integer$"):
         validate_config(base_config(als={"seed": seed}))
+
+
+def test_asymmetric_coupling_refused():
+    with pytest.raises(ConfigError, match=r"^coupling: coupling matrix must be symmetric$"):
+        validate_config(base_config(
+            coupling={"kind": "explicit", "matrix": [[1.0, 0.1], [0.2, 1.0]]}))
+
+
+@pytest.mark.parametrize("degree", [2.0, True])
+def test_mesh_degree_must_be_integer_one_or_two(degree):
+    with pytest.raises(ConfigError, match=r"^mesh\.degree: must be 1 or 2"):
+        validate_config(base_config(mesh={"degree": degree}))
+
+
+@pytest.mark.parametrize("index", [[1], [1, 1, 1]])
+def test_eigen_target_index_length_refused_at_validation(index):
+    terms = [{"weight": 1.0, "index": [1, 1]}, {"weight": 0.5, "index": index}]
+    with pytest.raises(ConfigError,
+                       match=r"^target\.terms\[1\]\.index: expected 2 entries, got "):
+        validate_config(base_config(target={"kind": "eigen", "terms": terms}))
+
+
+def test_coefficient_file_index_length_refused(tmp_path, capsys):
+    coeff_path = tmp_path / "coeffs.json"
+    coeff_path.write_text(json.dumps({"terms": [{"weight": 1.0, "index": [1]}]}))
+    raw = base_config(target={"kind": "coefficient_file", "path": str(coeff_path)})
+    code = cli.main(["regularity", "--config", write_config(tmp_path, raw),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "target.terms[0].index: expected 2 entries, got 1" in capsys.readouterr().err
 
 
 def test_zero_seeds_accepted():
@@ -239,6 +269,24 @@ def test_exact_dual_column_matches_energy_error(tmp_path):
         err, dual = float(row[1]), float(row[6])
         if err > 1e-6:
             assert dual == pytest.approx(err, rel=1e-6)
+
+
+def test_exact_dual_assembles_dense_form_once(tmp_path, monkeypatch):
+    calls = []
+    assemble_dense = greedy.assemble_dense
+
+    def counted(*args):
+        calls.append(args)
+        return assemble_dense(*args)
+
+    monkeypatch.setattr(greedy, "assemble_dense", counted)
+    out = tmp_path / "out"
+    raw = base_config(n_max=4, tol_stop=1e-10)
+    cli.main(["solve", "--config", write_config(tmp_path, raw), "--out", str(out),
+              "--exact-dual"])
+    _, rows = read_csv(out / "solve.csv")
+    assert len(rows) >= 2
+    assert len(calls) == 1
 
 
 # --- eig ---

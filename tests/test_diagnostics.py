@@ -80,7 +80,7 @@ def test_parseval_defect_nonnegative_and_monotone():
 
 def test_box_validation():
     weight = normalize(SpringModel(FENE, 4.0))
-    eig = resolved_factor_eigens(weight, n_el=20, k=35)
+    eig = resolved_factor_eigens(assemble(build_mesh(4.0, 20), weight, 2), k=35)
     sys = EigenSystem([eig, eig])
     tau = SeparatedFunction([(1.0, RankOneTerm([np.ones(eig.mats.ndof)] * 2))])
     assert eig.n_resolved < 35

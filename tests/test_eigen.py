@@ -68,12 +68,13 @@ def test_shift_identity():
 
 def test_resolved_gate():
     weight = normalize(SpringModel(FENE, 4.0))
-    eig = resolved_factor_eigens(weight, n_el=40, k=60)
+    mats = assemble(build_mesh(4.0, 40), weight, 2)
+    eig = resolved_factor_eigens(mats, k=60)
     assert eig.resolved is not None
     assert eig.resolved[:10].all()
     assert not eig.resolved.all()  # the top of an 81-dof spectrum moves under refinement
     assert 10 <= eig.n_resolved < 60
-    full = resolved_factor_eigens(weight, n_el=40, k=5)
+    full = resolved_factor_eigens(mats, k=5)
     assert full.n_resolved == 5
 
 
