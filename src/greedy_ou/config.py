@@ -23,10 +23,10 @@ SCHEMA_VERSION = 1
 
 
 class ConfigError(ValueError):
-    """Validation failure, message prefixed with the config field path."""
+    """Validation failure, message prefixed with the config field path if any."""
 
     def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
         self.path = path
 
 

@@ -10,6 +10,14 @@ lambda_n = 1 + sum_i (lambda^(i)_{n_i} - 1), and the discrete spectrum obeys
 a two-sided n^2 growth law on the mesh-resolved range, which weyl_fit
 measures.  Discrete eigenvalues over-approximate the continuum ones at high
 index, so a refinement gate marks how far a mesh can be trusted.
+
+Both matrices of the pencil have bandwidth equal to the element degree.  On
+bases of at least BANDED_MIN_NDOF dofs the k smallest pairs come from
+shift-invert Lanczos (ARPACK) at shift 0, whose inverse is one banded
+Cholesky factor, so the cost is O(ndof) per Lanczos step instead of the
+O(ndof^3) of dense eigh.  Dense eigh still runs on smaller bases, where it
+is faster, and whenever 2k + 1 >= ndof, where ARPACK has no room for its
+Lanczos basis.  The choice depends only on ndof and k.
 """
 
 from __future__ import annotations
@@ -18,13 +26,20 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import cho_solve_banded, cholesky_banded, eigh
 
 from .fem import FactorMatrices, assemble, build_mesh
 
 logger = logging.getLogger(__name__)
 
 RESOLVED_REL_TOL = 1e-3
+
+# Smallest basis solved by shift-invert Lanczos instead of dense eigh.  Per
+# call at k = 20 and 40, P2 FENE b=4 and CPAIL b=6, one BLAS thread, 2-core
+# VM: ndof 241 dense 6-10 ms, banded 6-17 ms; 321 about equal (10-15 ms);
+# 401 dense 14-22 ms, banded 7-18 ms; 641 dense 44-59 ms, banded 13-19 ms;
+# 1281 dense 450-580 ms, banded 11-30 ms.
+BANDED_MIN_NDOF = 400
 
 
 class EigenError(RuntimeError):
@@ -69,13 +84,48 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
+def _shift_invert_eigens(mats: FactorMatrices, k: int):
+    """k smallest pairs by ARPACK Lanczos on (stiffness + mass)^-1 mass.
+
+    Both matrices have bandwidth mats.degree, so one banded Cholesky factor
+    applies the inverse in O(ndof) per Lanczos step.
+    """
+    # imported on first use: scipy.sparse.linalg adds about 4 MB to every
+    # process, and solves with manufactured targets never get here
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    n, p = mats.ndof, mats.degree
+    offsets = range(-p, p + 1)
+    m_diags = [np.diagonal(mats.mass, d) for d in offsets]
+    h_diags = [np.diagonal(mats.stiffness, d) + m for d, m in zip(offsets, m_diags)]
+    upper = np.zeros((p + 1, n))
+    for d in range(p + 1):
+        upper[p - d, d:] = h_diags[p + d]
+    factor = cholesky_banded(upper)
+    op_inv = LinearOperator((n, n), dtype=float,
+                            matvec=lambda x: cho_solve_banded((factor, False), x))
+    # fixed and generic; the constant vector would be eigenvector 1 itself
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        values, vectors = eigsh(diags(h_diags, offsets), k, M=diags(m_diags, offsets),
+                                sigma=0.0, OPinv=op_inv, v0=v0, tol=0)
+    except ArpackError as exc:  # ArpackNoConvergence included
+        raise EigenError(f"factor eigensolve failed: {exc}") from exc
+    order = np.argsort(values)
+    return values[order], vectors[:, order]
+
+
 def solve_factor_eigens(mats: FactorMatrices, k: int) -> FactorEigens:
     """k smallest eigenpairs of (stiffness + mass) e = lambda mass e."""
     if not 1 <= k <= mats.ndof:
         raise ValueError(f"k must be in [1, {mats.ndof}], got {k}")
     try:
-        values, vectors = eigh(mats.stiffness + mats.mass, mats.mass,
-                               subset_by_index=[0, k - 1])
+        if mats.ndof >= BANDED_MIN_NDOF and 2 * k + 1 < mats.ndof:
+            values, vectors = _shift_invert_eigens(mats, k)
+        else:
+            values, vectors = eigh(mats.stiffness + mats.mass, mats.mass,
+                                   subset_by_index=[0, k - 1])
     except np.linalg.LinAlgError as exc:
         raise EigenError(f"factor eigensolve failed: {exc}") from exc
     return FactorEigens(values=values, vectors=_fix_signs(vectors), mats=mats)

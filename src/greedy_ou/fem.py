@@ -85,23 +85,26 @@ def _shape_functions(degree, xi):
     return vals, ders
 
 
-def _element_panels(x_left, x_right, at_left_boundary, at_right_boundary):
-    """Integration subintervals for one element.
+def _panels(nodes):
+    """Integration subintervals of every element, ordered by element.
 
-    Interior elements use a single panel; elements touching the domain
-    boundary are split geometrically toward it, because the weight behaves
-    like a fractional power of the boundary distance there.
+    Returns the left ends, right ends and element index of each panel.
+    Interior elements use a single panel; the two elements touching the
+    domain boundary are split geometrically toward it, because the weight
+    behaves like a fractional power of the boundary distance there.
     """
-    if not (at_left_boundary or at_right_boundary):
-        return [(x_left, x_right)]
-    h = x_right - x_left
     s = _BOUNDARY_SPLIT
-    if at_right_boundary:
-        inner = x_right - h * 0.5 ** np.arange(1, s + 1)
-    else:
-        inner = x_left + h * 0.5 ** np.arange(s, 0, -1)
-    pts = np.concatenate([[x_left], inner, [x_right]])
-    return list(zip(pts[:-1], pts[1:]))
+    n_el = len(nodes) - 1
+    h_first, h_last = nodes[1] - nodes[0], nodes[-1] - nodes[-2]
+    first = np.concatenate([nodes[:1], nodes[0] + h_first * 0.5 ** np.arange(s, 0, -1),
+                            nodes[1:2]])
+    last = np.concatenate([nodes[-2:-1], nodes[-1] - h_last * 0.5 ** np.arange(1, s + 1),
+                           nodes[-1:]])
+    left = np.concatenate([first[:-1], nodes[1:-2], last[:-1]])
+    right = np.concatenate([first[1:], nodes[2:-1], last[1:]])
+    elem = np.concatenate([np.zeros(s + 1, dtype=int), np.arange(1, n_el - 1),
+                           np.full(s + 1, n_el - 1)])
+    return left, right, elem
 
 
 def assemble(mesh: FactorMesh, weight: MaxwellianWeight, basis_degree: int = 2) -> FactorMatrices:
@@ -109,50 +112,42 @@ def assemble(mesh: FactorMesh, weight: MaxwellianWeight, basis_degree: int = 2) 
 
     Quadrature per panel is Gauss-Legendre with basis_degree + 4 points,
     exact beyond degree 2*basis_degree + 6 against the smooth part of the
-    weight.
+    weight.  All panels are evaluated in one batch and scattered in element
+    order.
     """
     if basis_degree not in (1, 2):
         raise ValueError(f"basis_degree must be 1 or 2, got {basis_degree}")
+    if mesh.n_el < 2:
+        raise ValueError(f"mesh must have at least 2 elements, got {mesh.n_el}")
     p = basis_degree
     nodes = mesh.nodes
-    n_el = mesh.n_el
-    ndof = n_el * p + 1
+    ndof = mesh.n_el * p + 1
+    xi, wq = np.polynomial.legendre.leggauss(p + 4)
+
+    a, b, elem = _panels(nodes)
+    xl, xr = nodes[elem, None], nodes[elem + 1, None]
+    half = 0.5 * (b - a)[:, None]
+    x = 0.5 * (a + b)[:, None] + half * xi
+    # reference coordinate of the full element, not the panel
+    vals, ders = _shape_functions(p, (2.0 * x - (xl + xr)) / (xr - xl))
+    mw = weight(x)
+    bad = ~np.all(np.isfinite(mw), axis=1)
+    if bad.any():
+        raise AssemblyError(f"weight evaluation failed on element {elem[np.argmax(bad)]}")
+    root = np.sqrt(wq * half * mw)
+    # sqrt-weight factorization keeps mass/stiffness bitwise symmetric:
+    # entry (k, l) of a panel is the same product sum as entry (l, k)
+    vr = vals * root
+    dr = 2.0 / (xr - xl) * (ders * root)
+    dofs = p * elem + np.arange(p + 1)[:, None]
+    index = (dofs[:, None], dofs[None, :])
     mass = np.zeros((ndof, ndof))
     stiff = np.zeros((ndof, ndof))
     grad = np.zeros((ndof, ndof))
-    xi, wq = np.polynomial.legendre.leggauss(p + 4)
-
-    for e in range(n_el):
-        xl, xr = nodes[e], nodes[e + 1]
-        dofs = np.arange(p * e, p * e + p + 1)
-        panels = _element_panels(xl, xr, at_left_boundary=(e == 0),
-                                 at_right_boundary=(e == n_el - 1))
-        m_el = np.zeros((p + 1, p + 1))
-        k_el = np.zeros((p + 1, p + 1))
-        c_el = np.zeros((p + 1, p + 1))
-        inv_jac = 2.0 / (xr - xl)
-        for a, b in panels:
-            half = 0.5 * (b - a)
-            x = 0.5 * (a + b) + half * xi
-            # reference coordinate of the full element, not the panel
-            xi_el = (2.0 * x - (xl + xr)) / (xr - xl)
-            vals, ders = _shape_functions(p, xi_el)
-            mw = weight(x)
-            if not np.all(np.isfinite(mw)):
-                raise AssemblyError(f"weight evaluation failed on element {e}")
-            wv = wq * half * mw
-            root = np.sqrt(wv)
-            # sqrt-weight factorization keeps mass/stiffness bitwise symmetric
-            vr = vals * root
-            dr = inv_jac * (ders * root)
-            m_el += vr @ vr.T
-            k_el += dr @ dr.T
-            # c_el[k,l] = int M phi_l' phi_k
-            c_el += vr @ dr.T
-        mass[np.ix_(dofs, dofs)] += m_el
-        stiff[np.ix_(dofs, dofs)] += k_el
-        grad[np.ix_(dofs, dofs)] += c_el
-
+    np.add.at(mass, index, (vr[:, None] * vr[None, :]).sum(axis=-1))
+    np.add.at(stiff, index, (dr[:, None] * dr[None, :]).sum(axis=-1))
+    # grad[k,l] = int M phi_l' phi_k
+    np.add.at(grad, index, (vr[:, None] * dr[None, :]).sum(axis=-1))
     return FactorMatrices(mass=mass, stiffness=stiff, grad_coupling=grad,
                           mesh=mesh, degree=p, weight=weight)
 

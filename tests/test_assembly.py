@@ -3,13 +3,76 @@
 import numpy as np
 import pytest
 
-from greedy_ou.fem import AssemblyError, assemble, build_mesh, dof_coordinates, interpolate
+from greedy_ou.fem import (
+    _BOUNDARY_SPLIT,
+    AssemblyError,
+    _shape_functions,
+    assemble,
+    build_mesh,
+    dof_coordinates,
+    interpolate,
+)
 from greedy_ou.springs import CPAIL, FENE, SpringModel, integrate_weighted, normalize
 
 
 def make_mats(kind=FENE, b=4.0, n_el=40, grading=1.0, degree=2):
     model = SpringModel(kind, b)
     return assemble(build_mesh(b, n_el, grading), normalize(model), degree)
+
+
+def element_panels(x_left, x_right, at_left_boundary, at_right_boundary):
+    if not (at_left_boundary or at_right_boundary):
+        return [(x_left, x_right)]
+    h = x_right - x_left
+    s = _BOUNDARY_SPLIT
+    if at_right_boundary:
+        inner = x_right - h * 0.5 ** np.arange(1, s + 1)
+    else:
+        inner = x_left + h * 0.5 ** np.arange(s, 0, -1)
+    pts = np.concatenate([[x_left], inner, [x_right]])
+    return list(zip(pts[:-1], pts[1:]))
+
+
+def loop_assemble(mesh, weight, p):
+    """Element-by-element, panel-by-panel assembly: the oracle for the batched one."""
+    nodes = mesh.nodes
+    n_el = mesh.n_el
+    ndof = n_el * p + 1
+    mass, stiff, grad = (np.zeros((ndof, ndof)) for _ in range(3))
+    xi, wq = np.polynomial.legendre.leggauss(p + 4)
+    for e in range(n_el):
+        xl, xr = nodes[e], nodes[e + 1]
+        dofs = np.arange(p * e, p * e + p + 1)
+        m_el, k_el, c_el = (np.zeros((p + 1, p + 1)) for _ in range(3))
+        inv_jac = 2.0 / (xr - xl)
+        for a, b in element_panels(xl, xr, e == 0, e == n_el - 1):
+            half = 0.5 * (b - a)
+            x = 0.5 * (a + b) + half * xi
+            vals, ders = _shape_functions(p, (2.0 * x - (xl + xr)) / (xr - xl))
+            root = np.sqrt(wq * half * weight(x))
+            vr = vals * root
+            dr = inv_jac * (ders * root)
+            m_el += vr @ vr.T
+            k_el += dr @ dr.T
+            c_el += vr @ dr.T
+        mass[np.ix_(dofs, dofs)] += m_el
+        stiff[np.ix_(dofs, dofs)] += k_el
+        grad[np.ix_(dofs, dofs)] += c_el
+    return mass, stiff, grad
+
+
+@pytest.mark.parametrize("grading", [1.0, 2.0])
+@pytest.mark.parametrize("kind,b", [(FENE, 4.0), (CPAIL, 6.0), (FENE, 2.5)])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_batched_assembly_matches_element_loop(degree, kind, b, grading):
+    mesh = build_mesh(b, 24, grading)
+    weight = normalize(SpringModel(kind, b))
+    mats = assemble(mesh, weight, degree)
+    for got, want in zip((mats.mass, mats.stiffness, mats.grad_coupling),
+                         loop_assemble(mesh, weight, degree)):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.array_equal(mats.mass, mats.mass.T)
+    assert np.array_equal(mats.stiffness, mats.stiffness.T)
 
 
 def test_uniform_mesh_nodes():
@@ -128,3 +191,16 @@ def test_nonfinite_weight_reports_element():
 
     with pytest.raises(AssemblyError, match="element 0"):
         assemble(mesh, Bad(), 2)
+
+
+def test_nonfinite_weight_names_first_bad_element():
+    mesh = build_mesh(4.0, 8)  # element 5 spans [0.5, 1]
+
+    class Bad:
+        q_max = 2.0
+
+        def __call__(self, q):
+            return np.where(q > 0.6, np.inf, 1.0)
+
+    with pytest.raises(AssemblyError, match="element 5$"):
+        assemble(mesh, Bad(), 1)

@@ -91,6 +91,19 @@ def test_missing_config_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command,text,message", [
+    ("solve", "{bad", "invalid JSON in "),
+    ("solve", "[1, 2]", "config must be a JSON object"),
+    ("sweep", "[1, 2]", "sweep file must be a JSON object"),
+])
+def test_file_level_errors_have_no_empty_path(tmp_path, capsys, command, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_validate_config_rejects_unknown_kinds():
     with pytest.raises(ConfigError, match="coupling.kind"):
         validate_config(base_config(coupling={"kind": "circulant"}))

@@ -1,12 +1,16 @@
 """Factor eigenproblem, tensorization, and growth-law measurement."""
 
+import json
 import logging
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.linalg import eigh
 
+from greedy_ou import cli, eigen
 from greedy_ou.eigen import (
+    EigenError,
     EigenSystem,
     FactorEigens,
     WeylFit,
@@ -76,6 +80,79 @@ def test_resolved_gate():
     assert 10 <= eig.n_resolved < 60
     full = resolved_factor_eigens(mats, k=5)
     assert full.n_resolved == 5
+
+
+@pytest.fixture(scope="module", params=[(FENE, 4.0), (CPAIL, 6.0)], ids=["fene", "cpail"])
+def fine_mats(request):
+    kind, b = request.param
+    return factor_mats(kind, b, n_el=320)  # 641 dof, above the dense crossover
+
+
+def test_banded_path_matches_dense(fine_mats, monkeypatch):
+    banded = solve_factor_eigens(fine_mats, 40)
+    banded_gate = resolved_factor_eigens(fine_mats, 40)
+    monkeypatch.setattr(eigen, "BANDED_MIN_NDOF", fine_mats.ndof + 1)
+    dense = solve_factor_eigens(fine_mats, 40)
+    dense_gate = resolved_factor_eigens(fine_mats, 40)
+    assert np.all(np.abs(banded.values - dense.values) <= 1e-9 * dense.values)
+    for b, d in zip(banded.vectors.T, dense.vectors.T):
+        if np.abs(b - d).max() > 1e-8:
+            # "largest entry positive" is ambiguous for an odd mode of a symmetric
+            # problem: its end entries tie up to roundoff, with opposite signs
+            mag = np.abs(d)
+            assert mag[0] == pytest.approx(mag.max(), rel=1e-10)
+            assert mag[-1] == pytest.approx(mag.max(), rel=1e-10)
+            assert d[0] * d[-1] < 0
+            assert np.abs(b + d).max() <= 1e-8
+    gram = banded.vectors.T @ fine_mats.mass @ banded.vectors
+    assert np.abs(gram - np.eye(40)).max() <= 1e-12
+    assert banded.values[0] == pytest.approx(1.0, abs=1e-10)
+    assert np.all(np.diff(banded.values) > 0)
+    assert np.array_equal(banded_gate.resolved, dense_gate.resolved)
+
+
+def test_banded_path_is_repeatable(fine_mats):
+    first = solve_factor_eigens(fine_mats, 40)
+    again = solve_factor_eigens(fine_mats, 40)
+    assert np.array_equal(first.values, again.values)
+    assert np.array_equal(first.vectors, again.vectors)
+
+
+def test_solver_choice_depends_on_ndof_and_k(fine_mats, monkeypatch):
+    calls = []
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(kwargs.get("subset_by_index"))
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(eigen, "eigh", counting_eigh)
+    resolved_factor_eigens(fine_mats, 40)
+    assert calls == []
+    half = (fine_mats.ndof - 1) // 2  # 2k + 1 = ndof leaves ARPACK no room
+    assert solve_factor_eigens(fine_mats, half).k == half
+    assert calls == [[0, half - 1]]
+    solve_factor_eigens(factor_mats(n_el=40), 5)  # 81 dof, below the crossover
+    assert len(calls) == 2
+
+
+def test_arpack_failure_is_an_eigen_error(fine_mats, monkeypatch, tmp_path, capsys):
+    def failing_eigsh(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.empty(0), np.empty((fine_mats.ndof, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
+    with pytest.raises(EigenError, match="factor eigensolve failed: .*No convergence"):
+        solve_factor_eigens(fine_mats, 40)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "schema_version": 1, "n_factors": 1, "factors": [{"kind": "fene", "b": 4.0}],
+        "coupling": {"kind": "identity"}, "wi": 1.0, "c": 1.0,
+        "mesh": {"n_el": 320, "degree": 2},
+        "target": {"kind": "manufactured", "coefficients": [1.0]}, "eig": {"k": 40}}))
+    out = tmp_path / "out"
+    assert cli.main(["eig", "--config", str(config), "--out", str(out)]) == 1
+    assert "error: factor eigensolve failed: " in capsys.readouterr().err
+    assert not (out / "eig.csv").exists()
 
 
 def test_k_validation():
