@@ -1,6 +1,6 @@
 """Greedy separated representations for Maxwellian-weighted elliptic problems."""
 
-from .config import ConfigError, ExperimentConfig, build_problem, build_target, load_config
+from .config import ConfigError, ExperimentConfig, build_problem, build_target
 from .diagnostics import (B1Bound, CoeffTensor, WeightFamily, b1_bound, fourier_coeffs,
                           rate_class_report, sigma_norm)
 from .eigen import (EigenError, EigenSystem, FactorEigens, WeylFit,
@@ -12,7 +12,7 @@ from .greedy import (AlsError, EnergyForm, Functional, GreedyError, GreedyTrace,
                      NullTermError, RankOneTerm, SeparatedFunction, TraceRow, als_best,
                      als_rank1, assemble_dense, energy_norm, energy_pairing,
                      energy_rank1, exact_dual_norms, mass_pairing, normalize_term,
-                     run_oga, run_pga, stopping_surrogate)
+                     run_oga, run_pga)
 from .springs import (MaxwellianWeight, SpringModel, boundary_limit_d2q,
                       integrate_weighted, normalize, q_theta)
 
@@ -27,8 +27,7 @@ __all__ = [
     "als_rank1", "assemble", "assemble_dense", "b1_bound", "boundary_limit_d2q",
     "build_mesh", "build_problem", "build_target", "dof_coordinates", "energy_norm",
     "energy_pairing", "energy_rank1", "exact_dual_norms", "fourier_coeffs",
-    "integrate_weighted", "interpolate", "load_config", "mass_pairing",
-    "normalize", "normalize_term", "q_theta", "rate_class_report",
-    "resolved_factor_eigens", "run_oga", "run_pga", "sigma_norm",
-    "solve_factor_eigens", "stopping_surrogate", "tensor_eigenvalue", "weyl_fit",
+    "integrate_weighted", "interpolate", "mass_pairing", "normalize", "normalize_term",
+    "q_theta", "rate_class_report", "resolved_factor_eigens", "run_oga", "run_pga",
+    "sigma_norm", "solve_factor_eigens", "tensor_eigenvalue", "weyl_fit",
 ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -106,10 +107,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, exact_dual: bool = False) ->
         "final_err_energy": trace.rows[-1].err_energy if trace.rows else None,
         "target_norm_bound": bound,
         "wall_clock_s": wall,
-        "rows": [{"n": r.n, "err_energy": r.err_energy, "term_norm_a": r.term_norm_a,
-                  "ortho_defect": r.ortho_defect, "surrogate": r.surrogate,
-                  "alpha": list(r.alpha) if r.alpha is not None else None}
-                 for r in trace.rows],
+        "rows": [dataclasses.asdict(r) for r in trace.rows],
     }
     _write_json(out_dir / "runrecord.json", record)
     return _EXIT_BY_STATUS[trace.status]
@@ -310,9 +308,6 @@ def main(argv=None) -> int:
         if args.command == "rates":
             return cmd_rates(cfg, out_dir)
         return cmd_regularity(cfg, out_dir)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (GreedyError, EigenError, AssemblyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

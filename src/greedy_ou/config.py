@@ -16,7 +16,8 @@ import numpy as np
 
 from .eigen import solve_factor_eigens
 from .fem import assemble, build_mesh
-from .greedy import EnergyForm, Functional, RankOneTerm, SeparatedFunction, energy_rank1
+from .greedy import (EnergyForm, Functional, RankOneTerm, SeparatedFunction, energy_rank1,
+                     random_unit_term)
 from .springs import CPAIL, FENE, SpringModel, normalize
 
 SCHEMA_VERSION = 1
@@ -68,9 +69,7 @@ def _integer(d, key, path, default=None, minimum=1):
 class ExperimentConfig:
     n_factors: int
     factor_models: list
-    coupling: np.ndarray
-    wi: float
-    c: float
+    form: EnergyForm
     n_el: int
     grading: float
     degree: int
@@ -182,7 +181,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     wi = _number(raw, "wi", "", minimum=0, strict=True)
     c = _number(raw, "c", "", minimum=0, strict=True)
     try:
-        EnergyForm(coupling, wi=wi, c=c)
+        form = EnergyForm(coupling, wi=wi, c=c)
     except ValueError as exc:
         raise ConfigError("coupling", str(exc)) from exc
     mesh = _require(raw, "mesh", "", dict)
@@ -217,10 +216,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
             raise ConfigError("box", f"expected a list of {n_factors} positive integers")
         box = tuple(box)
     return ExperimentConfig(
-        n_factors=n_factors, factor_models=models, coupling=coupling, wi=wi, c=c,
-        n_el=n_el, grading=grading, degree=degree, algorithm=algorithm,
-        tol_stop=tol_stop, n_max=n_max, als_tol=als_tol, als_max_sweeps=max_sweeps,
-        als_restarts=restarts, seed=seed, target=target, eig_k=eig_k, box=box, raw=raw)
+        n_factors=n_factors, factor_models=models, form=form, n_el=n_el, grading=grading,
+        degree=degree, algorithm=algorithm, tol_stop=tol_stop, n_max=n_max, als_tol=als_tol,
+        als_max_sweeps=max_sweeps, als_restarts=restarts, seed=seed, target=target,
+        eig_k=eig_k, box=box, raw=raw)
 
 
 def load_raw(path):
@@ -232,18 +231,13 @@ def load_raw(path):
         raise ConfigError("", f"invalid JSON in {path}: {exc}") from exc
 
 
-def load_config(path) -> ExperimentConfig:
-    return validate_config(load_raw(path))
-
-
 def build_problem(cfg: ExperimentConfig):
     """Energy form and per-factor matrices for a validated config."""
-    form = EnergyForm(cfg.coupling, wi=cfg.wi, c=cfg.c)
     mats = []
     for model in cfg.factor_models:
         mesh = build_mesh(model.b, cfg.n_el, cfg.grading)
         mats.append(assemble(mesh, normalize(model), cfg.degree))
-    return form, mats
+    return cfg.form, mats
 
 
 def build_target(cfg: ExperimentConfig, form: EnergyForm, mats):
@@ -258,11 +252,7 @@ def build_target(cfg: ExperimentConfig, form: EnergyForm, mats):
         rng = np.random.default_rng(spec["seed"])
         terms = []
         for ck in spec["coefficients"]:
-            factors = []
-            for m in mats:
-                v = rng.standard_normal(m.ndof)
-                factors.append(v / np.sqrt(v @ m.mass @ v))
-            term = RankOneTerm(factors)
+            term = random_unit_term(mats, rng)
             norm_a = np.sqrt(energy_rank1(form, mats, term, term))
             term.factors[-1] = term.factors[-1] / norm_a
             terms.append((float(ck), term))

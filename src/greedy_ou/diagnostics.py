@@ -33,6 +33,9 @@ UNIF = "unif"
 # reads as a converged truncation
 TAIL_SHARE_TOL = 1e-3
 
+# class reports evaluate each weight family this far above its sufficiency exponent
+THRESHOLD_MARGIN = 0.25
+
 
 @dataclass(frozen=True)
 class CoeffTensor:
@@ -153,14 +156,14 @@ def b1_bound(coeffs: CoeffTensor, sys: EigenSystem) -> B1Bound:
     return B1Bound(total=float(total), tail_ratio=tail)
 
 
-def rate_class_report(coeffs: CoeffTensor, sys: EigenSystem, d: int = 1,
-                      eps: float = 0.25) -> dict:
+def rate_class_report(coeffs: CoeffTensor, sys: EigenSystem, d: int = 1) -> dict:
     """Truncated-box class diagnostics at the sufficiency exponents.
 
     The mix family guarantees the rate class above m = d/2 + 1 and the unif
-    family above m = 1 + N d / 2; both are evaluated at threshold + eps.  A
-    family is flagged when the outermost shell carries a negligible share of
-    its weighted sum, meaning the truncated norm has visibly saturated.
+    family above m = 1 + N d / 2; both are evaluated at threshold +
+    THRESHOLD_MARGIN.  A family is flagged when the outermost shell carries a
+    negligible share of its weighted sum, meaning the truncated norm has
+    visibly saturated.
     Finite boxes cannot prove membership; the report states evidence only.
     """
     n = sys.n_factors
@@ -176,7 +179,7 @@ def rate_class_report(coeffs: CoeffTensor, sys: EigenSystem, d: int = 1,
                "suggests_membership": b1.tail_ratio <= TAIL_SHARE_TOL},
     }
     for kind, threshold in ((MIX, d / 2 + 1), (UNIF, 1 + n * d / 2)):
-        m = threshold + eps
+        m = threshold + THRESHOLD_MARGIN
         norm, tail = _sigma_norm_with_tail(coeffs, sys, WeightFamily(kind, m))
         report[kind] = {
             "m": m,

@@ -32,7 +32,14 @@ from .fem import FactorMatrices, assemble, build_mesh
 
 logger = logging.getLogger(__name__)
 
+# relative change under one mesh doubling up to which an eigenvalue counts as resolved
 RESOLVED_REL_TOL = 1e-3
+
+# Entries within this relative distance of a vector's largest magnitude tie
+# for it.  The two end entries of an odd mode of a symmetric problem agree
+# only to roundoff (a few 1e-12 relatively), so a sign fixed by the single
+# largest entry would follow roundoff and differ between solvers.
+SIGN_TIE_REL = 1e-8
 
 # Smallest basis solved by shift-invert Lanczos instead of dense eigh.  Per
 # call at k = 20 and 40, P2 FENE b=4 and CPAIL b=6, one BLAS thread, 2-core
@@ -78,7 +85,9 @@ class EigenSystem:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    idx = np.argmax(np.abs(vectors), axis=0)
+    """Make positive the first entry of each column tied for its largest magnitude."""
+    mag = np.abs(vectors)
+    idx = np.argmax(mag >= (1.0 - SIGN_TIE_REL) * mag.max(axis=0), axis=0)
     signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
     return vectors * signs
@@ -131,14 +140,13 @@ def solve_factor_eigens(mats: FactorMatrices, k: int) -> FactorEigens:
     return FactorEigens(values=values, vectors=_fix_signs(vectors), mats=mats)
 
 
-def resolved_factor_eigens(mats: FactorMatrices, k: int,
-                           rel_tol: float = RESOLVED_REL_TOL) -> FactorEigens:
+def resolved_factor_eigens(mats: FactorMatrices, k: int) -> FactorEigens:
     """Eigens of the given basis, gated against its once-refined mesh.
 
     Only the refined basis is assembled here: same weight, grading and
     degree, twice the elements.  Eigenvalue n is resolved when that doubling
-    changes it by at most rel_tol relatively.  Vectors and mats stay those of
-    the given basis so they remain usable against it.
+    changes it by at most RESOLVED_REL_TOL relatively.  Vectors and mats
+    stay those of the given basis so they remain usable against it.
     """
     eig_c = solve_factor_eigens(mats, k)
     fine = assemble(build_mesh(mats.weight.model.b, 2 * mats.mesh.n_el, mats.mesh.grading),
@@ -146,7 +154,7 @@ def resolved_factor_eigens(mats: FactorMatrices, k: int,
     eig_f = solve_factor_eigens(fine, k)
     rel = np.abs(eig_f.values - eig_c.values) / eig_c.values
     return FactorEigens(values=eig_c.values, vectors=eig_c.vectors,
-                        mats=mats, resolved=rel <= rel_tol)
+                        mats=mats, resolved=rel <= RESOLVED_REL_TOL)
 
 
 def tensor_eigenvalue(sys: EigenSystem, idx) -> float:

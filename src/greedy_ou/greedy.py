@@ -40,6 +40,8 @@ logger = logging.getLogger(__name__)
 _NULL_MASS_NORM = 1e-14
 # Gram condition number beyond which the captured dictionary is re-orthogonalized
 _GRAM_COND_LIMIT = 1e12
+# largest total tensor-grid size for which exact_dual_norms assembles the dense form
+DENSE_MAX_DOF = 10_000
 
 ENERGY = "energy"
 SOURCE = "source"
@@ -229,12 +231,6 @@ def energy_rank1(form: EnergyForm, mats, u: RankOneTerm, v: RankOneTerm) -> floa
     return float(_contract(form.terms, mats, _stack(mats, [u]), _stack(mats, [v])).sum())
 
 
-def mass_rank1(mats, u: RankOneTerm, v: RankOneTerm) -> float:
-    """L2_M pairing of two rank-one terms."""
-    return float(_contract(_mass_terms(len(mats)), mats,
-                           _stack(mats, [u]), _stack(mats, [v])).sum())
-
-
 def _pairing(op_terms, mats, f: SeparatedFunction, g: SeparatedFunction) -> float:
     wf = np.array([w for w, _ in f.terms], dtype=float)
     wg = np.array([w for w, _ in g.terms], dtype=float)
@@ -416,13 +412,6 @@ class GreedyTrace:
     final_surrogate: float | None = None  # candidate value that triggered the stop
 
 
-def stopping_surrogate(trace: GreedyTrace) -> float:
-    """Relative captured-term norm at the last recorded iteration."""
-    if not trace.rows:
-        raise ValueError("trace has no recorded iterations")
-    return trace.rows[-1].surrogate
-
-
 def _err_energy(form, mats, target, approx_terms):
     if target is None:
         return float("nan")
@@ -440,7 +429,6 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
     trace = GreedyTrace()
     residual = rhs
     captured = []  # normalized dictionary terms
-    alpha = np.zeros(0)
     gram = np.zeros((0, 0))
     fvec = np.zeros(0)
     r1_norm = None
@@ -492,7 +480,6 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
             trace.status = "converged"
             trace.final_surrogate = surrogate
             return approx, trace
-    trace.status = "n_max"
     return approx, trace
 
 
@@ -564,10 +551,11 @@ def assemble_dense(form: EnergyForm, mats) -> np.ndarray:
 
 
 def dense_functional_vector(form: EnergyForm, mats, functional: Functional,
-                            dense_form: np.ndarray | None = None) -> np.ndarray:
-    """Functional applied to every tensor-product basis function."""
-    if dense_form is None:
-        dense_form = assemble_dense(form, mats)
+                            dense_form: np.ndarray) -> np.ndarray:
+    """Functional applied to every tensor-product basis function.
+
+    dense_form is assemble_dense(form, mats), which applies the energy terms.
+    """
     out = np.zeros(dense_form.shape[0])
     for w, t, kind in functional.terms:
         vec = reduce(np.kron, t.factors)
@@ -578,17 +566,16 @@ def dense_functional_vector(form: EnergyForm, mats, functional: Functional,
     return out
 
 
-def exact_dual_norms(form: EnergyForm, mats, functionals,
-                     max_dof: int = 10_000) -> list:
+def exact_dual_norms(form: EnergyForm, mats, functionals) -> list:
     """Dual norms of functionals via their dense Riesz representers.
 
     Solves a(zeta, .) = f(.) on the full tensor grid for each functional,
-    assembling and factoring the form once; refused above max_dof total
+    assembling and factoring the form once; refused above DENSE_MAX_DOF total
     degrees of freedom.
     """
     total_dof = int(np.prod([m.ndof for m in mats]))
-    if total_dof > max_dof:
-        raise ValueError(f"dense dual norm needs {total_dof} dof, budget is {max_dof}")
+    if total_dof > DENSE_MAX_DOF:
+        raise ValueError(f"dense dual norm needs {total_dof} dof, budget is {DENSE_MAX_DOF}")
     a_full = assemble_dense(form, mats)
     factor = cho_factor(a_full)
     norms = []

@@ -30,6 +30,12 @@ CPAIL = "cpail"
 
 _MIN_B = {FENE: 2.0, CPAIL: 3.0}
 
+# weighted quadrature: relative agreement of successive grading depths,
+# Gauss points per panel, and the deepest grading tried
+QUAD_REL_TOL = 1e-12
+QUAD_N_GAUSS = 24
+QUAD_MAX_LEVELS = 60
+
 
 @dataclass(frozen=True)
 class SpringModel:
@@ -129,21 +135,21 @@ def _graded_breaks(q_max, n_levels):
     return np.append(pts, q_max)
 
 
-def integrate_weighted(model: SpringModel, fn=None, rel_tol=1e-12, n_gauss=24,
-                       max_levels=60):
+def integrate_weighted(model: SpringModel, fn=None):
     """Integrate fn(q) * maxwellian_unnormalized(q) over (-sqrt(b), sqrt(b)).
 
     Adaptive in the number of geometrically graded panels toward each
-    endpoint; doubles the grading depth until successive values agree to
-    rel_tol.  fn=None integrates the bare weight.  Raises RuntimeError if the
-    tolerance is not met within max_levels grading levels.
+    endpoint, with QUAD_N_GAUSS Gauss points per panel; doubles the grading
+    depth until successive values agree to QUAD_REL_TOL.  fn=None integrates
+    the bare weight.  Raises RuntimeError if the tolerance is not met within
+    QUAD_MAX_LEVELS grading levels.
     """
     q_max = model.q_max
 
     def value(n_levels):
         half = _graded_breaks(q_max, n_levels)
         breaks = np.concatenate([-half[::-1], half[1:]])
-        nodes, weights = _gauss_panels(breaks, n_gauss)
+        nodes, weights = _gauss_panels(breaks, QUAD_N_GAUSS)
         vals = maxwellian_unnormalized(model, nodes)
         if fn is not None:
             vals = vals * np.asarray(fn(nodes), dtype=float)
@@ -151,21 +157,21 @@ def integrate_weighted(model: SpringModel, fn=None, rel_tol=1e-12, n_gauss=24,
 
     levels = 8
     prev = value(levels)
-    while levels <= max_levels:
+    while levels <= QUAD_MAX_LEVELS:
         levels *= 2
         cur = value(levels)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+        if abs(cur - prev) <= QUAD_REL_TOL * max(abs(cur), 1e-300):
             return cur
         prev = cur
     raise RuntimeError(
-        f"weighted quadrature did not reach rel_tol={rel_tol:g} within "
-        f"{max_levels} grading levels ({model.kind}, b={model.b:g})"
+        f"weighted quadrature did not reach rel_tol={QUAD_REL_TOL:g} within "
+        f"{QUAD_MAX_LEVELS} grading levels ({model.kind}, b={model.b:g})"
     )
 
 
-def normalize(model: SpringModel, rel_tol=1e-12) -> MaxwellianWeight:
+def normalize(model: SpringModel) -> MaxwellianWeight:
     """Compute Z^{-1} so the Maxwellian integrates to one."""
-    z = integrate_weighted(model, rel_tol=rel_tol)
+    z = integrate_weighted(model)
     return MaxwellianWeight(model, 1.0 / z)
 
 

@@ -6,6 +6,7 @@ import logging
 
 import pytest
 
+import greedy_ou
 from greedy_ou import cli, greedy
 from greedy_ou.config import ConfigError, validate_config
 
@@ -44,6 +45,10 @@ def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def test_public_names_resolve():
+    assert [name for name in greedy_ou.__all__ if not hasattr(greedy_ou, name)] == []
 
 
 # --- validation ---

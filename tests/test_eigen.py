@@ -50,10 +50,18 @@ def test_mass_orthonormality_and_rayleigh():
 
 
 def test_sign_convention_deterministic():
+    # positive: the first entry whose magnitude ties the largest to SIGN_TIE_REL
     eig = solve_factor_eigens(factor_mats(), 8)
-    for n in range(8):
-        e = eig.vectors[:, n]
-        assert e[np.argmax(np.abs(e))] > 0
+    for e in eig.vectors.T:
+        mag = np.abs(e)
+        assert e[np.flatnonzero(mag >= (1.0 - eigen.SIGN_TIE_REL) * mag.max())[0]] > 0
+    for n in (2, 4):
+        # an odd mode's end entries tie up to roundoff with opposite signs;
+        # the left one is the first of the tie, whichever is larger by roundoff
+        e = eig.vectors[:, n - 1]
+        assert abs(e[0]) == pytest.approx(np.abs(e).max(), rel=1e-10)
+        assert abs(e[-1]) == pytest.approx(np.abs(e).max(), rel=1e-10)
+        assert e[0] > 0 > e[-1]
 
 
 def test_second_eigenvalue_mesh_converged():
@@ -95,15 +103,7 @@ def test_banded_path_matches_dense(fine_mats, monkeypatch):
     dense = solve_factor_eigens(fine_mats, 40)
     dense_gate = resolved_factor_eigens(fine_mats, 40)
     assert np.all(np.abs(banded.values - dense.values) <= 1e-9 * dense.values)
-    for b, d in zip(banded.vectors.T, dense.vectors.T):
-        if np.abs(b - d).max() > 1e-8:
-            # "largest entry positive" is ambiguous for an odd mode of a symmetric
-            # problem: its end entries tie up to roundoff, with opposite signs
-            mag = np.abs(d)
-            assert mag[0] == pytest.approx(mag.max(), rel=1e-10)
-            assert mag[-1] == pytest.approx(mag.max(), rel=1e-10)
-            assert d[0] * d[-1] < 0
-            assert np.abs(b + d).max() <= 1e-8
+    assert np.abs(banded.vectors - dense.vectors).max() <= 1e-8
     gram = banded.vectors.T @ fine_mats.mass @ banded.vectors
     assert np.abs(gram - np.eye(40)).max() <= 1e-12
     assert banded.values[0] == pytest.approx(1.0, abs=1e-10)

@@ -9,12 +9,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from greedy_ou import greedy
 from greedy_ou.fem import assemble, build_mesh
 from greedy_ou.greedy import (
     AlsError,
     EnergyForm,
     Functional,
-    GreedyTrace,
     NullTermError,
     RankOneTerm,
     SeparatedFunction,
@@ -27,12 +27,11 @@ from greedy_ou.greedy import (
     energy_pairing,
     energy_rank1,
     exact_dual_norms,
-    mass_rank1,
+    mass_pairing,
     normalize_term,
     random_unit_term,
     run_oga,
     run_pga,
-    stopping_surrogate,
     zero_term,
 )
 from greedy_ou.springs import CPAIL, FENE, SpringModel, normalize
@@ -338,28 +337,16 @@ def test_oga_not_worse_than_pga_per_iteration():
         assert ro.err_energy <= rp.err_energy * (1 + 1e-8) + 1e-12
 
 
-def test_stopping_surrogate():
-    with pytest.raises(ValueError):
-        stopping_surrogate(GreedyTrace())
-    mats = two_factor_mats()
-    form = EnergyForm(ROUSE2, 1.0, 1.0)
-    rng = np.random.default_rng(18)
-    target = random_target(mats, rng, 2)
-    _, trace = run_pga(form, mats, Functional.from_target(target), tol_stop=1e-13,
-                       n_max=3, rng=rng, target=target)
-    assert trace.rows[0].surrogate == 1.0
-    assert stopping_surrogate(trace) == trace.rows[-1].surrogate
-
-
-def test_exact_dual_norm_riesz_identity():
+def test_exact_dual_norm_riesz_identity(monkeypatch):
     # for f = a(tau, .) the Riesz representer is tau itself
     mats = two_factor_mats(n_el=4, degree=1)
     form = EnergyForm(ROUSE2, wi=1.0, c=1.0)
     target = random_target(mats, np.random.default_rng(19), 2)
     [dual] = exact_dual_norms(form, mats, [Functional.from_target(target)])
     assert dual == pytest.approx(energy_norm(form, mats, target), rel=1e-10)
+    monkeypatch.setattr(greedy, "DENSE_MAX_DOF", 10)
     with pytest.raises(ValueError, match="budget"):
-        exact_dual_norms(form, mats, [Functional.from_target(target)], max_dof=10)
+        exact_dual_norms(form, mats, [Functional.from_target(target)])
 
 
 def test_dense_source_vector_matches_mass_pairing():
@@ -368,10 +355,10 @@ def test_dense_source_vector_matches_mass_pairing():
     rng = np.random.default_rng(20)
     g = random_target(mats, rng, 2)
     f = Functional.from_source(g)
-    vec = dense_functional_vector(form, mats, f)
+    vec = dense_functional_vector(form, mats, f, assemble_dense(form, mats))
     probe = random_term(mats, rng)
     assert kron_vec(probe) @ vec == pytest.approx(
-        sum(w * mass_rank1(mats, t, probe) for w, t, _ in f.terms), rel=1e-12)
+        mass_pairing(mats, g, SeparatedFunction([(1.0, probe)])), rel=1e-12)
 
 
 def test_surrogate_within_dual_norm_bounds():

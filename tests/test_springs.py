@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from greedy_ou import springs
 from greedy_ou.springs import (
     CPAIL,
     FENE,
@@ -119,6 +120,13 @@ def test_integrate_weighted_moment():
     ref, _ = quad(lambda q: q * q * maxwellian_unnormalized(model, q),
                   -model.q_max, model.q_max, limit=200)
     assert mine == pytest.approx(ref, rel=1e-11)
+
+
+def test_integrate_weighted_refuses_unconverged(monkeypatch):
+    # no pair of successive values can meet a negative tolerance
+    monkeypatch.setattr(springs, "QUAD_REL_TOL", -1.0)
+    with pytest.raises(RuntimeError, match=r"within 60 grading levels \(cpail, b=6\)"):
+        normalize(SpringModel(CPAIL, 6.0))
 
 
 def test_q_theta_hand_values():
