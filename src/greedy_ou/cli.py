@@ -29,7 +29,7 @@ from .config import (SCHEMA_VERSION, ConfigError, ExperimentConfig, build_proble
 from .diagnostics import fourier_coeffs, rate_class_report
 from .eigen import EigenSystem, EigenError, resolved_factor_eigens, weyl_fit
 from .fem import AssemblyError
-from .greedy import GreedyError, SeparatedFunction, exact_dual_norms, run_oga, run_pga
+from .greedy import Functional, GreedyError, SeparatedFunction, exact_dual_norms, run_oga, run_pga
 from .springs import normalize  # noqa: F401  (perfbench/spans.py patches cli.normalize)
 
 logger = logging.getLogger(__name__)
@@ -68,16 +68,17 @@ def _run_algorithm(cfg: ExperimentConfig, name: str, form, mats, rhs, target):
                           restarts=cfg.als_restarts, rng=rng, target=target)
 
 
-def _residual_at(rhs, approx_terms, row):
+def _residual_at(form, mats, rhs, approx, row):
     """Residual functional after the update recorded in a trace row."""
-    if row.alpha is None:
-        return rhs.minus(SeparatedFunction(approx_terms[:row.n]))
-    return rhs.minus(SeparatedFunction([(a, t) for a, (_, t) in zip(row.alpha, approx_terms)]))
+    weights = approx.weights[:row.n] if row.alpha is None else row.alpha
+    used = SeparatedFunction(weights, [f[:, :row.n] for f in approx.factors])
+    return rhs.minus(form, mats, used)
 
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path, exact_dual: bool = False) -> int:
     form, mats = build_problem(cfg)
-    target, rhs, bound = build_target(cfg, form, mats)
+    target, bound = build_target(cfg, form, mats)
+    rhs = Functional.from_target(form, mats, target)
     started = time.perf_counter()
     approx, trace = _run_algorithm(cfg, cfg.algorithm, form, mats, rhs, target)
     wall = time.perf_counter() - started
@@ -91,8 +92,8 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, exact_dual: bool = False) ->
         rows.append([row.n, row.err_energy, row.term_norm_a, row.ortho_defect,
                      row.surrogate, alpha_json])
     if exact_dual:
-        duals = exact_dual_norms(form, mats,
-                                 [_residual_at(rhs, approx.terms, row) for row in trace.rows])
+        duals = exact_dual_norms(form, mats, [_residual_at(form, mats, rhs, approx, row)
+                                              for row in trace.rows])
         for values, dual in zip(rows, duals):
             values.append(dual)
     _write_csv(out_dir / "solve.csv", header, rows)
@@ -146,7 +147,8 @@ def cmd_eig(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_rates(cfg: ExperimentConfig, out_dir: Path) -> int:
     form, mats = build_problem(cfg)
-    target, rhs, bound = build_target(cfg, form, mats)
+    target, bound = build_target(cfg, form, mats)
+    rhs = Functional.from_target(form, mats, target)
     rows = []
     slopes = {}
     for name in ("pga", "oga"):
@@ -174,7 +176,7 @@ def cmd_rates(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_regularity(cfg: ExperimentConfig, out_dir: Path) -> int:
     form, mats = build_problem(cfg)
-    target, _, _ = build_target(cfg, form, mats)
+    target, _ = build_target(cfg, form, mats)
     system = _resolved_system(cfg, mats)
     box = cfg.box or tuple(min(20, eig.n_resolved) for eig in system.factors)
     clamped = tuple(min(b, eig.n_resolved) for b, eig in zip(box, system.factors))

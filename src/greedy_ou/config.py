@@ -16,8 +16,7 @@ import numpy as np
 
 from .eigen import solve_factor_eigens
 from .fem import assemble, build_mesh
-from .greedy import (EnergyForm, Functional, RankOneTerm, SeparatedFunction, energy_rank1,
-                     random_unit_term)
+from .greedy import EnergyForm, SeparatedFunction, energy_rank1, random_unit_term
 from .springs import CPAIL, FENE, SpringModel, normalize
 
 SCHEMA_VERSION = 1
@@ -241,7 +240,7 @@ def build_problem(cfg: ExperimentConfig):
 
 
 def build_target(cfg: ExperimentConfig, form: EnergyForm, mats):
-    """Separated target, its functional, and the coefficient bound sum(|c_k|).
+    """Separated target and the coefficient bound sum(|c_k| ||t_k||_a).
 
     Manufactured targets draw factor vectors from a seeded generator and
     scale each rank-one term to unit energy norm, so the returned bound is
@@ -250,15 +249,11 @@ def build_target(cfg: ExperimentConfig, form: EnergyForm, mats):
     spec = cfg.target
     if spec["kind"] == "manufactured":
         rng = np.random.default_rng(spec["seed"])
-        terms = []
-        for ck in spec["coefficients"]:
-            term = random_unit_term(mats, rng)
-            norm_a = np.sqrt(energy_rank1(form, mats, term, term))
-            term.factors[-1] = term.factors[-1] / norm_a
-            terms.append((float(ck), term))
-        target = SeparatedFunction(terms)
+        terms = [random_unit_term(mats, rng) for _ in spec["coefficients"]]
+        factors = [np.column_stack(fs) for fs in zip(*(t.factors for t in terms))]
+        factors[-1] = factors[-1] / [np.sqrt(energy_rank1(form, mats, t, t)) for t in terms]
         bound = float(sum(abs(c) for c in spec["coefficients"]))
-        return target, Functional.from_target(target), bound
+        return SeparatedFunction(spec["coefficients"], factors), bound
     if spec["kind"] == "coefficient_file":
         file_spec = load_raw(spec["path"])
         terms = file_spec.get("terms") if isinstance(file_spec, dict) else None
@@ -267,18 +262,14 @@ def build_target(cfg: ExperimentConfig, form: EnergyForm, mats):
         spec = _parse_target({"target": {"kind": "eigen", "terms": terms}}, cfg.n_factors)
     k_needed = [max(t["index"][i] for t in spec["terms"]) for i in range(cfg.n_factors)]
     eigens = [solve_factor_eigens(m, min(k, m.ndof)) for m, k in zip(mats, k_needed)]
-    terms = []
-    bound = 0.0
     for t in spec["terms"]:
-        factors = []
         for i, n in enumerate(t["index"]):
             if n > eigens[i].k:
                 raise ConfigError("target.terms",
                                   f"index {n} exceeds basis size {eigens[i].k} for factor {i}")
-            factors.append(np.array(eigens[i].vectors[:, n - 1]))
-        term = RankOneTerm(factors)
-        norm_a = float(np.sqrt(energy_rank1(form, mats, term, term)))
-        terms.append((t["weight"], term))
-        bound += abs(t["weight"]) * norm_a
-    target = SeparatedFunction(terms)
-    return target, Functional.from_target(target), float(bound)
+    target = SeparatedFunction(
+        [t["weight"] for t in spec["terms"]],
+        [eig.vectors[:, [t["index"][i] - 1 for t in spec["terms"]]]
+         for i, eig in enumerate(eigens)])
+    bound = sum(abs(w) * float(np.sqrt(energy_rank1(form, mats, t, t))) for w, t in target.terms)
+    return target, float(bound)

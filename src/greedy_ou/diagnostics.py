@@ -11,6 +11,11 @@ vectors.  On top of the truncated coefficient box this module evaluates
     finiteness guarantees the rate-giving approximation class,
   * threshold reports at the class-membership exponents.
 
+Each computed coefficient carries a roundoff bound from an absolute-value
+evaluation of the sums it comes from (Higham, Accuracy and Stability,
+ch. 3); the report writes a Parseval defect or tail share that lies under
+its bound as 0.0 and flags it, instead of printing roundoff as data.
+
 Everything here is a truncated-box diagnostic: a finite box can suggest but
 never prove membership of any infinite-sum class, and the reports say which
 reading they support rather than asserting membership.
@@ -24,7 +29,7 @@ from functools import reduce
 import numpy as np
 
 from .eigen import EigenSystem
-from .greedy import SeparatedFunction, mass_pairing
+from .greedy import Functional, SeparatedFunction
 
 MIX = "mix"
 UNIF = "unif"
@@ -44,16 +49,28 @@ class CoeffTensor:
     norm_sq_l2m is the squared weighted L2 norm of the expanded function
     when known (nan for synthetic tensors), so the Parseval defect
     norm_sq - sum(coeffs^2) is available; truncation only removes mass, so
-    the defect is nonnegative up to roundoff.
+    the defect is nonnegative up to roundoff.  values_err (per entry) and
+    norm_sq_err bound the roundoff of values and norm_sq_l2m; both are zero
+    for tensors given exactly.
     """
 
     values: np.ndarray
     box: tuple
     norm_sq_l2m: float = float("nan")
+    values_err: np.ndarray | float = 0.0
+    norm_sq_err: float = 0.0
 
     @property
     def parseval_defect(self) -> float:
         return float(self.norm_sq_l2m - np.sum(self.values ** 2))
+
+    @property
+    def parseval_roundoff(self) -> float:
+        """Bound on the defect's roundoff: the norm's, that of each squared
+        coefficient, and that of their sum."""
+        c, e = np.abs(self.values), self.values_err
+        return float(self.norm_sq_err + np.sum((2 * c + e) * e)
+                     + _gamma(c.size + 1) * np.sum(c ** 2))
 
 
 @dataclass(frozen=True)
@@ -74,6 +91,13 @@ class WeightFamily:
 class B1Bound:
     total: float
     tail_ratio: float
+    tail_below_roundoff: bool
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u): relative roundoff bound of n nested roundings."""
+    u = np.finfo(float).eps / 2
+    return n * u / (1 - n * u)
 
 
 def _check_box(sys: EigenSystem, box) -> tuple:
@@ -93,13 +117,26 @@ def fourier_coeffs(tau: SeparatedFunction, sys: EigenSystem, box) -> CoeffTensor
     """Coefficients <tau, e_n>_{L2_M} over the truncation box, factor-wise."""
     box = _check_box(sys, box)
     mats = [eig.mats for eig in sys.factors]
-    values = np.zeros(box)
-    for w, term in tau.terms:
-        per_factor = [eig.vectors[:, :b].T @ (m.mass @ f)
-                      for eig, m, b, f in zip(sys.factors, mats, box, term.factors)]
-        values += w * reduce(np.multiply.outer, per_factor)
-    norm_sq = mass_pairing(mats, tau, tau)
-    return CoeffTensor(values=values, box=box, norm_sq_l2m=norm_sq)
+    vectors = [eig.vectors[:, :b] for eig, b in zip(sys.factors, box)]
+    # the functional (tau, .)_{L2_M} has the columns M_k U_k; the coefficients
+    # are its values on the tensor eigenbasis
+    source = Functional.from_source(mats, tau)
+    values = _outer_sum(source.weights, [v.T @ f for v, f in zip(vectors, source.factors)])
+    # the same sums on absolute values bound the roundoff of both figures;
+    # each sum is at most two ndof-long products, N factors and 2R terms deep
+    abs_mass_u = [np.abs(m.mass) @ np.abs(u) for m, u in zip(mats, tau.factors)]
+    abs_w = np.abs(tau.weights)
+    abs_values = _outer_sum(abs_w, [np.abs(v).T @ f for v, f in zip(vectors, abs_mass_u)])
+    abs_gram = reduce(np.multiply, [np.abs(u).T @ f for u, f in zip(tau.factors, abs_mass_u)])
+    gamma = _gamma(2 * max(m.ndof for m in mats) + len(mats) + 2 * tau.rank + 2)
+    return CoeffTensor(values=values, box=box, norm_sq_l2m=float(tau.weights @ source.values(tau)),
+                       values_err=gamma * abs_values,
+                       norm_sq_err=gamma * float(abs_w @ abs_gram @ abs_w))
+
+
+def _outer_sum(weights, per_factor) -> np.ndarray:
+    """sum_r weights[r] (x)_k per_factor[k][:, r] as a dense tensor."""
+    return reduce(lambda a, p: a[..., None, :] * p, per_factor, weights).sum(axis=-1)
 
 
 def _factor_values(sys: EigenSystem, box) -> list:
@@ -122,13 +159,16 @@ def _outer_shell_mask(box) -> np.ndarray:
     return mask
 
 
-def _weighted_sum_with_tail(contrib: np.ndarray, box):
-    """Extended-precision total and the outermost shell's share of it."""
+def _weighted_sum_with_tail(contrib: np.ndarray, err, box):
+    """Extended-precision total, the outermost shell's share of it, and whether
+    the shell lies under the summed roundoff bounds err of its contributions."""
     total = np.sum(np.longdouble(contrib))
+    mask = _outer_shell_mask(box)
+    shell = np.sum(np.longdouble(contrib[mask]))
+    below = bool(shell <= np.sum(np.where(mask, err, 0.0)))
     if total == 0.0:
-        return np.longdouble(0.0), 0.0
-    shell = np.sum(np.longdouble(contrib[_outer_shell_mask(box)]))
-    return total, float(shell / total)
+        return np.longdouble(0.0), 0.0, below
+    return total, float(shell / total), below
 
 
 def sigma_norm(coeffs: CoeffTensor, sys: EigenSystem, w: WeightFamily) -> float:
@@ -139,8 +179,9 @@ def sigma_norm(coeffs: CoeffTensor, sys: EigenSystem, w: WeightFamily) -> float:
 def _sigma_norm_with_tail(coeffs, sys, w):
     sigma = _sigma_tensor(sys, coeffs.box, w)
     contrib = np.longdouble(sigma) * np.longdouble(coeffs.values) ** 2
-    total, tail = _weighted_sum_with_tail(contrib, coeffs.box)
-    return float(np.sqrt(total)), tail
+    err = sigma * (2 * np.abs(coeffs.values) + coeffs.values_err) * coeffs.values_err
+    total, tail, below = _weighted_sum_with_tail(contrib, err, coeffs.box)
+    return float(np.sqrt(total)), tail, below
 
 
 def _tensor_lambda(sys: EigenSystem, box) -> np.ndarray:
@@ -152,8 +193,9 @@ def b1_bound(coeffs: CoeffTensor, sys: EigenSystem) -> B1Bound:
     """sum_n sqrt(Lambda_n) |<tau,e_n>| with the outermost-shell share."""
     tensor_lam = _tensor_lambda(sys, coeffs.box)
     contrib = np.sqrt(np.longdouble(tensor_lam)) * np.abs(np.longdouble(coeffs.values))
-    total, tail = _weighted_sum_with_tail(contrib, coeffs.box)
-    return B1Bound(total=float(total), tail_ratio=tail)
+    err = np.sqrt(tensor_lam) * coeffs.values_err
+    total, tail, below = _weighted_sum_with_tail(contrib, err, coeffs.box)
+    return B1Bound(total=float(total), tail_ratio=tail, tail_below_roundoff=below)
 
 
 def rate_class_report(coeffs: CoeffTensor, sys: EigenSystem, d: int = 1) -> dict:
@@ -163,29 +205,37 @@ def rate_class_report(coeffs: CoeffTensor, sys: EigenSystem, d: int = 1) -> dict
     family above m = 1 + N d / 2; both are evaluated at threshold +
     THRESHOLD_MARGIN.  A family is flagged when the outermost shell carries a
     negligible share of its weighted sum, meaning the truncated norm has
-    visibly saturated.
+    visibly saturated.  A Parseval defect or tail share under its roundoff
+    bound is written as 0.0 beside a true *_below_roundoff flag.
     Finite boxes cannot prove membership; the report states evidence only.
     """
     n = sys.n_factors
     b1 = b1_bound(coeffs, sys)
+    defect = coeffs.parseval_defect
+    defect_below = bool(abs(defect) <= coeffs.parseval_roundoff)
     report = {
         "box": list(coeffs.box),
         "n_factors": n,
         "d": d,
         "resolved_per_factor": [eig.n_resolved for eig in sys.factors],
         "l2m_norm_sq": coeffs.norm_sq_l2m,
-        "parseval_defect": coeffs.parseval_defect,
-        "b1": {"total": b1.total, "tail_ratio": b1.tail_ratio,
+        "parseval_defect": 0.0 if defect_below else defect,
+        "parseval_defect_below_roundoff": defect_below,
+        "b1": {"total": b1.total, **_flagged_tail(b1.tail_ratio, b1.tail_below_roundoff),
                "suggests_membership": b1.tail_ratio <= TAIL_SHARE_TOL},
     }
     for kind, threshold in ((MIX, d / 2 + 1), (UNIF, 1 + n * d / 2)):
         m = threshold + THRESHOLD_MARGIN
-        norm, tail = _sigma_norm_with_tail(coeffs, sys, WeightFamily(kind, m))
+        norm, tail, below = _sigma_norm_with_tail(coeffs, sys, WeightFamily(kind, m))
         report[kind] = {
             "m": m,
             "threshold": threshold,
             "sigma_norm": norm,
-            "tail_ratio": tail,
+            **_flagged_tail(tail, below),
             "suggests_membership": tail <= TAIL_SHARE_TOL,
         }
     return report
+
+
+def _flagged_tail(tail: float, below: bool) -> dict:
+    return {"tail_ratio": 0.0 if below else tail, "tail_ratio_below_roundoff": below}

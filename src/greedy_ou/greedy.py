@@ -7,12 +7,14 @@ an N-fold product domain is
 
 with A the symmetric positive-definite coupling matrix.  The form is a short
 sum of Kronecker products of per-factor matrices; operator_terms is the one
-place it is expanded, and every pairing, slot vector and slot Hessian is a
-contraction of those terms over per-factor stacks of rank-one factors.  A
-greedy iterate is a list of (weight, rank-one term) pairs and its residual
-is the right-hand side minus the matching energy pairings, so it stays
-low-rank.  assemble_dense expands the form by hand on purpose: it is the
-independent Kronecker oracle for small grids.
+place it is expanded.  Separated functions and functionals share one CP form
+[[weights; U_1, ..., U_N]]: a weight vector and one ndof_k x R stack per
+factor.  A functional's stacks hold operator-applied columns op_{t,k} U_k,
+built once when it is made, so a greedy residual f - a(u_n, .) stays
+low-rank, and every pairing, slot vector and slot Hessian applies the
+terms and then takes one product over factors.  assemble_dense
+expands the form by hand on purpose: it is the independent Kronecker oracle
+for small grids.
 
 The rank-one subproblem min_u J_f(u) = 1/2 a(u,u) - f(u) is solved by
 alternating sweeps: freezing all factors but slot j leaves a small symmetric
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, solve
@@ -42,9 +44,6 @@ _NULL_MASS_NORM = 1e-14
 _GRAM_COND_LIMIT = 1e12
 # largest total tensor-grid size for which exact_dual_norms assembles the dense form
 DENSE_MAX_DOF = 10_000
-
-ENERGY = "energy"
-SOURCE = "source"
 
 # per-factor operators of an operator term; GRAD_T is the transposed grad_coupling
 MASS = "mass"
@@ -115,22 +114,51 @@ class RankOneTerm:
 
     factors: list
 
-    def copy(self) -> "RankOneTerm":
-        return RankOneTerm([np.array(f, dtype=float) for f in self.factors])
-
     def is_null(self) -> bool:
         return all(np.all(f == 0.0) for f in self.factors)
 
+    def as_function(self) -> "SeparatedFunction":
+        return SeparatedFunction([1.0], [f[:, None] for f in self.factors])
 
-@dataclass
-class SeparatedFunction:
-    """Sum of weighted rank-one terms."""
 
-    terms: list = field(default_factory=list)
+@dataclass(frozen=True, eq=False)
+class _CPForm:
+    """sum_r weights[r] (x)_k factors[k][:, r]: the CP form [[weights; U_1, ..., U_N]].
+
+    factors[k] is an ndof_k x R stack, one column per weight.  Instances are
+    never mutated, so stacks derived from them can be built once.
+    """
+
+    weights: np.ndarray
+    factors: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        object.__setattr__(self, "factors", tuple(np.asarray(f, dtype=float)
+                                                  for f in self.factors))
 
     @property
     def rank(self) -> int:
-        return len(self.terms)
+        return len(self.weights)
+
+    @cached_property
+    def terms(self) -> list:
+        """(weight, RankOneTerm) for each column."""
+        return [(float(w), RankOneTerm([f[:, r] for f in self.factors]))
+                for r, w in enumerate(self.weights)]
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(np.concatenate([self.weights, other.weights]),
+                          [np.concatenate(p, axis=1) for p in zip(self.factors, other.factors)])
+
+    def __sub__(self, other):
+        return self + type(other)(-other.weights, other.factors)
+
+
+class SeparatedFunction(_CPForm):
+    """Sum of weighted rank-one terms, stored in CP form."""
 
 
 def zero_term(mats) -> RankOneTerm:
@@ -151,17 +179,23 @@ def normalize_term(mats, term: RankOneTerm) -> RankOneTerm:
     return RankOneTerm(out)
 
 
-def _check_sizes(form: EnergyForm, mats, *terms):
+def _check_sizes(form: EnergyForm, mats, *items):
+    """Rank-one terms and CP forms: one factor per basis with its ndof, one column per weight."""
     n = form.n_factors
     if len(mats) != n:
         raise ValueError(f"expected {n} factor matrices, got {len(mats)}")
-    for t in terms:
-        if len(t.factors) != n:
-            raise ValueError(f"rank-one term has {len(t.factors)} factors, expected {n}")
-        for k, f in enumerate(t.factors):
-            if f.shape != (mats[k].ndof,):
+    for item in items:
+        if len(item.factors) != n:
+            raise ValueError(f"{type(item).__name__} has {len(item.factors)} factors, "
+                             f"expected {n}")
+        columns = item.weights.shape if isinstance(item, _CPForm) else ()
+        for k, f in enumerate(item.factors):
+            if f.shape[:1] != (mats[k].ndof,):
                 raise ValueError(f"factor {k} has {f.shape[0]} coefficients, "
                                  f"basis has {mats[k].ndof}")
+            if f.shape[1:] != columns:
+                raise ValueError(f"factor {k} has {f.shape[1:]} columns, "
+                                 f"weights have {columns}")
 
 
 def operator_terms(form: EnergyForm) -> list:
@@ -187,61 +221,34 @@ def operator_terms(form: EnergyForm) -> list:
     return terms
 
 
-def _mass_terms(n: int) -> list:
-    """The weighted L2_M pairing as operator terms."""
-    return [(1.0, (MASS,) * n)]
-
-
 def _op(mats_k: FactorMatrices, name: str) -> np.ndarray:
     if name == GRAD_T:
         return mats_k.grad_coupling.T
     return getattr(mats_k, name)
 
 
-def _stack(mats, terms) -> list:
-    """Per-factor ndof x R stacks of the factors of a list of rank-one terms."""
-    return [np.array([t.factors[k] for t in terms], dtype=float).reshape(len(terms), m.ndof).T
-            for k, m in enumerate(mats)]
+def _applied(op_terms, mats, f: SeparatedFunction) -> "Functional":
+    """The functional v -> sum_t coef_t sum_r w_r prod_k v_k . op_{t,k} U_k[:, r].
 
-
-def _contract(op_terms, mats, trial, test, skip=None) -> np.ndarray:
-    """coef_t prod_{k != skip} V_k^T op_{t,k} U_k, shape (len(op_terms), S, R).
-
-    trial and test are per-factor stacks U_k (ndof x R) and V_k (ndof x S).
-    Summed over terms this is the form on every trial/test pair; with a
-    skipped slot each entry is the coefficient of op_{t,skip} there.
+    One dual column op_{t,k} U_k[:, r] with weight coef_t w_r per operator
+    term and primal column; each distinct op_{t,k} U_k is formed once.
     """
-    pairs = [{} for _ in mats]
-    out = np.empty((len(op_terms), test[0].shape[1], trial[0].shape[1]))
-    for t, (coef, ops) in enumerate(op_terms):
-        prod = np.full(out.shape[1:], coef)
-        for k, name in enumerate(ops):
-            if k == skip:
-                continue
-            if name not in pairs[k]:
-                pairs[k][name] = (test[k].T @ _op(mats[k], name)) @ trial[k]
-            prod = prod * pairs[k][name]
-        out[t] = prod
-    return out
+    factors = []
+    for k, m in enumerate(mats):
+        applied = {name: _op(m, name) @ f.factors[k] for name in {ops[k] for _, ops in op_terms}}
+        factors.append(np.concatenate([applied[ops[k]] for _, ops in op_terms], axis=1))
+    return Functional(np.concatenate([coef * f.weights for coef, _ in op_terms]), factors)
 
 
 def energy_rank1(form: EnergyForm, mats, u: RankOneTerm, v: RankOneTerm) -> float:
     """a(u, v) for rank-one u (trial) and v (test)."""
     _check_sizes(form, mats, u, v)
-    return float(_contract(form.terms, mats, _stack(mats, [u]), _stack(mats, [v])).sum())
-
-
-def _pairing(op_terms, mats, f: SeparatedFunction, g: SeparatedFunction) -> float:
-    wf = np.array([w for w, _ in f.terms], dtype=float)
-    wg = np.array([w for w, _ in g.terms], dtype=float)
-    pairs = _contract(op_terms, mats, _stack(mats, [t for _, t in f.terms]),
-                      _stack(mats, [t for _, t in g.terms])).sum(axis=0)
-    return float(wg @ pairs @ wf)
+    return _applied(form.terms, mats, u.as_function()).value_rank1(v)
 
 
 def energy_pairing(form: EnergyForm, mats, f: SeparatedFunction, g: SeparatedFunction) -> float:
-    _check_sizes(form, mats, *(t for _, t in f.terms), *(t for _, t in g.terms))
-    return _pairing(form.terms, mats, f, g)
+    _check_sizes(form, mats, g)
+    return float(g.weights @ Functional.from_target(form, mats, f).values(g))
 
 
 def energy_norm(form: EnergyForm, mats, f: SeparatedFunction) -> float:
@@ -249,64 +256,59 @@ def energy_norm(form: EnergyForm, mats, f: SeparatedFunction) -> float:
 
 
 def mass_pairing(mats, f: SeparatedFunction, g: SeparatedFunction) -> float:
-    return _pairing(_mass_terms(len(mats)), mats, f, g)
+    return float(g.weights @ Functional.from_source(mats, f).values(g))
 
 
-@dataclass
-class Functional:
-    """Bounded functional in separated form: sum of weighted rank-one pairings.
+class Functional(_CPForm):
+    """Bounded functional in CP form on the dual side: f(v) = sum_c w_c prod_k F_k[:, c] . v_k.
 
-    Each term is (weight, RankOneTerm, kind).  Kind "energy" pairs through
-    the bilinear form, f(v) = w a(t, v); kind "source" pairs through the
-    weighted mass, f(v) = w (t, v)_{L2_M}.
+    The columns of F_k are operator-applied primal factors (see _applied),
+    so evaluating f, or its slot-j vector, is one product over factors.
     """
 
-    terms: list = field(default_factory=list)
+    @classmethod
+    def from_target(cls, form: EnergyForm, mats, target: SeparatedFunction) -> "Functional":
+        """f = a(target, .) for a known separated target."""
+        _check_sizes(form, mats, target)
+        return _applied(form.terms, mats, target)
 
     @classmethod
-    def from_target(cls, target: SeparatedFunction) -> "Functional":
-        """f = a(tau, .) for a known separated target tau."""
-        return cls([(w, t, ENERGY) for w, t in target.terms])
+    def from_source(cls, mats, source: SeparatedFunction) -> "Functional":
+        """f = (g, .)_{L2_M} for a separated source g: one mass term."""
+        return _applied([(1.0, (MASS,) * len(mats))], mats, source)
 
-    @classmethod
-    def from_source(cls, source: SeparatedFunction) -> "Functional":
-        """f = (g, .)_{L2_M} for a separated source g."""
-        return cls([(w, t, SOURCE) for w, t in source.terms])
-
-    def minus(self, approx: SeparatedFunction) -> "Functional":
+    def minus(self, form: EnergyForm, mats, approx: SeparatedFunction) -> "Functional":
         """The residual functional f - a(approx, .)."""
-        return Functional(self.terms + [(-float(w), t, ENERGY) for w, t in approx.terms])
+        return self - Functional.from_target(form, mats, approx)
 
-    def _by_kind(self, form: EnergyForm, mats):
-        """(operator terms, weights, per-factor stacks) for each kind present."""
-        groups = {}
-        for w, t, kind in self.terms:
-            groups.setdefault(kind, []).append((w, t))
-        for kind, picked in groups.items():
-            op_terms = form.terms if kind == ENERGY else _mass_terms(form.n_factors)
-            yield (op_terms, np.array([w for w, _ in picked], dtype=float),
-                   _stack(mats, [t for _, t in picked]))
+    def _products(self, test, skip=None):
+        """prod_{k != skip} F_k^T V_k, one row per dual column; V_k a vector or a stack."""
+        return reduce(np.multiply, [f.T @ v for k, (f, v) in enumerate(zip(self.factors, test))
+                                    if k != skip], 1.0)
 
-    def value_rank1(self, form: EnergyForm, mats, v: RankOneTerm) -> float:
-        test = _stack(mats, [v])
-        return float(sum(_contract(op_terms, mats, stack, test).sum(axis=0)[0] @ w
-                         for op_terms, w, stack in self._by_kind(form, mats)))
+    def values(self, test) -> np.ndarray:
+        """f at each column of a separated test function, or at a rank-one term."""
+        return self.weights @ self._products(test.factors)
 
-    def slot_vector(self, form: EnergyForm, mats, frozen: RankOneTerm, j: int) -> np.ndarray:
+    def value_rank1(self, v: RankOneTerm) -> float:
+        return float(self.values(v))
+
+    def slot_vector(self, frozen: RankOneTerm, j: int) -> np.ndarray:
         """Vector b with f(frozen but slot j -> y) = y . b."""
-        test = _stack(mats, [frozen])
-        b = np.zeros(mats[j].ndof)
-        for op_terms, w, stack in self._by_kind(form, mats):
-            coeffs = _contract(op_terms, mats, stack, test, skip=j)[:, 0, :]
-            for (_, ops), c in zip(op_terms, coeffs):
-                b += _op(mats[j], ops[j]) @ (stack[j] @ (c * w))
-        return b
+        return self.factors[j] @ (self.weights * self._products(frozen.factors, skip=j))
 
 
 def _slot_hessian(form: EnergyForm, mats, frozen: RankOneTerm, j: int) -> np.ndarray:
-    """Hessian of u -> a(term with slot j -> u, same) over slot-j coefficients."""
-    r = _stack(mats, [frozen])
-    coeffs = _contract(form.terms, mats, r, r, skip=j)[:, 0, 0]
+    """Hessian of u -> a(term with slot j -> u, same) over slot-j coefficients.
+
+    The coefficient of op_{t,j} comes from the other slots alone: apply their
+    operators to the frozen factors, then take the product per term.
+    """
+    keep = [k for k in range(form.n_factors) if k != j]
+    rest = RankOneTerm([frozen.factors[k] for k in keep])
+    applied = _applied([(coef, [ops[k] for k in keep]) for coef, ops in form.terms],
+                       [mats[k] for k in keep], rest.as_function())
+    coeffs = applied.weights * applied._products(rest.factors)
     return sum(c * _op(mats[j], ops[j]) for (_, ops), c in zip(form.terms, coeffs))
 
 
@@ -323,10 +325,10 @@ def als_rank1(form: EnergyForm, mats, rhs: Functional, init: RankOneTerm,
     below mass norm 1e-14 (residual orthogonal to the rank-one set).
     """
     _check_sizes(form, mats, init)
-    if not rhs.terms:
+    if not rhs.rank:
         return zero_term(mats), 0.0
     n = form.n_factors
-    r = init.copy()
+    r = RankOneTerm(list(init.factors))
     for k in range(n):
         if mass_norm(mats[k], r.factors[k]) < _NULL_MASS_NORM:
             raise ValueError(f"init factor {k} is zero")
@@ -335,7 +337,7 @@ def als_rank1(form: EnergyForm, mats, rhs: Functional, init: RankOneTerm,
     for sweep in range(max_sweeps):
         for j in range(n):
             h = _slot_hessian(form, mats, r, j)
-            b = rhs.slot_vector(form, mats, r, j)
+            b = rhs.slot_vector(r, j)
             try:
                 u = cho_solve(cho_factor(h), b)
             except np.linalg.LinAlgError as exc:
@@ -412,11 +414,10 @@ class GreedyTrace:
     final_surrogate: float | None = None  # candidate value that triggered the stop
 
 
-def _err_energy(form, mats, target, approx_terms):
+def _err_energy(form, mats, target, approx):
     if target is None:
         return float("nan")
-    diff = SeparatedFunction(list(target.terms) + [(-w, t) for w, t in approx_terms])
-    return energy_norm(form, mats, diff)
+    return energy_norm(form, mats, target - approx)
 
 
 def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
@@ -425,10 +426,11 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     if rng is None:
         rng = np.random.default_rng(0)
-    approx = SeparatedFunction([])
+    # normalized dictionary terms, one column each
+    captured = SeparatedFunction(np.zeros(0), [np.zeros((m.ndof, 0)) for m in mats])
+    approx = captured
     trace = GreedyTrace()
     residual = rhs
-    captured = []  # normalized dictionary terms
     gram = np.zeros((0, 0))
     fvec = np.zeros(0)
     r1_norm = None
@@ -454,23 +456,22 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
             trace.status = "converged"
             trace.final_surrogate = surrogate
             return approx, trace
-        captured.append(term)
+        captured = captured + term.as_function()
         if orthogonal:
-            column = _contract(form.terms, mats, _stack(mats, captured),
-                               _stack(mats, [term])).sum(axis=0)[0]
+            column = Functional.from_target(form, mats, term.as_function()).values(captured)
             gram = np.block([[gram, column[:-1, None]], [column]])
-            fvec = np.append(fvec, rhs.value_rank1(form, mats, term))
+            fvec = np.append(fvec, rhs.value_rank1(term))
             alpha = _solve_galerkin(gram, fvec)
-            approx = SeparatedFunction([(float(a), t) for a, t in zip(alpha, captured)])
+            approx = SeparatedFunction(alpha, captured.factors)
             alpha_out = tuple(float(a) for a in alpha)
         else:
-            approx.terms.append((1.0, term))
+            approx = captured
             alpha_out = None
-        residual = rhs.minus(approx)
-        ortho_defect = residual.value_rank1(form, mats, term)
+        residual = rhs.minus(form, mats, approx)
+        ortho_defect = residual.value_rank1(term)
         trace.rows.append(TraceRow(
             n=n,
-            err_energy=_err_energy(form, mats, target, approx.terms),
+            err_energy=_err_energy(form, mats, target, approx),
             term_norm_a=norm_n,
             ortho_defect=float(ortho_defect),
             surrogate=float(surrogate),
@@ -550,20 +551,11 @@ def assemble_dense(form: EnergyForm, mats) -> np.ndarray:
     return total
 
 
-def dense_functional_vector(form: EnergyForm, mats, functional: Functional,
-                            dense_form: np.ndarray) -> np.ndarray:
-    """Functional applied to every tensor-product basis function.
-
-    dense_form is assemble_dense(form, mats), which applies the energy terms.
-    """
-    out = np.zeros(dense_form.shape[0])
-    for w, t, kind in functional.terms:
-        vec = reduce(np.kron, t.factors)
-        if kind == ENERGY:
-            out += w * (dense_form @ vec)
-        else:
-            out += w * reduce(np.kron, [m.mass @ f for m, f in zip(mats, t.factors)])
-    return out
+def dense_functional_vector(functional: Functional) -> np.ndarray:
+    """Functional applied to every tensor-product basis function: sum_c w_c kron_k F_k[:, c]."""
+    columns = reduce(lambda a, f: (a[:, None, :] * f[None, :, :]).reshape(-1, f.shape[1]),
+                     functional.factors)
+    return columns @ functional.weights
 
 
 def exact_dual_norms(form: EnergyForm, mats, functionals) -> list:
@@ -580,7 +572,7 @@ def exact_dual_norms(form: EnergyForm, mats, functionals) -> list:
     factor = cho_factor(a_full)
     norms = []
     for functional in functionals:
-        fvec = dense_functional_vector(form, mats, functional, a_full)
+        fvec = dense_functional_vector(functional)
         zeta = cho_solve(factor, fvec)
         norms.append(float(np.sqrt(max(zeta @ fvec, 0.0))))
     return norms

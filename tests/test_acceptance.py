@@ -47,13 +47,14 @@ def two_factor_setup(n_el, degree=2):
 def manufactured(form, mats, rng, coeffs):
     """Separated target with unit-energy rank-one terms, so M = sum|c_k|."""
     terms = []
-    for ck in coeffs:
+    for _ in coeffs:
         fac = [rng.standard_normal(m.ndof) for m in mats]
         t = RankOneTerm([f / np.sqrt(f @ m.mass @ f) for f, m in zip(fac, mats)])
         na = np.sqrt(energy_rank1(form, mats, t, t))
         t.factors[-1] = t.factors[-1] / na
-        terms.append((float(ck), t))
-    return SeparatedFunction(terms)
+        terms.append(t)
+    return SeparatedFunction(coeffs, [np.column_stack(fs)
+                                      for fs in zip(*(t.factors for t in terms))])
 
 
 def record_trace(name, form, mats, target, trace):
@@ -147,7 +148,7 @@ def test_criterion_04_pga_identities():
     for trial in range(20):
         rank = int(rng.integers(1, 6))
         target = manufactured(form, mats, rng, rng.uniform(0.2, 1.0, rank))
-        _, trace = run_pga(form, mats, Functional.from_target(target),
+        _, trace = run_pga(form, mats, Functional.from_target(form, mats, target),
                            tol_stop=1e-12, n_max=6, restarts=2, rng=rng, target=target)
         errs = record_trace(f"pga-identity-{trial}", form, mats, target, trace)
         for row, e_prev, e_next in zip(trace.rows, errs, errs[1:]):
@@ -168,7 +169,7 @@ def test_criterion_05_rank_one_recovery():
     rng = np.random.default_rng(5)
     for trial in range(5):
         target = manufactured(form, mats, rng, [float(rng.uniform(0.5, 2.0))])
-        _, trace = run_pga(form, mats, Functional.from_target(target),
+        _, trace = run_pga(form, mats, Functional.from_target(form, mats, target),
                            tol_stop=1e-12, n_max=1, als_tol=1e-10, restarts=3,
                            rng=rng, target=target)
         errs = record_trace(f"rank-one-{trial}", form, mats, target, trace)
@@ -186,7 +187,7 @@ def test_criterion_06_rate_envelopes():
     bound = sum(coeffs)  # 2.0 by construction
     target = manufactured(form, mats, np.random.default_rng(6), coeffs)
     for name, runner, exponent in (("pga", run_pga, -1 / 6), ("oga", run_oga, -0.5)):
-        _, trace = runner(form, mats, Functional.from_target(target),
+        _, trace = runner(form, mats, Functional.from_target(form, mats, target),
                           tol_stop=0.0, n_max=20, restarts=8,
                           rng=np.random.default_rng(60), target=target)
         record_trace(f"{name}-rate", form, mats, target, trace)
@@ -210,15 +211,15 @@ def test_criterion_07_als_vs_brute_force():
     for inst in range(10):
         rng = np.random.default_rng(700 + inst)
         target = manufactured(form, mats, rng, rng.uniform(0.2, 1.0, 3))
-        rhs = Functional.from_target(target)
+        rhs = Functional.from_target(form, mats, target)
         _, j_als = als_best(form, mats, rhs, tol=1e-12, max_sweeps=200,
                             restarts=8, rng=rng)
 
         def objective(z):
             t = RankOneTerm([z[:n0], z[n0:]])
-            val = 0.5 * energy_rank1(form, mats, t, t) - rhs.value_rank1(form, mats, t)
+            val = 0.5 * energy_rank1(form, mats, t, t) - rhs.value_rank1(t)
             grads = [(_slot_hessian(form, mats, t, j) @ t.factors[j]
-                      - rhs.slot_vector(form, mats, t, j)) for j in range(2)]
+                      - rhs.slot_vector(t, j)) for j in range(2)]
             return val, np.concatenate(grads)
 
         best = np.inf
@@ -277,11 +278,8 @@ def test_criterion_09_diagnostic_oracles():
         if abs(got - want) > 1e-12 * want:
             failures.append(f"{family.kind} norm {got!r} vs direct sum {want!r}")
 
-    expansion = SeparatedFunction([
-        (1.0, RankOneTerm([np.array(eig.vectors[:, 0]), np.array(eig.vectors[:, 0])])),
-        (0.5, RankOneTerm([np.array(eig.vectors[:, 1]), np.array(eig.vectors[:, 2])])),
-        (0.25, RankOneTerm([np.array(eig.vectors[:, 3]), np.array(eig.vectors[:, 3])])),
-    ])
+    expansion = SeparatedFunction([1.0, 0.5, 0.25],
+                                  [eig.vectors[:, [0, 1, 3]], eig.vectors[:, [0, 2, 3]]])
     defect = fourier_coeffs(expansion, sys2, (30, 30)).parseval_defect
     # roundoff can push an exactly zero defect a hair negative
     if not -1e-12 <= defect <= 1e-10:

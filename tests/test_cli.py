@@ -3,6 +3,8 @@
 import csv
 import json
 import logging
+import re
+from pathlib import Path
 
 import pytest
 
@@ -457,3 +459,14 @@ def test_sweep_rejects_duplicate_names(tmp_path, capsys):
     code = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "runs[1].name" in capsys.readouterr().err
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    trace = namespace["trace"]
+    assert trace.rows and namespace["approx"].rank == len(trace.rows)
+    assert trace.rows[-1].err_energy < trace.rows[0].err_energy

@@ -15,7 +15,7 @@ from greedy_ou.diagnostics import (
 )
 from greedy_ou.eigen import EigenSystem, resolved_factor_eigens, solve_factor_eigens, tensor_eigenvalue
 from greedy_ou.fem import assemble, build_mesh
-from greedy_ou.greedy import Functional, RankOneTerm, SeparatedFunction, energy_norm, run_oga
+from greedy_ou.greedy import Functional, SeparatedFunction, energy_norm, run_oga
 from greedy_ou.greedy import EnergyForm
 from greedy_ou.springs import FENE, SpringModel, normalize
 
@@ -26,13 +26,15 @@ def eigen_system(n_el=40, k=20, n_factors=2):
     return EigenSystem([eig] * n_factors)
 
 
-def eig_term(sys, n, m):
-    return RankOneTerm([sys.factors[0].vectors[:, n], sys.factors[1].vectors[:, m]])
+def eig_target(sys, weights, ns, ms):
+    """sum_r weights[r] e_{ns[r]} (x) e_{ms[r]} over the first two factors (0-based)."""
+    return SeparatedFunction(weights, [sys.factors[0].vectors[:, ns],
+                                       sys.factors[1].vectors[:, ms]])
 
 
 def test_constant_target_gives_delta_tensor():
     sys = eigen_system()
-    tau = SeparatedFunction([(1.0, eig_term(sys, 0, 0))])
+    tau = eig_target(sys, [1.0], [0], [0])
     coeffs = fourier_coeffs(tau, sys, (5, 5))
     expected = np.zeros((5, 5))
     expected[0, 0] = 1.0
@@ -43,11 +45,7 @@ def test_constant_target_gives_delta_tensor():
 
 def test_finite_expansion_weights_recovered():
     sys = eigen_system()
-    tau = SeparatedFunction([
-        (1.0, eig_term(sys, 1, 2)),
-        (0.5, eig_term(sys, 3, 0)),
-        (0.25, eig_term(sys, 2, 2)),
-    ])
+    tau = eig_target(sys, [1.0, 0.5, 0.25], [1, 3, 2], [2, 0, 2])
     coeffs = fourier_coeffs(tau, sys, (6, 6))
     assert coeffs.values[1, 2] == pytest.approx(1.0, abs=1e-10)
     assert coeffs.values[3, 0] == pytest.approx(0.5, abs=1e-10)
@@ -61,7 +59,7 @@ def test_rank_one_coeffs_are_outer_product():
     sys = eigen_system()
     rng = np.random.default_rng(0)
     factors = [rng.standard_normal(f.mats.ndof) for f in sys.factors]
-    tau = SeparatedFunction([(1.0, RankOneTerm(factors))])
+    tau = SeparatedFunction([1.0], [f[:, None] for f in factors])
     box = (8, 8)
     coeffs = fourier_coeffs(tau, sys, box)
     per = [f.vectors[:, :8].T @ f.mats.mass @ v for f, v in zip(sys.factors, factors)]
@@ -72,7 +70,7 @@ def test_parseval_defect_nonnegative_and_monotone():
     sys = eigen_system()
     rng = np.random.default_rng(1)
     factors = [rng.standard_normal(f.mats.ndof) for f in sys.factors]
-    tau = SeparatedFunction([(1.0, RankOneTerm(factors))])
+    tau = SeparatedFunction([1.0], [f[:, None] for f in factors])
     defects = [fourier_coeffs(tau, sys, (b, b)).parseval_defect for b in (4, 8, 12, 16)]
     assert all(d >= -1e-10 for d in defects)
     assert all(defects[i + 1] <= defects[i] + 1e-12 for i in range(3))
@@ -82,7 +80,7 @@ def test_box_validation():
     weight = normalize(SpringModel(FENE, 4.0))
     eig = resolved_factor_eigens(assemble(build_mesh(4.0, 20), weight, 2), k=35)
     sys = EigenSystem([eig, eig])
-    tau = SeparatedFunction([(1.0, RankOneTerm([np.ones(eig.mats.ndof)] * 2))])
+    tau = SeparatedFunction([1.0], [np.ones((eig.mats.ndof, 1))] * 2)
     assert eig.n_resolved < 35
     with pytest.raises(ValueError, match="resolved"):
         fourier_coeffs(tau, sys, (eig.n_resolved + 1, 2))
@@ -127,7 +125,7 @@ def test_sigma_norm_single_term_and_monotonicity():
 
 def test_b1_bound_constant_and_finite_tail():
     sys = eigen_system()
-    tau = SeparatedFunction([(1.0, eig_term(sys, 0, 0))])
+    tau = eig_target(sys, [1.0], [0], [0])
     coeffs = fourier_coeffs(tau, sys, (6, 6))
     out = b1_bound(coeffs, sys)
     assert out.total == pytest.approx(1.0, abs=1e-9)
@@ -177,7 +175,7 @@ def test_mix_weighted_eigenvalue_sum_is_cauchy():
 
 def test_rate_class_report_thresholds_and_flags():
     sys = eigen_system()
-    tau = SeparatedFunction([(1.0, eig_term(sys, 1, 1)), (0.3, eig_term(sys, 0, 2))])
+    tau = eig_target(sys, [1.0, 0.3], [1, 0], [1, 2])
     coeffs = fourier_coeffs(tau, sys, (8, 8))
     report = rate_class_report(coeffs, sys, d=1)
     assert report[MIX]["threshold"] == 1.5
@@ -210,9 +208,9 @@ def test_observed_oga_rate_steeper_for_smoother_target():
     form = EnergyForm(np.eye(2), wi=1.0, c=1.0)
 
     def run(decay):
-        terms = [(float((i + 1) ** -decay), eig_term(sys, i, i)) for i in range(8)]
-        target = SeparatedFunction(terms)
-        _, trace = run_oga(form, mats, Functional.from_target(target), tol_stop=1e-12,
+        target = eig_target(sys, [float((i + 1) ** -decay) for i in range(8)],
+                            list(range(8)), list(range(8)))
+        _, trace = run_oga(form, mats, Functional.from_target(form, mats, target), tol_stop=1e-12,
                            n_max=6, restarts=2, rng=np.random.default_rng(4), target=target)
         errs = np.array([r.err_energy for r in trace.rows])
         ns = np.arange(1, len(errs) + 1, dtype=float)
@@ -223,3 +221,82 @@ def test_observed_oga_rate_steeper_for_smoother_target():
     smooth, rough = run(3.0), run(0.6)
     assert np.isfinite(smooth) and np.isfinite(rough)
     print(f"observed rate exponents: smooth {smooth:.3f}, rough {rough:.3f}")
+
+
+def without(report, keys):
+    """The report with the named top-level or family-level numeric fields removed."""
+    return {k: (without(v, keys) if isinstance(v, dict) else v)
+            for k, v in report.items() if k not in keys}
+
+
+def test_roundoff_level_figures_are_flagged():
+    # an exact eigen expansion strictly inside the box: its Parseval defect and
+    # every tail share are roundoff, so changing the factor vectors at 1e-15
+    # relative leaves the report as it was, with every flag set
+    sys = eigen_system()
+    tau = eig_target(sys, [1.0, 0.5, -0.25], [1, 3, 2], [2, 0, 2])
+    rng = np.random.default_rng(5)
+    nudged = SeparatedFunction(tau.weights, [f * (1 + 1e-15 * rng.standard_normal(f.shape))
+                                             for f in tau.factors])
+    reports = [rate_class_report(fourier_coeffs(t, sys, (6, 6)), sys) for t in (tau, nudged)]
+    for report in reports:
+        assert report["parseval_defect"] == 0.0
+        assert report["parseval_defect_below_roundoff"] is True
+        for key in ("b1", MIX, UNIF):
+            assert report[key]["tail_ratio"] == 0.0
+            assert report[key]["tail_ratio_below_roundoff"] is True
+    # the sums themselves are data and move only in their last digits
+    data = ("l2m_norm_sq", "total", "sigma_norm")
+    assert without(reports[0], data) == without(reports[1], data)
+    assert reports[1]["l2m_norm_sq"] == pytest.approx(reports[0]["l2m_norm_sq"], rel=1e-14)
+    assert reports[1]["b1"]["total"] == pytest.approx(reports[0]["b1"]["total"], rel=1e-14)
+    for key in (MIX, UNIF):
+        assert reports[1][key]["sigma_norm"] == pytest.approx(reports[0][key]["sigma_norm"],
+                                                              rel=1e-14)
+
+
+def test_truncation_defect_is_not_flagged():
+    # box (3, 3) cuts off the 0.5 e_3 (x) e_0 term: the defect is its squared
+    # weight, and the two terms on the outer shell give genuine tail shares
+    sys = eigen_system()
+    tau = eig_target(sys, [1.0, 0.5, 0.25], [1, 3, 2], [2, 0, 2])
+    coeffs = fourier_coeffs(tau, sys, (3, 3))
+    report = rate_class_report(coeffs, sys)
+    assert report["parseval_defect"] == coeffs.parseval_defect
+    assert report["parseval_defect"] == pytest.approx(0.25, rel=1e-10)
+    assert report["parseval_defect_below_roundoff"] is False
+    for key in ("b1", MIX, UNIF):
+        assert report[key]["tail_ratio"] > 0.5
+        assert report[key]["tail_ratio_below_roundoff"] is False
+
+
+def test_small_genuine_tail_is_not_flagged():
+    # a 1e-12 term on the outer shell is far above the roundoff of its own
+    # coefficient, so its tail share is reported although the large interior
+    # term's coefficients carry much larger roundoff bounds
+    sys = eigen_system()
+    tau = eig_target(sys, [1.0, 1e-12], [1, 5], [2, 5])
+    report = rate_class_report(fourier_coeffs(tau, sys, (6, 6)), sys)
+    for key in ("b1", MIX, UNIF):
+        assert 0.0 < report[key]["tail_ratio"] < 1e-9
+        assert report[key]["tail_ratio_below_roundoff"] is False
+
+
+def test_coefficient_roundoff_bounds_hold():
+    # extended-precision coefficients and norm of a random rank-3 target lie
+    # within the reported roundoff bounds of the double-precision ones
+    sys = eigen_system()
+    rng = np.random.default_rng(6)
+    tau = SeparatedFunction(rng.uniform(-1.5, 1.5, 3),
+                            [rng.standard_normal((f.mats.ndof, 3)) for f in sys.factors])
+    box = (8, 8)
+    coeffs = fourier_coeffs(tau, sys, box)
+    ld = [np.asarray(f, dtype=np.longdouble) for f in tau.factors]
+    mass = [np.asarray(f.mats.mass, dtype=np.longdouble) for f in sys.factors]
+    vecs = [np.asarray(f.vectors[:, :b], dtype=np.longdouble) for f, b in zip(sys.factors, box)]
+    w = np.asarray(tau.weights, dtype=np.longdouble)
+    per = [v.T @ (m @ u) for v, m, u in zip(vecs, mass, ld)]
+    exact = np.einsum("r,ir,jr->ij", w, per[0], per[1])
+    gram = (ld[0].T @ mass[0] @ ld[0]) * (ld[1].T @ mass[1] @ ld[1])
+    assert np.all(np.abs(coeffs.values - exact) <= coeffs.values_err)
+    assert abs(coeffs.norm_sq_l2m - w @ gram @ w) <= coeffs.norm_sq_err

@@ -50,9 +50,15 @@ def random_term(mats, rng, normalized=True):
     return normalize_term(mats, term) if normalized else term
 
 
+def separated(pairs):
+    """SeparatedFunction from (weight, RankOneTerm) pairs, one column per term."""
+    weights, terms = zip(*pairs)
+    return SeparatedFunction(weights, [np.column_stack(fs)
+                                       for fs in zip(*(t.factors for t in terms))])
+
+
 def random_target(mats, rng, rank):
-    return SeparatedFunction([(rng.uniform(0.5, 1.5), random_term(mats, rng))
-                              for _ in range(rank)])
+    return separated([(rng.uniform(0.5, 1.5), random_term(mats, rng)) for _ in range(rank)])
 
 
 def kron_vec(term):
@@ -121,6 +127,14 @@ def test_energy_dimension_mismatch():
         energy_rank1(form, mats, RankOneTerm(u.factors[:1]), u)
     with pytest.raises(ValueError, match="coefficients"):
         energy_rank1(form, mats, RankOneTerm([u.factors[0][:-1], u.factors[1]]), u)
+    f = random_target(mats, rng, 2)
+    with pytest.raises(ValueError, match="factors"):
+        energy_pairing(form, mats, SeparatedFunction(f.weights, f.factors[:1]), f)
+    with pytest.raises(ValueError, match="coefficients"):
+        Functional.from_target(form, mats, SeparatedFunction(
+            f.weights, [f.factors[0][:-1], f.factors[1]]))
+    with pytest.raises(ValueError, match="columns"):
+        energy_pairing(form, mats, f, SeparatedFunction(f.weights[:1], f.factors))
 
 
 def test_slot_hessian_matches_energy():
@@ -132,7 +146,7 @@ def test_slot_hessian_matches_energy():
         h = _slot_hessian(form, mats, frozen, j)
         for _ in range(4):
             x = rng.standard_normal(mats[j].ndof)
-            repl = frozen.copy()
+            repl = RankOneTerm(list(frozen.factors))
             repl.factors[j] = x
             assert x @ h @ x == pytest.approx(energy_rank1(form, mats, repl, repl), rel=1e-12)
 
@@ -141,16 +155,16 @@ def test_slot_vector_matches_functional_value():
     mats = two_factor_mats()
     form = EnergyForm(ROUSE2, wi=0.8, c=1.2)
     rng = np.random.default_rng(5)
-    rhs = Functional.from_target(random_target(mats, rng, 2))
-    rhs.terms += Functional.from_source(random_target(mats, rng, 1)).terms
+    rhs = (Functional.from_target(form, mats, random_target(mats, rng, 2))
+           + Functional.from_source(mats, random_target(mats, rng, 1)))
     frozen = random_term(mats, rng)
     for j in range(2):
-        b = rhs.slot_vector(form, mats, frozen, j)
+        b = rhs.slot_vector(frozen, j)
         for _ in range(4):
             y = rng.standard_normal(mats[j].ndof)
-            repl = frozen.copy()
+            repl = RankOneTerm(list(frozen.factors))
             repl.factors[j] = y
-            assert y @ b == pytest.approx(rhs.value_rank1(form, mats, repl), rel=1e-12)
+            assert y @ b == pytest.approx(rhs.value_rank1(repl), rel=1e-12)
 
 
 def test_als_recovers_rank_one_target():
@@ -158,19 +172,20 @@ def test_als_recovers_rank_one_target():
     form = EnergyForm(ROUSE2, wi=1.0, c=1.0)
     rng = np.random.default_rng(6)
     tau_term = random_term(mats, rng)
-    tau = SeparatedFunction([(1.0, tau_term)])
-    rhs = Functional.from_target(tau)
+    tau = separated([(1.0, tau_term)])
+    rhs = Functional.from_target(form, mats, tau)
     term, j_val = als_rank1(form, mats, rhs, random_unit_term(mats, rng), tol=1e-12)
     a_tau = energy_rank1(form, mats, tau_term, tau_term)
     assert j_val == pytest.approx(-0.5 * a_tau, rel=1e-9)
-    diff = SeparatedFunction([(1.0, tau_term), (-1.0, term)])
+    diff = separated([(1.0, tau_term), (-1.0, term)])
     assert energy_norm(form, mats, diff) <= 1e-6 * np.sqrt(a_tau)
 
 
 def test_als_empty_rhs_returns_zero():
     mats = two_factor_mats()
     form = EnergyForm(ROUSE2, 1.0, 1.0)
-    term, j_val = als_rank1(form, mats, Functional(), random_unit_term(mats, np.random.default_rng(0)))
+    empty = Functional(np.zeros(0), [np.zeros((m.ndof, 0)) for m in mats])
+    term, j_val = als_rank1(form, mats, empty, random_unit_term(mats, np.random.default_rng(0)))
     assert j_val == 0.0
     assert term.is_null()
 
@@ -178,7 +193,7 @@ def test_als_empty_rhs_returns_zero():
 def test_als_rejects_zero_init():
     mats = two_factor_mats()
     form = EnergyForm(ROUSE2, 1.0, 1.0)
-    rhs = Functional.from_target(random_target(mats, np.random.default_rng(7), 1))
+    rhs = Functional.from_target(form, mats, random_target(mats, np.random.default_rng(7), 1))
     with pytest.raises(ValueError, match="init factor"):
         als_rank1(form, mats, rhs, zero_term(mats))
 
@@ -188,7 +203,8 @@ def test_als_cancelling_rhs_is_null():
     form = EnergyForm(ROUSE2, 1.0, 1.0)
     rng = np.random.default_rng(8)
     t = random_term(mats, rng)
-    rhs = Functional([(1.0, t, "energy"), (-1.0, t, "energy")])
+    rhs = Functional.from_target(form, mats, separated([(1.0, t)])).minus(
+        form, mats, separated([(1.0, t)]))
     with pytest.raises(NullTermError):
         als_best(form, mats, rhs, restarts=3, rng=rng)
 
@@ -201,12 +217,12 @@ def test_als_stationarity_residual():
     rng = np.random.default_rng(9)
     target = random_target(mats, rng, 3)
     scale = energy_norm(form, mats, target)
-    target = SeparatedFunction([(w / scale, t) for w, t in target.terms])
-    rhs = Functional.from_target(target)
+    target = SeparatedFunction(target.weights / scale, target.factors)
+    rhs = Functional.from_target(form, mats, target)
     term, _ = als_rank1(form, mats, rhs, random_unit_term(mats, rng), tol=0.0, max_sweeps=300)
     for j in range(2):
         grad = _slot_hessian(form, mats, term, j) @ term.factors[j] \
-            - rhs.slot_vector(form, mats, term, j)
+            - rhs.slot_vector(term, j)
         assert np.abs(grad).max() <= 1e-8
 
 
@@ -214,7 +230,7 @@ def test_als_output_is_normalized():
     mats = two_factor_mats()
     form = EnergyForm(ROUSE2, 1.0, 1.0)
     rng = np.random.default_rng(10)
-    rhs = Functional.from_target(random_target(mats, rng, 2))
+    rhs = Functional.from_target(form, mats, random_target(mats, rng, 2))
     term, _ = als_rank1(form, mats, rhs, random_unit_term(mats, rng))
     assert term.factors[0] @ mats[0].mass @ term.factors[0] == pytest.approx(1.0, rel=1e-12)
 
@@ -224,7 +240,7 @@ def test_als_matches_brute_force_minimizer():
     mats = two_factor_mats(n_el=4, degree=1)
     form = EnergyForm(ROUSE2, wi=1.0, c=1.0)
     rng = np.random.default_rng(11)
-    rhs = Functional.from_target(random_target(mats, rng, 3))
+    rhs = Functional.from_target(form, mats, random_target(mats, rng, 3))
     _, j_als = als_best(form, mats, rhs, tol=1e-12, max_sweeps=200, restarts=8, rng=rng)
     n0, n1 = mats[0].ndof, mats[1].ndof
 
@@ -233,11 +249,11 @@ def test_als_matches_brute_force_minimizer():
 
     def objective(z):
         t = unpack(z)
-        val = 0.5 * energy_rank1(form, mats, t, t) - rhs.value_rank1(form, mats, t)
+        val = 0.5 * energy_rank1(form, mats, t, t) - rhs.value_rank1(t)
         grads = []
         for j in range(2):
             grads.append(_slot_hessian(form, mats, t, j) @ t.factors[j]
-                         - rhs.slot_vector(form, mats, t, j))
+                         - rhs.slot_vector(t, j))
         return val, np.concatenate(grads)
 
     best = np.inf
@@ -254,7 +270,7 @@ def test_pga_identities_and_orthogonality():
     form = EnergyForm(ROUSE2, wi=1.0, c=1.0)
     rng = np.random.default_rng(12)
     target = random_target(mats, rng, 3)
-    rhs = Functional.from_target(target)
+    rhs = Functional.from_target(form, mats, target)
     approx, trace = run_pga(form, mats, rhs, tol_stop=1e-12, n_max=6,
                             restarts=3, rng=rng, target=target)
     assert trace.rows, "no iterations recorded"
@@ -268,9 +284,8 @@ def test_pga_identities_and_orthogonality():
         assert row.alpha is None
     # captured-term maximality: a(psi_{n-1}, r_n) = ||r_n||^2
     for k, (w, r) in enumerate(approx.terms):
-        psi_prev = SeparatedFunction(list(target.terms)
-                                     + [(-wk, tk) for wk, tk in approx.terms[:k]])
-        pair = energy_pairing(form, mats, psi_prev, SeparatedFunction([(1.0, r)]))
+        psi_prev = separated(list(target.terms) + [(-wk, tk) for wk, tk in approx.terms[:k]])
+        pair = energy_pairing(form, mats, psi_prev, separated([(1.0, r)]))
         assert pair == pytest.approx(trace.rows[k].term_norm_a ** 2, rel=1e-8)
     # monotone energy error
     assert all(errs[k + 1] <= errs[k] * (1 + 1e-12) for k in range(len(trace.rows)))
@@ -281,8 +296,8 @@ def test_pga_rank_one_target_single_row():
     form = EnergyForm(ROUSE2, wi=1.0, c=1.0)
     rng = np.random.default_rng(13)
     target = random_target(mats, rng, 1)
-    approx, trace = run_pga(form, mats, Functional.from_target(target), tol_stop=1e-6,
-                            n_max=10, restarts=2, rng=rng, target=target)
+    approx, trace = run_pga(form, mats, Functional.from_target(form, mats, target),
+                            tol_stop=1e-6, n_max=10, restarts=2, rng=rng, target=target)
     assert trace.status in ("converged", "null_term")
     assert len(trace.rows) == 1
     assert approx.rank == 1
@@ -295,10 +310,10 @@ def test_oga_first_coefficient_is_line_minimizer():
     form = EnergyForm(ROUSE2, wi=1.0, c=1.0)
     rng = np.random.default_rng(14)
     target = random_target(mats, rng, 2)
-    rhs = Functional.from_target(target)
+    rhs = Functional.from_target(form, mats, target)
     approx, trace = run_oga(form, mats, rhs, tol_stop=1e-14, n_max=1, rng=rng, target=target)
     (alpha1, r1), = approx.terms
-    expected = (rhs.value_rank1(form, mats, r1)
+    expected = (rhs.value_rank1(r1)
                 / energy_rank1(form, mats, r1, r1))
     assert alpha1 == pytest.approx(expected, rel=1e-12)
     assert trace.rows[0].alpha == (pytest.approx(alpha1),)
@@ -315,12 +330,13 @@ def test_oga_exact_on_orthogonal_rank_two():
     form = EnergyForm(np.eye(2), wi=1.0, c=1.0)
     evals, evecs = eigh(one.stiffness + one.mass, one.mass)
     e = [evecs[:, k] for k in range(3)]
-    target = SeparatedFunction([
+    target = separated([
         (1.0, RankOneTerm([e[1], e[1]])),
         (0.6, RankOneTerm([e[2], e[0]])),
     ])
-    approx, trace = run_oga(form, mats, Functional.from_target(target), tol_stop=1e-10,
-                            n_max=4, restarts=4, rng=np.random.default_rng(15), target=target)
+    approx, trace = run_oga(form, mats, Functional.from_target(form, mats, target),
+                            tol_stop=1e-10, n_max=4, restarts=4,
+                            rng=np.random.default_rng(15), target=target)
     assert trace.rows[1].err_energy <= 1e-6 * energy_norm(form, mats, target)
 
 
@@ -328,7 +344,7 @@ def test_oga_not_worse_than_pga_per_iteration():
     mats = two_factor_mats(n_el=5, degree=2)
     form = EnergyForm(ROUSE2, wi=1.0, c=1.0)
     target = random_target(mats, np.random.default_rng(16), 4)
-    rhs = Functional.from_target(target)
+    rhs = Functional.from_target(form, mats, target)
     _, tr_p = run_pga(form, mats, rhs, tol_stop=1e-13, n_max=5, restarts=3,
                       rng=np.random.default_rng(17), target=target)
     _, tr_o = run_oga(form, mats, rhs, tol_stop=1e-13, n_max=5, restarts=3,
@@ -342,11 +358,11 @@ def test_exact_dual_norm_riesz_identity(monkeypatch):
     mats = two_factor_mats(n_el=4, degree=1)
     form = EnergyForm(ROUSE2, wi=1.0, c=1.0)
     target = random_target(mats, np.random.default_rng(19), 2)
-    [dual] = exact_dual_norms(form, mats, [Functional.from_target(target)])
+    [dual] = exact_dual_norms(form, mats, [Functional.from_target(form, mats, target)])
     assert dual == pytest.approx(energy_norm(form, mats, target), rel=1e-10)
     monkeypatch.setattr(greedy, "DENSE_MAX_DOF", 10)
     with pytest.raises(ValueError, match="budget"):
-        exact_dual_norms(form, mats, [Functional.from_target(target)])
+        exact_dual_norms(form, mats, [Functional.from_target(form, mats, target)])
 
 
 def test_dense_source_vector_matches_mass_pairing():
@@ -354,11 +370,11 @@ def test_dense_source_vector_matches_mass_pairing():
     form = EnergyForm(ROUSE2, wi=1.0, c=1.0)
     rng = np.random.default_rng(20)
     g = random_target(mats, rng, 2)
-    f = Functional.from_source(g)
-    vec = dense_functional_vector(form, mats, f, assemble_dense(form, mats))
+    f = Functional.from_source(mats, g)
+    vec = dense_functional_vector(f)
     probe = random_term(mats, rng)
     assert kron_vec(probe) @ vec == pytest.approx(
-        mass_pairing(mats, g, SeparatedFunction([(1.0, probe)])), rel=1e-12)
+        mass_pairing(mats, g, separated([(1.0, probe)])), rel=1e-12)
 
 
 def test_surrogate_within_dual_norm_bounds():
@@ -368,12 +384,14 @@ def test_surrogate_within_dual_norm_bounds():
     form = EnergyForm(ROUSE2, wi=1.0, c=1.0)
     rng = np.random.default_rng(21)
     target = random_target(mats, rng, 3)
-    rhs = Functional.from_target(target)
+    rhs = Functional.from_target(form, mats, target)
     approx, trace = run_pga(form, mats, rhs, tol_stop=1e-13, n_max=4, restarts=4,
                             rng=rng, target=target)
     bound = np.sqrt(form.continuity / form.coercivity)
-    duals = exact_dual_norms(form, mats, [rhs.minus(SeparatedFunction(approx.terms[:k]))
-                                          for k in range(len(trace.rows))])
+    duals = exact_dual_norms(form, mats, [
+        rhs.minus(form, mats, SeparatedFunction(approx.weights[:k],
+                                                [f[:, :k] for f in approx.factors]))
+        for k in range(len(trace.rows))])
     for row, dual in zip(trace.rows, duals):
         assert row.term_norm_a <= dual * (1 + 1e-8)
         ratio = dual / row.term_norm_a
@@ -430,7 +448,7 @@ def abs_term(term):
 
 
 def abs_function(f):
-    return SeparatedFunction([(abs(w), abs_term(t)) for w, t in f.terms])
+    return SeparatedFunction(np.abs(f.weights), [np.abs(u) for u in f.factors])
 
 
 def assert_close(got, want, scale):
@@ -451,27 +469,28 @@ def test_separated_operator_matches_dense_oracle(problem, ranks):
     assert_close(energy_rank1(form, mats, u, v), kron_vec(v) @ a_full @ kron_vec(u),
                  kron_vec(abs_term(v)) @ a_abs @ kron_vec(abs_term(u)))
 
-    f = SeparatedFunction([(rng.uniform(-1.5, 1.5), random_term(mats, rng, normalized=False))
-                           for _ in range(ranks[0])])
-    g = SeparatedFunction([(rng.uniform(-1.5, 1.5), random_term(mats, rng, normalized=False))
-                           for _ in range(ranks[1])])
+    f, g, h = (separated([(rng.uniform(-1.5, 1.5), random_term(mats, rng, normalized=False))
+                          for _ in range(rank)]) for rank in ranks + (2,))
 
-    def dense(h):
-        return sum(w * kron_vec(t) for w, t in h.terms)
+    def dense(sep):
+        return sum(w * kron_vec(t) for w, t in sep.terms)
 
     assert_close(energy_pairing(form, mats, f, g), dense(g) @ a_full @ dense(f),
                  dense(abs_function(g)) @ a_abs @ dense(abs_function(f)))
 
-    rhs = Functional(Functional.from_target(f).terms + Functional.from_source(g).terms)
-    abs_rhs = Functional(Functional.from_target(abs_function(f)).terms
-                         + Functional.from_source(abs_function(g)).terms)
-    f_full = dense_functional_vector(form, mats, rhs, a_full)
-    f_abs = dense_functional_vector(abs_form, abs_mats, abs_rhs, a_abs)
-    assert_close(rhs.value_rank1(form, mats, v), kron_vec(v) @ f_full,
-                 kron_vec(abs_term(v)) @ f_abs)
+    # residual of a target-plus-source functional; the oracle applies the dense
+    # form and the Kronecker mass to the primal stacks directly
+    rhs = (Functional.from_target(form, mats, f)
+           + Functional.from_source(mats, g)).minus(form, mats, h)
+    f_full = (a_full @ (dense(f) - dense(h))
+              + reduce(np.kron, [m.mass for m in mats]) @ dense(g))
+    f_abs = (a_abs @ (dense(abs_function(f)) + dense(abs_function(h)))
+             + reduce(np.kron, [m.mass for m in abs_mats]) @ dense(abs_function(g)))
+    assert_close(dense_functional_vector(rhs), f_full, f_abs)
+    assert_close(rhs.value_rank1(v), kron_vec(v) @ f_full, kron_vec(abs_term(v)) @ f_abs)
     for j in range(n):
         embed = slot_embedding(v, j, mats[j].ndof)
         abs_embed = slot_embedding(abs_term(v), j, mats[j].ndof)
-        assert_close(rhs.slot_vector(form, mats, v, j), embed.T @ f_full, abs_embed.T @ f_abs)
+        assert_close(rhs.slot_vector(v, j), embed.T @ f_full, abs_embed.T @ f_abs)
         assert_close(_slot_hessian(form, mats, v, j), embed.T @ a_full @ embed,
                      abs_embed.T @ a_abs @ abs_embed)
