@@ -13,8 +13,8 @@ vectors.  On top of the truncated coefficient box this module evaluates
 
 Each computed coefficient carries a roundoff bound from an absolute-value
 evaluation of the sums it comes from (Higham, Accuracy and Stability,
-ch. 3); the report writes a Parseval defect or tail share that lies under
-its bound as 0.0 and flags it, instead of printing roundoff as data.
+ch. 3); the report writes a Parseval defect or tail share that lies strictly
+under its bound as 0.0 and flags it, instead of printing roundoff as data.
 
 Everything here is a truncated-box diagnostic: a finite box can suggest but
 never prove membership of any infinite-sum class, and the reports say which
@@ -46,19 +46,18 @@ THRESHOLD_MARGIN = 0.25
 class CoeffTensor:
     """Truncated tensor of eigenbasis coefficients.
 
-    norm_sq_l2m is the squared weighted L2 norm of the expanded function
-    when known (nan for synthetic tensors), so the Parseval defect
-    norm_sq - sum(coeffs^2) is available; truncation only removes mass, so
-    the defect is nonnegative up to roundoff.  values_err (per entry) and
-    norm_sq_err bound the roundoff of values and norm_sq_l2m; both are zero
-    for tensors given exactly.
+    values_err (per entry) and norm_sq_err bound the roundoff of values and
+    of norm_sq_l2m.  norm_sq_l2m is the squared weighted L2 norm of the
+    expanded function when known (nan for synthetic tensors), so the Parseval
+    defect norm_sq - sum(coeffs^2) is available; truncation only removes
+    mass, so the defect is nonnegative up to roundoff.
     """
 
     values: np.ndarray
     box: tuple
+    values_err: np.ndarray
+    norm_sq_err: float
     norm_sq_l2m: float = float("nan")
-    values_err: np.ndarray | float = 0.0
-    norm_sq_err: float = 0.0
 
     @property
     def parseval_defect(self) -> float:
@@ -161,11 +160,11 @@ def _outer_shell_mask(box) -> np.ndarray:
 
 def _weighted_sum_with_tail(contrib: np.ndarray, err, box):
     """Extended-precision total, the outermost shell's share of it, and whether
-    the shell lies under the summed roundoff bounds err of its contributions."""
+    the shell lies strictly under the summed roundoff bounds err of its contributions."""
     total = np.sum(np.longdouble(contrib))
     mask = _outer_shell_mask(box)
     shell = np.sum(np.longdouble(contrib[mask]))
-    below = bool(shell <= np.sum(np.where(mask, err, 0.0)))
+    below = bool(shell < np.sum(np.where(mask, err, 0.0)))
     if total == 0.0:
         return np.longdouble(0.0), 0.0, below
     return total, float(shell / total), below
@@ -205,14 +204,14 @@ def rate_class_report(coeffs: CoeffTensor, sys: EigenSystem, d: int = 1) -> dict
     family above m = 1 + N d / 2; both are evaluated at threshold +
     THRESHOLD_MARGIN.  A family is flagged when the outermost shell carries a
     negligible share of its weighted sum, meaning the truncated norm has
-    visibly saturated.  A Parseval defect or tail share under its roundoff
-    bound is written as 0.0 beside a true *_below_roundoff flag.
+    visibly saturated.  A Parseval defect or tail share strictly under its
+    roundoff bound is written as 0.0 beside a true *_below_roundoff flag.
     Finite boxes cannot prove membership; the report states evidence only.
     """
     n = sys.n_factors
     b1 = b1_bound(coeffs, sys)
     defect = coeffs.parseval_defect
-    defect_below = bool(abs(defect) <= coeffs.parseval_roundoff)
+    defect_below = bool(abs(defect) < coeffs.parseval_roundoff)
     report = {
         "box": list(coeffs.box),
         "n_factors": n,

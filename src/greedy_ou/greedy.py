@@ -28,6 +28,7 @@ treated as such.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -301,15 +302,14 @@ class Functional(_CPForm):
 def _slot_hessian(form: EnergyForm, mats, frozen: RankOneTerm, j: int) -> np.ndarray:
     """Hessian of u -> a(term with slot j -> u, same) over slot-j coefficients.
 
-    The coefficient of op_{t,j} comes from the other slots alone: apply their
-    operators to the frozen factors, then take the product per term.
+    Operator term t contributes coef_t prod_{k != j} (f_k . op_{t,k} f_k) op_{t,j}.
     """
-    keep = [k for k in range(form.n_factors) if k != j]
-    rest = RankOneTerm([frozen.factors[k] for k in keep])
-    applied = _applied([(coef, [ops[k] for k in keep]) for coef, ops in form.terms],
-                       [mats[k] for k in keep], rest.as_function())
-    coeffs = applied.weights * applied._products(rest.factors)
-    return sum(c * _op(mats[j], ops[j]) for (_, ops), c in zip(form.terms, coeffs))
+    others = [k for k in range(form.n_factors) if k != j]
+    pairs = {(k, ops[k]) for _, ops in form.terms for k in others}
+    quad = {(k, name): frozen.factors[k] @ (_op(mats[k], name) @ frozen.factors[k])
+            for k, name in pairs}
+    return sum(coef * math.prod(quad[k, ops[k]] for k in others) * _op(mats[j], ops[j])
+               for coef, ops in form.terms)
 
 
 def als_rank1(form: EnergyForm, mats, rhs: Functional, init: RankOneTerm,

@@ -260,7 +260,8 @@ def test_criterion_09_diagnostic_oracles():
 
     rng = np.random.default_rng(9)
     values = rng.standard_normal((30, 30)) / np.add.outer(lam, lam) ** 2
-    coeffs = CoeffTensor(values=values, box=(30, 30))
+    coeffs = CoeffTensor(values=values, box=(30, 30), values_err=np.zeros((30, 30)),
+                         norm_sq_err=0.0)
     b1 = b1_bound(coeffs, sys2)
     direct_b1 = sum(np.sqrt(lam[i] + lam[j] - 1.0) * abs(values[i, j])
                     for i in range(30) for j in range(30))

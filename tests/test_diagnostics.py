@@ -102,7 +102,8 @@ def test_sigma_norm_mix_zero_is_l2():
     sys = eigen_system()
     rng = np.random.default_rng(2)
     values = rng.standard_normal((6, 6))
-    coeffs = CoeffTensor(values=values, box=(6, 6))
+    coeffs = CoeffTensor(values=values, box=(6, 6), values_err=np.zeros((6, 6)),
+                         norm_sq_err=0.0)
     assert sigma_norm(coeffs, sys, WeightFamily(MIX, 0.0)) == pytest.approx(
         np.linalg.norm(values), rel=1e-13)
 
@@ -112,13 +113,15 @@ def test_sigma_norm_single_term_and_monotonicity():
     lam = sys.factors[0].values
     values = np.zeros((5, 5))
     values[2, 3] = 0.7
-    coeffs = CoeffTensor(values=values, box=(5, 5))
+    coeffs = CoeffTensor(values=values, box=(5, 5), values_err=np.zeros((5, 5)),
+                         norm_sq_err=0.0)
     assert sigma_norm(coeffs, sys, WeightFamily(MIX, 1.0)) == pytest.approx(
         np.sqrt(lam[2] * lam[3]) * 0.7, rel=1e-12)
     assert sigma_norm(coeffs, sys, WeightFamily(UNIF, 1.0)) == pytest.approx(
         np.sqrt(lam[2] + lam[3]) * 0.7, rel=1e-12)
     rng = np.random.default_rng(3)
-    rand = CoeffTensor(values=rng.standard_normal((8, 8)), box=(8, 8))
+    rand = CoeffTensor(values=rng.standard_normal((8, 8)), box=(8, 8),
+                       values_err=np.zeros((8, 8)), norm_sq_err=0.0)
     assert sigma_norm(rand, sys, WeightFamily(MIX, 2.0)) >= sigma_norm(
         rand, sys, WeightFamily(MIX, 1.0))
 
@@ -139,7 +142,7 @@ def test_b1_and_sigma_match_direct_summation():
     lam_grid = np.array([[tensor_eigenvalue(sys, (n, m)) for m in range(1, 31)]
                          for n in range(1, 31)])
     values = lam_grid ** -2.0
-    coeffs = CoeffTensor(values=values, box=box)
+    coeffs = CoeffTensor(values=values, box=box, values_err=np.zeros(box), norm_sq_err=0.0)
     direct_b1 = 0.0
     for n in range(30):
         for m in range(30):
@@ -195,7 +198,8 @@ def test_slowly_decaying_coefficients_fail_the_flags():
     sys = eigen_system(n_el=60, k=30)
     lam_grid = np.array([[tensor_eigenvalue(sys, (n, m)) for m in range(1, 31)]
                          for n in range(1, 31)])
-    coeffs = CoeffTensor(values=lam_grid ** -0.75, box=(30, 30))
+    coeffs = CoeffTensor(values=lam_grid ** -0.75, box=(30, 30),
+                         values_err=np.zeros((30, 30)), norm_sq_err=0.0)
     report = rate_class_report(coeffs, sys, d=1)
     assert not report[MIX]["suggests_membership"]
     assert not report["b1"]["suggests_membership"]
@@ -279,6 +283,20 @@ def test_small_genuine_tail_is_not_flagged():
     report = rate_class_report(fourier_coeffs(tau, sys, (6, 6)), sys)
     for key in ("b1", MIX, UNIF):
         assert 0.0 < report[key]["tail_ratio"] < 1e-9
+        assert report[key]["tail_ratio_below_roundoff"] is False
+
+
+def test_exact_zero_shell_is_not_flagged():
+    # coefficients given exactly, with nothing on the outer shell: a zero
+    # tail share is data, not roundoff, and carries no flag
+    sys = eigen_system()
+    values = np.zeros((5, 5))
+    values[2, 3] = 0.7
+    coeffs = CoeffTensor(values=values, box=(5, 5), values_err=np.zeros((5, 5)),
+                         norm_sq_err=0.0)
+    report = rate_class_report(coeffs, sys)
+    for key in ("b1", MIX, UNIF):
+        assert report[key]["tail_ratio"] == 0.0
         assert report[key]["tail_ratio_below_roundoff"] is False
 
 
