@@ -105,13 +105,13 @@ def _shift_invert_eigens(mats: FactorMatrices, k: int):
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     n, p = mats.ndof, mats.degree
+    upper_m = mats.bands["mass"]
+    upper_h = mats.bands["stiffness"] + upper_m
+    # both matrices are bitwise symmetric, so diagonal -d repeats diagonal d
     offsets = range(-p, p + 1)
-    m_diags = [np.diagonal(mats.mass, d) for d in offsets]
-    h_diags = [np.diagonal(mats.stiffness, d) + m for d, m in zip(offsets, m_diags)]
-    upper = np.zeros((p + 1, n))
-    for d in range(p + 1):
-        upper[p - d, d:] = h_diags[p + d]
-    factor = cholesky_banded(upper)
+    m_diags, h_diags = ([band[p - abs(d), abs(d):] for d in offsets]
+                        for band in (upper_m, upper_h))
+    factor = cholesky_banded(upper_h)
     op_inv = LinearOperator((n, n), dtype=float,
                             matvec=lambda x: cho_solve_banded((factor, False), x))
     # fixed and generic; the constant vector would be eigenvector 1 itself

@@ -10,11 +10,17 @@ every weighted pairing in this package reduces to:
 
 No essential boundary conditions are imposed: the natural weighted space
 contains the constants, and the weight itself supplies the boundary decay.
+
+The matrices have bandwidth equal to the element degree p.  They are kept
+dense for the matrix products of the solvers, where dense BLAS is the faster
+choice below a few hundred dofs, and each basis also caches the upper bands
+that banded Cholesky factorizations take.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +77,24 @@ class FactorMatrices:
     @property
     def ndof(self) -> int:
         return self.mass.shape[0]
+
+    @property
+    def grad_coupling_t(self) -> np.ndarray:
+        return self.grad_coupling.T
+
+    @cached_property
+    def bands(self) -> dict:
+        """Upper band of each operator by name, in the (degree + 1) x ndof layout of
+        scipy.linalg.cholesky_banded: bands[name][degree - d, i + d] = op[i, i + d]."""
+        p = self.degree
+        bands = {}
+        for name in ("mass", "stiffness", "grad_coupling", "grad_coupling_t"):
+            op = getattr(self, name)
+            band = np.zeros((p + 1, self.ndof))
+            for d in range(p + 1):
+                band[p - d, d:] = np.diagonal(op, d)
+            bands[name] = band
+        return bands
 
 
 def _shape_functions(degree, xi):

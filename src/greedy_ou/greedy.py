@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh, solve
+from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded, eigh, solve
 
 from .fem import FactorMatrices
 
@@ -46,7 +46,7 @@ _GRAM_COND_LIMIT = 1e12
 # largest total tensor-grid size for which exact_dual_norms assembles the dense form
 DENSE_MAX_DOF = 10_000
 
-# per-factor operators of an operator term; GRAD_T is the transposed grad_coupling
+# per-factor operators of an operator term, named by their FactorMatrices attribute
 MASS = "mass"
 STIFFNESS = "stiffness"
 GRAD = "grad_coupling"
@@ -222,12 +222,6 @@ def operator_terms(form: EnergyForm) -> list:
     return terms
 
 
-def _op(mats_k: FactorMatrices, name: str) -> np.ndarray:
-    if name == GRAD_T:
-        return mats_k.grad_coupling.T
-    return getattr(mats_k, name)
-
-
 def _applied(op_terms, mats, f: SeparatedFunction) -> "Functional":
     """The functional v -> sum_t coef_t sum_r w_r prod_k v_k . op_{t,k} U_k[:, r].
 
@@ -236,7 +230,8 @@ def _applied(op_terms, mats, f: SeparatedFunction) -> "Functional":
     """
     factors = []
     for k, m in enumerate(mats):
-        applied = {name: _op(m, name) @ f.factors[k] for name in {ops[k] for _, ops in op_terms}}
+        names = {ops[k] for _, ops in op_terms}
+        applied = {name: getattr(m, name) @ f.factors[k] for name in names}
         factors.append(np.concatenate([applied[ops[k]] for _, ops in op_terms], axis=1))
     return Functional(np.concatenate([coef * f.weights for coef, _ in op_terms]), factors)
 
@@ -299,16 +294,21 @@ class Functional(_CPForm):
         return self.factors[j] @ (self.weights * self._products(frozen.factors, skip=j))
 
 
-def _slot_hessian(form: EnergyForm, mats, frozen: RankOneTerm, j: int) -> np.ndarray:
-    """Hessian of u -> a(term with slot j -> u, same) over slot-j coefficients.
+def _quad_forms(form: EnergyForm, mats_k: FactorMatrices, k: int, f: np.ndarray) -> dict:
+    """f . op f for each operator that factor k carries in some term, by name."""
+    return {name: f @ (getattr(mats_k, name) @ f) for name in {ops[k] for _, ops in form.terms}}
 
-    Operator term t contributes coef_t prod_{k != j} (f_k . op_{t,k} f_k) op_{t,j}.
+
+def _slot_hessian(form: EnergyForm, mats, quad, j: int) -> np.ndarray:
+    """Upper band of the Hessian of u -> a(term with slot j -> u, same) over slot-j coefficients.
+
+    Operator term t contributes coef_t prod_{k != j} (f_k . op_{t,k} f_k) op_{t,j};
+    quad[k] holds _quad_forms of the frozen factor f_k for every k != j.  The
+    band is in the layout of FactorMatrices.bands, the input of cholesky_banded.
     """
     others = [k for k in range(form.n_factors) if k != j]
-    pairs = {(k, ops[k]) for _, ops in form.terms for k in others}
-    quad = {(k, name): frozen.factors[k] @ (_op(mats[k], name) @ frozen.factors[k])
-            for k, name in pairs}
-    return sum(coef * math.prod(quad[k, ops[k]] for k in others) * _op(mats[j], ops[j])
+    bands = mats[j].bands
+    return sum(coef * math.prod(quad[k][ops[k]] for k in others) * bands[ops[j]]
                for coef, ops in form.terms)
 
 
@@ -316,9 +316,10 @@ def als_rank1(form: EnergyForm, mats, rhs: Functional, init: RankOneTerm,
               tol: float = 1e-10, max_sweeps: int = 60):
     """Alternating minimization of J(u) = 1/2 a(u,u) - rhs(u) over rank-one u.
 
-    Each slot solve is a symmetric positive-definite system; sweeps stop when
-    the relative change of J drops below tol or max_sweeps is hit.  Returns
-    (term, J) with the term normalized so factors 1..N-1 have unit mass norm.
+    Each slot solve is a symmetric positive-definite banded system, factored
+    by banded Cholesky in O(ndof); sweeps stop when the relative change of J
+    drops below tol or max_sweeps is hit.  Returns (term, J) with the term
+    normalized so factors 1..N-1 have unit mass norm.
 
     Raises AlsError on a singular slot system or an increasing J (restart
     with a different init), NullTermError when a slot minimizer collapses
@@ -334,20 +335,27 @@ def als_rank1(form: EnergyForm, mats, rhs: Functional, init: RankOneTerm,
             raise ValueError(f"init factor {k} is zero")
     j_prev = np.inf
     j_val = np.inf
+    # quadratic forms of each factor, None from the moment the factor changes
+    quad = [None] * n
     for sweep in range(max_sweeps):
         for j in range(n):
-            h = _slot_hessian(form, mats, r, j)
+            for k in range(n):
+                if k != j and quad[k] is None:
+                    quad[k] = _quad_forms(form, mats[k], k, r.factors[k])
+            band = _slot_hessian(form, mats, quad, j)
             b = rhs.slot_vector(r, j)
             try:
-                u = cho_solve(cho_factor(h), b)
+                u = cho_solve_banded((cholesky_banded(band), False), b)
             except np.linalg.LinAlgError as exc:
                 raise AlsError(f"slot {j} system not positive definite: {exc}") from exc
             if mass_norm(mats[j], u) < _NULL_MASS_NORM:
                 raise NullTermError("residual orthogonal to rank-one set")
             r.factors[j] = u
+            quad[j] = None
             # at the fresh slot minimum J = -1/2 b.u
             j_val = -0.5 * float(b @ u)
         r = normalize_term(mats, r)
+        quad = [None] * n
         if j_val > j_prev + 1e-12 * (1.0 + abs(j_prev)):
             raise AlsError(f"J increased across sweep {sweep}: {j_prev!r} -> {j_val!r}")
         if abs(j_prev - j_val) <= tol * (1.0 + abs(j_val)):

@@ -21,10 +21,10 @@ from greedy_ou.eigen import (EigenSystem, resolved_factor_eigens, solve_factor_e
                              tensor_eigenvalue, weyl_fit)
 from greedy_ou.fem import assemble, build_mesh
 from greedy_ou.greedy import (EnergyForm, Functional, RankOneTerm, SeparatedFunction,
-                              _slot_hessian, als_best, energy_norm, energy_rank1,
-                              run_oga, run_pga)
+                              als_best, energy_norm, energy_rank1, run_oga, run_pga)
 from greedy_ou.springs import (CPAIL, FENE, SpringModel, boundary_limit_d2q, normalize,
                                q_theta)
+from test_greedy import dense_slot_hessian
 
 ROUSE2 = np.array([[1.0, -0.5], [-0.5, 1.0]])
 
@@ -218,7 +218,7 @@ def test_criterion_07_als_vs_brute_force():
         def objective(z):
             t = RankOneTerm([z[:n0], z[n0:]])
             val = 0.5 * energy_rank1(form, mats, t, t) - rhs.value_rank1(t)
-            grads = [(_slot_hessian(form, mats, t, j) @ t.factors[j]
+            grads = [(dense_slot_hessian(form, mats, t, j) @ t.factors[j]
                       - rhs.slot_vector(t, j)) for j in range(2)]
             return val, np.concatenate(grads)
 

@@ -111,6 +111,30 @@ def test_shapes_and_symmetry(degree):
     assert np.linalg.eigvalsh(mats.stiffness).min() > -1e-14
 
 
+@pytest.mark.parametrize("grading", [1.0, 2.0])
+@pytest.mark.parametrize("kind,b", [(FENE, 4.0), (CPAIL, 6.0)])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_cached_bands_reproduce_dense_matrices(degree, kind, b, grading):
+    mats = make_mats(kind, b, n_el=12, grading=grading, degree=degree)
+    p = degree
+
+    def from_upper_band(band):
+        assert band.shape == (p + 1, mats.ndof)
+        assert all(np.all(band[p - d, :d] == 0.0) for d in range(1, p + 1))
+        return sum(np.diag(band[p - d, d:], d) for d in range(p + 1))
+
+    # the lower band of each operator is the upper band of its transpose; equality
+    # everywhere also shows that nothing lies outside bandwidth p
+    transpose = {"mass": "mass", "stiffness": "stiffness",
+                 "grad_coupling": "grad_coupling_t", "grad_coupling_t": "grad_coupling"}
+    assert set(mats.bands) == set(transpose)
+    for name, t_name in transpose.items():
+        rebuilt = (from_upper_band(mats.bands[name])
+                   + np.tril(from_upper_band(mats.bands[t_name]).T, -1))
+        assert np.array_equal(rebuilt, getattr(mats, name)), name
+    assert mats.bands is mats.bands
+
+
 def test_constant_function_identities():
     mats = make_mats(kind=FENE, b=4.0, n_el=40)
     ones = np.ones(mats.ndof)

@@ -1,12 +1,14 @@
 """Energy form, rank-one alternating solver, and greedy drivers."""
 
 import dataclasses
+import tracemalloc
 from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from greedy_ou import greedy
@@ -18,6 +20,7 @@ from greedy_ou.greedy import (
     NullTermError,
     RankOneTerm,
     SeparatedFunction,
+    _quad_forms,
     _slot_hessian,
     als_best,
     als_rank1,
@@ -59,6 +62,16 @@ def separated(pairs):
 
 def random_target(mats, rng, rank):
     return separated([(rng.uniform(0.5, 1.5), random_term(mats, rng)) for _ in range(rank)])
+
+
+def dense_slot_hessian(form, mats, term, j):
+    """Slot-j Hessian at a frozen term as a dense matrix, expanded symmetrically
+    from the upper band that _slot_hessian returns (cholesky_banded layout)."""
+    quad = [_quad_forms(form, m, k, f) for k, (m, f) in enumerate(zip(mats, term.factors))]
+    band = _slot_hessian(form, mats, quad, j)
+    p = band.shape[0] - 1
+    upper = sum(np.diag(band[p - d, d:], d) for d in range(p + 1))
+    return upper + np.triu(upper, 1).T
 
 
 def kron_vec(term):
@@ -143,7 +156,7 @@ def test_slot_hessian_matches_energy():
     rng = np.random.default_rng(4)
     frozen = random_term(mats, rng)
     for j in range(2):
-        h = _slot_hessian(form, mats, frozen, j)
+        h = dense_slot_hessian(form, mats, frozen, j)
         for _ in range(4):
             x = rng.standard_normal(mats[j].ndof)
             repl = RankOneTerm(list(frozen.factors))
@@ -221,9 +234,41 @@ def test_als_stationarity_residual():
     rhs = Functional.from_target(form, mats, target)
     term, _ = als_rank1(form, mats, rhs, random_unit_term(mats, rng), tol=0.0, max_sweeps=300)
     for j in range(2):
-        grad = _slot_hessian(form, mats, term, j) @ term.factors[j] \
+        grad = dense_slot_hessian(form, mats, term, j) @ term.factors[j] \
             - rhs.slot_vector(term, j)
         assert np.abs(grad).max() <= 1e-8
+
+
+def test_indefinite_slot_system_is_an_als_error():
+    base = two_factor_mats()[0]
+    bad = dataclasses.replace(base, stiffness=-base.stiffness)
+    mats = [bad, bad]
+    form = EnergyForm(ROUSE2, 1.0, 1.0)
+    rng = np.random.default_rng(12)
+    rhs = Functional.from_target(form, mats, random_target(mats, rng, 1))
+    with pytest.raises(AlsError, match="slot 0 system not positive definite"):
+        als_rank1(form, mats, rhs, random_unit_term(mats, rng))
+    with pytest.raises(AlsError, match="all ALS starts failed"):
+        als_best(form, mats, rhs, restarts=2, rng=rng)
+
+
+def test_als_allocates_no_dense_slot_matrix():
+    # one dense ndof x ndof array at ndof 321 is 824 KB; banded slot systems need
+    # a few ndof-long arrays
+    model = SpringModel(FENE, 4.0)
+    mats = [assemble(build_mesh(4.0, 160), normalize(model), 2)] * 2
+    form = EnergyForm(ROUSE2, 1.0, 1.0)
+    rng = np.random.default_rng(13)
+    rhs = Functional.from_target(form, mats, random_target(mats, rng, 3))
+    init = random_unit_term(mats, rng)
+    dense_bytes = mats[0].ndof ** 2 * 8
+    tracemalloc.start()
+    try:
+        als_rank1(form, mats, rhs, init)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 4, (peak, dense_bytes)
 
 
 def test_als_output_is_normalized():
@@ -252,7 +297,7 @@ def test_als_matches_brute_force_minimizer():
         val = 0.5 * energy_rank1(form, mats, t, t) - rhs.value_rank1(t)
         grads = []
         for j in range(2):
-            grads.append(_slot_hessian(form, mats, t, j) @ t.factors[j]
+            grads.append(dense_slot_hessian(form, mats, t, j) @ t.factors[j]
                          - rhs.slot_vector(t, j))
         return val, np.concatenate(grads)
 
@@ -399,9 +444,9 @@ def test_surrogate_within_dual_norm_bounds():
 
 
 @lru_cache(maxsize=None)
-def small_factor(kind, degree):
+def small_factor(kind, degree, grading=1.0):
     b = 4.0 if kind == FENE else 6.0
-    return assemble(build_mesh(b, 4), normalize(SpringModel(kind, b)), degree)
+    return assemble(build_mesh(b, 4, grading), normalize(SpringModel(kind, b)), degree)
 
 
 @st.composite
@@ -492,5 +537,24 @@ def test_separated_operator_matches_dense_oracle(problem, ranks):
         embed = slot_embedding(v, j, mats[j].ndof)
         abs_embed = slot_embedding(abs_term(v), j, mats[j].ndof)
         assert_close(rhs.slot_vector(v, j), embed.T @ f_full, abs_embed.T @ f_abs)
-        assert_close(_slot_hessian(form, mats, v, j), embed.T @ a_full @ embed,
+        assert_close(dense_slot_hessian(form, mats, v, j), embed.T @ a_full @ embed,
                      abs_embed.T @ a_abs @ abs_embed)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(problem=separated_problems(), grading=st.sampled_from([1.0, 2.0]))
+def test_banded_slot_solves_match_dense_cholesky(problem, grading):
+    # one ALS sweep against the same sweep solved by dense Cholesky on the
+    # expanded slot Hessians, with every quadratic form recomputed per slot
+    form, mats, rng = problem
+    mats = [small_factor(m.weight.model.kind, m.degree, grading) for m in mats]
+    rhs = Functional.from_target(form, mats, random_target(mats, rng, 2))
+    init = random_unit_term(mats, rng)
+    term, _ = als_rank1(form, mats, rhs, init, max_sweeps=1)
+    ref = RankOneTerm(list(init.factors))
+    for j in range(form.n_factors):
+        h = dense_slot_hessian(form, mats, ref, j)
+        ref.factors[j] = cho_solve(cho_factor(h), rhs.slot_vector(ref, j))
+    ref = normalize_term(mats, ref)
+    for got, want in zip(term.factors, ref.factors):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
