@@ -200,8 +200,7 @@ def _deep_merge(base: dict, overrides: dict) -> dict:
 
 
 def _sweep_worker(args) -> int:
-    raw, out_sub, exact_dual = args
-    cfg = validate_config(raw)
+    cfg, out_sub, exact_dual = args
     out = Path(out_sub)
     out.mkdir(parents=True, exist_ok=True)
     return cmd_solve(cfg, out, exact_dual)
@@ -232,9 +231,8 @@ def cmd_sweep(raw_sweep: dict, out_dir: Path, jobs: int) -> int:
         overrides = run.get("overrides", {})
         if not isinstance(overrides, dict):
             raise ConfigError(f"{path}.overrides", "expected an object")
-        merged = _deep_merge(base, overrides)
-        validate_config(merged)  # fail before launching any workers
-        jobs_args.append((merged, str(out_dir / name), False))
+        cfg = validate_config(_deep_merge(base, overrides))  # before any worker starts
+        jobs_args.append((cfg, str(out_dir / name), False))
 
     codes = {}
     if jobs <= 1:

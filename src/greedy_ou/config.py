@@ -131,7 +131,8 @@ def _parse_coupling(raw, n_factors):
     return a
 
 
-def _parse_target(raw, n_factors):
+def _parse_target(raw, n_factors, basis_size):
+    """Manufactured or eigen target; a coefficient file is read as eigen terms."""
     spec = _require(raw, "target", "", dict)
     kind = _require(spec, "kind", "target", str)
     if kind == "manufactured":
@@ -143,6 +144,15 @@ def _parse_target(raw, n_factors):
                 raise ConfigError(f"target.coefficients[{i}]", "expected a number")
         seed = _integer(spec, "seed", "target", default=7, minimum=0)
         return {"kind": kind, "coefficients": [float(c) for c in coeffs], "seed": seed}
+    if kind == "coefficient_file":
+        file_path = _require(spec, "path", "target", str)
+        try:
+            spec = load_raw(file_path)
+        except OSError as exc:
+            raise ConfigError("target.path", f"cannot read {file_path}: {exc.strerror}") from exc
+        if not isinstance(spec, dict) or not spec.get("terms"):
+            raise ConfigError("target.path", f"{file_path} has no terms list")
+        kind = "eigen"
     if kind == "eigen":
         terms = _require(spec, "terms", "target", list)
         if not terms:
@@ -160,11 +170,11 @@ def _parse_target(raw, n_factors):
             if len(idx) != n_factors:
                 raise ConfigError(f"{path}.index",
                                   f"expected {n_factors} entries, got {len(idx)}")
+            if max(idx) > basis_size:
+                raise ConfigError(f"{path}.index",
+                                  f"index {max(idx)} exceeds basis size {basis_size}")
             parsed.append({"weight": w, "index": [int(n) for n in idx]})
         return {"kind": kind, "terms": parsed}
-    if kind == "coefficient_file":
-        path = _require(spec, "path", "target", str)
-        return {"kind": kind, "path": path}
     raise ConfigError("target.kind", f"unknown target kind {kind!r}")
 
 
@@ -203,7 +213,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     max_sweeps = _integer(als, "max_sweeps", "als", default=60)
     restarts = _integer(als, "restarts", "als", default=1)
     seed = _integer(als, "seed", "als", default=42, minimum=0)
-    target = _parse_target(raw, n_factors)
+    target = _parse_target(raw, n_factors, n_el * degree + 1)
     eig = raw.get("eig", {})
     if not isinstance(eig, dict):
         raise ConfigError("eig", "expected an object")
@@ -254,19 +264,8 @@ def build_target(cfg: ExperimentConfig, form: EnergyForm, mats):
         factors[-1] = factors[-1] / [np.sqrt(energy_rank1(form, mats, t, t)) for t in terms]
         bound = float(sum(abs(c) for c in spec["coefficients"]))
         return SeparatedFunction(spec["coefficients"], factors), bound
-    if spec["kind"] == "coefficient_file":
-        file_spec = load_raw(spec["path"])
-        terms = file_spec.get("terms") if isinstance(file_spec, dict) else None
-        if not terms:
-            raise ConfigError("target.path", f"{spec['path']} has no terms list")
-        spec = _parse_target({"target": {"kind": "eigen", "terms": terms}}, cfg.n_factors)
     k_needed = [max(t["index"][i] for t in spec["terms"]) for i in range(cfg.n_factors)]
-    eigens = [solve_factor_eigens(m, min(k, m.ndof)) for m, k in zip(mats, k_needed)]
-    for t in spec["terms"]:
-        for i, n in enumerate(t["index"]):
-            if n > eigens[i].k:
-                raise ConfigError("target.terms",
-                                  f"index {n} exceeds basis size {eigens[i].k} for factor {i}")
+    eigens = [solve_factor_eigens(m, k) for m, k in zip(mats, k_needed)]
     target = SeparatedFunction(
         [t["weight"] for t in spec["terms"]],
         [eig.vectors[:, [t["index"][i] - 1 for t in spec["terms"]]]

@@ -246,8 +246,10 @@ def test_criterion_08_monotone_traces():
     for name, errs in TRACES:
         errs = np.asarray(errs)
         slack = 1e-10 * errs[0]
-        if np.any(np.diff(errs) > slack):
-            failures.append(f"{name}: residual norms increase")
+        # row 0 is the target norm, row n the error after iteration n
+        for n in np.flatnonzero(np.diff(errs) > slack) + 1:
+            failures.append(f"{name}: residual norm rises at row {n}, "
+                            f"{errs[n - 1]:.4e} -> {errs[n]:.4e} (slack {slack:.3e})")
     _verdict(8, f"residual norms nonincreasing on all {len(TRACES)} traces", failures)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import greedy_ou
 from greedy_ou import cli, greedy
-from greedy_ou.config import ConfigError, validate_config
+from greedy_ou.config import ConfigError, build_problem, build_target, validate_config
 
 
 def base_config(**overrides):
@@ -158,20 +158,83 @@ def test_coefficient_file_index_length_refused(tmp_path, capsys):
     assert "target.terms[0].index: expected 2 entries, got 1" in capsys.readouterr().err
 
 
+def test_coefficient_file_target_equals_inline_terms(tmp_path):
+    terms = [{"weight": 1.0, "index": [1, 1]}, {"weight": 0.5, "index": [2, 13]}]
+    coeff_path = tmp_path / "coeffs.json"
+    coeff_path.write_text(json.dumps({"terms": terms}))
+    from_file = validate_config(
+        base_config(target={"kind": "coefficient_file", "path": str(coeff_path)}))
+    inline = validate_config(base_config(target={"kind": "eigen", "terms": terms}))
+    assert from_file.target == inline.target == {"kind": "eigen", "terms": terms}
+
+
+def test_coefficient_file_is_read_only_at_validation(tmp_path):
+    coeff_path = tmp_path / "coeffs.json"
+    coeff_path.write_text(json.dumps({"terms": [{"weight": 2.0, "index": [3, 1]}]}))
+    cfg = validate_config(base_config(target={"kind": "coefficient_file", "path": str(coeff_path)}))
+    coeff_path.unlink()
+    form, mats = build_problem(cfg)
+    target, _ = build_target(cfg, form, mats)
+    assert list(target.weights) == [2.0]
+
+
+@pytest.mark.parametrize("degree,size", [(1, 7), (2, 13)])  # 6 elements
+@pytest.mark.parametrize("kind", ["eigen", "coefficient_file"])
+def test_index_beyond_basis_refused_at_validation(tmp_path, kind, degree, size):
+    terms = [{"weight": 1.0, "index": [1, 1]}, {"weight": 0.5, "index": [1, size + 1]}]
+    target = {"kind": "eigen", "terms": terms}
+    if kind == "coefficient_file":
+        coeff_path = tmp_path / "coeffs.json"
+        coeff_path.write_text(json.dumps({"terms": terms}))
+        target = {"kind": kind, "path": str(coeff_path)}
+    raw = base_config(mesh={"degree": degree}, target=target)
+    with pytest.raises(ConfigError, match=rf"^target\.terms\[1\]\.index: index {size + 1} "
+                                          rf"exceeds basis size {size}$"):
+        validate_config(raw)
+
+
+@pytest.mark.parametrize("name,reason", [("nope.json", "No such file or directory"),
+                                         (".", "Is a directory")], ids=["missing", "directory"])
+def test_unreadable_coefficient_file_refused_at_validation(tmp_path, name, reason):
+    path = tmp_path / name
+    with pytest.raises(ConfigError, match=rf"^target\.path: cannot read .*: {reason}$"):
+        validate_config(base_config(target={"kind": "coefficient_file", "path": str(path)}))
+
+
 def test_zero_seeds_accepted():
     cfg = validate_config(base_config(target={"seed": 0}, als={"seed": 0}))
     assert cfg.seed == 0 and cfg.target["seed"] == 0
 
 
-def test_negative_target_seed_fails_sweep_before_any_run(tmp_path, capsys):
+@pytest.mark.parametrize("target,field", [
+    ({"seed": -1}, "target.seed"),
+    ({"kind": "coefficient_file", "path": "nope.json"}, "target.path"),
+    ({"kind": "coefficient_file", "path": "no_terms.json"}, "target.path"),
+    ({"kind": "eigen", "terms": [{"weight": 1.0, "index": [14, 1]}]}, "target.terms[0].index"),
+], ids=["negative-seed", "missing-file", "file-without-terms", "index-beyond-basis"])
+def test_bad_run_fails_sweep_before_any_run(tmp_path, capsys, target, field):
+    (tmp_path / "no_terms.json").write_text(json.dumps({"weights": [1.0]}))
+    if "path" in target:
+        target = {**target, "path": str(tmp_path / target["path"])}
     sweep = {"schema_version": 1, "base": base_config(),
              "runs": [{"name": "ok", "overrides": {}},
-                      {"name": "bad", "overrides": {"target": {"seed": -1}}}]}
-    code = cli.main(["sweep", "--config", write_config(tmp_path, sweep), "--out",
-                     str(tmp_path / "out")])
+                      {"name": "bad", "overrides": {"target": target}}]}
+    out = tmp_path / "out"
+    code = cli.main(["sweep", "--config", write_config(tmp_path, sweep), "--out", str(out)])
     assert code == 1
-    assert "target.seed" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "ok").exists()
+    assert f"error: {field}: " in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_sweep_validates_each_run_once(tmp_path, monkeypatch):
+    calls = []
+    validate = cli.validate_config
+    monkeypatch.setattr(cli, "validate_config", lambda raw: calls.append(raw) or validate(raw))
+    sweep = {"schema_version": 1, "base": base_config(n_max=2),
+             "runs": [{"name": "a", "overrides": {}}, {"name": "b", "overrides": {}}]}
+    cli.main(["sweep", "--config", write_config(tmp_path, sweep), "--out", str(tmp_path / "out")])
+    assert len(calls) == 2
+    assert (tmp_path / "out" / "b" / "solve.csv").exists()
 
 
 # --- solve ---
