@@ -9,10 +9,10 @@ from .eigen import (EigenError, EigenSystem, FactorEigens, WeylFit,
 from .fem import (AssemblyError, FactorMatrices, FactorMesh, assemble, build_mesh,
                   dof_coordinates, interpolate)
 from .greedy import (AlsError, EnergyForm, Functional, GreedyError, GreedyTrace,
-                     NullTermError, RankOneTerm, SeparatedFunction, TraceRow, als_best,
+                     NullTermError, SeparatedFunction, TraceRow, als_best,
                      als_rank1, assemble_dense, energy_norm, energy_pairing,
                      energy_rank1, exact_dual_norms, mass_pairing, normalize_term,
-                     run_oga, run_pga)
+                     rank_one, run_oga, run_pga)
 from .springs import (MaxwellianWeight, SpringModel, boundary_limit_d2q,
                       integrate_weighted, normalize, q_theta)
 
@@ -22,12 +22,12 @@ __all__ = [
     "AlsError", "AssemblyError", "B1Bound", "CoeffTensor", "ConfigError",
     "EigenError", "EigenSystem", "EnergyForm", "ExperimentConfig", "FactorEigens",
     "FactorMatrices", "FactorMesh", "Functional", "GreedyError", "GreedyTrace",
-    "MaxwellianWeight", "NullTermError", "RankOneTerm", "SeparatedFunction",
+    "MaxwellianWeight", "NullTermError", "SeparatedFunction",
     "SpringModel", "TraceRow", "WeightFamily", "WeylFit", "__version__", "als_best",
     "als_rank1", "assemble", "assemble_dense", "b1_bound", "boundary_limit_d2q",
     "build_mesh", "build_problem", "build_target", "dof_coordinates", "energy_norm",
     "energy_pairing", "energy_rank1", "exact_dual_norms", "fourier_coeffs",
     "integrate_weighted", "interpolate", "mass_pairing", "normalize", "normalize_term",
-    "q_theta", "rate_class_report", "resolved_factor_eigens", "run_oga", "run_pga",
+    "q_theta", "rank_one", "rate_class_report", "resolved_factor_eigens", "run_oga", "run_pga",
     "sigma_norm", "solve_factor_eigens", "tensor_eigenvalue", "weyl_fit",
 ]

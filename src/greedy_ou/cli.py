@@ -200,10 +200,10 @@ def _deep_merge(base: dict, overrides: dict) -> dict:
 
 
 def _sweep_worker(args) -> int:
-    cfg, out_sub, exact_dual = args
+    cfg, out_sub = args
     out = Path(out_sub)
     out.mkdir(parents=True, exist_ok=True)
-    return cmd_solve(cfg, out, exact_dual)
+    return cmd_solve(cfg, out)
 
 
 def cmd_sweep(raw_sweep: dict, out_dir: Path, jobs: int) -> int:
@@ -232,7 +232,7 @@ def cmd_sweep(raw_sweep: dict, out_dir: Path, jobs: int) -> int:
         if not isinstance(overrides, dict):
             raise ConfigError(f"{path}.overrides", "expected an object")
         cfg = validate_config(_deep_merge(base, overrides))  # before any worker starts
-        jobs_args.append((cfg, str(out_dir / name), False))
+        jobs_args.append((cfg, str(out_dir / name)))
 
     codes = {}
     if jobs <= 1:

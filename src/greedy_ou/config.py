@@ -150,6 +150,8 @@ def _parse_target(raw, n_factors, basis_size):
             spec = load_raw(file_path)
         except OSError as exc:
             raise ConfigError("target.path", f"cannot read {file_path}: {exc.strerror}") from exc
+        except ConfigError as exc:
+            raise ConfigError("target.path", str(exc)) from exc
         if not isinstance(spec, dict) or not spec.get("terms"):
             raise ConfigError("target.path", f"{file_path} has no terms list")
         kind = "eigen"

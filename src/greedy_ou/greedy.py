@@ -12,9 +12,9 @@ place it is expanded.  Separated functions and functionals share one CP form
 factor.  A functional's stacks hold operator-applied columns op_{t,k} U_k,
 built once when it is made, so a greedy residual f - a(u_n, .) stays
 low-rank, and every pairing, slot vector and slot Hessian applies the
-terms and then takes one product over factors.  assemble_dense
-expands the form by hand on purpose: it is the independent Kronecker oracle
-for small grids.
+terms and then takes one product over factors; a rank-one term is a CP form
+of rank 1 (rank_one).  assemble_dense expands the form by hand on purpose: it
+is the independent Kronecker oracle for small grids.
 
 The rank-one subproblem min_u J_f(u) = 1/2 a(u,u) - f(u) is solved by
 alternating sweeps: freezing all factors but slot j leaves a small symmetric
@@ -109,19 +109,6 @@ class EnergyForm:
         return max(self._eig_range[1] / (4.0 * self.wi), self.c)
 
 
-@dataclass
-class RankOneTerm:
-    """One tensor-product term, one coefficient vector per factor."""
-
-    factors: list
-
-    def is_null(self) -> bool:
-        return all(np.all(f == 0.0) for f in self.factors)
-
-    def as_function(self) -> "SeparatedFunction":
-        return SeparatedFunction([1.0], [f[:, None] for f in self.factors])
-
-
 @dataclass(frozen=True, eq=False)
 class _CPForm:
     """sum_r weights[r] (x)_k factors[k][:, r]: the CP form [[weights; U_1, ..., U_N]].
@@ -144,8 +131,8 @@ class _CPForm:
 
     @cached_property
     def terms(self) -> list:
-        """(weight, RankOneTerm) for each column."""
-        return [(float(w), RankOneTerm([f[:, r] for f in self.factors]))
+        """(weight, rank-1 form of unit weight) for each column."""
+        return [(float(w), type(self)([1.0], [f[:, r, None] for f in self.factors]))
                 for r, w in enumerate(self.weights)]
 
     def __add__(self, other):
@@ -162,26 +149,40 @@ class SeparatedFunction(_CPForm):
     """Sum of weighted rank-one terms, stored in CP form."""
 
 
-def zero_term(mats) -> RankOneTerm:
-    return RankOneTerm([np.zeros(m.ndof) for m in mats])
+def rank_one(vectors) -> SeparatedFunction:
+    """The rank-one term (x)_k vectors[k]: weight 1, one column per factor."""
+    return SeparatedFunction([1.0], [v[:, None] for v in vectors])
+
+
+def _vectors(term: _CPForm) -> list:
+    """Factor vectors of a rank-1 form, its weight folded into the last."""
+    if term.rank != 1:
+        raise ValueError(f"expected a rank-1 form, got rank {term.rank}")
+    return [f[:, 0] for f in term.factors[:-1]] + [term.weights[0] * term.factors[-1][:, 0]]
 
 
 def mass_norm(mats_k: FactorMatrices, vec: np.ndarray) -> float:
     return float(np.sqrt(max(vec @ mats_k.mass @ vec, 0.0)))
 
 
-def normalize_term(mats, term: RankOneTerm) -> RankOneTerm:
+def _normalized(vectors, norms) -> list:
+    """Factors 1..N-1 divided by their mass norms, the product folded into the last."""
+    out = [f / nu for f, nu in zip(vectors[:-1], norms[:-1])]
+    out.append(vectors[-1] * float(np.prod(norms[:-1])))
+    return out
+
+
+def normalize_term(mats, term: SeparatedFunction) -> SeparatedFunction:
     """Scale factors 1..N-1 to unit mass norm, folding magnitudes into the last."""
-    norms = [mass_norm(m, f) for m, f in zip(mats, term.factors)]
+    vectors = _vectors(term)
+    norms = [mass_norm(m, f) for m, f in zip(mats, vectors)]
     if min(norms) == 0.0:
-        return zero_term(mats)
-    out = [f / nu for f, nu in zip(term.factors[:-1], norms[:-1])]
-    out.append(term.factors[-1] * float(np.prod(norms[:-1])))
-    return RankOneTerm(out)
+        raise ValueError(f"factor {norms.index(0.0)} is zero")
+    return rank_one(_normalized(vectors, norms))
 
 
 def _check_sizes(form: EnergyForm, mats, *items):
-    """Rank-one terms and CP forms: one factor per basis with its ndof, one column per weight."""
+    """CP forms: one factor per basis with its ndof, one column per weight."""
     n = form.n_factors
     if len(mats) != n:
         raise ValueError(f"expected {n} factor matrices, got {len(mats)}")
@@ -189,14 +190,13 @@ def _check_sizes(form: EnergyForm, mats, *items):
         if len(item.factors) != n:
             raise ValueError(f"{type(item).__name__} has {len(item.factors)} factors, "
                              f"expected {n}")
-        columns = item.weights.shape if isinstance(item, _CPForm) else ()
         for k, f in enumerate(item.factors):
             if f.shape[:1] != (mats[k].ndof,):
                 raise ValueError(f"factor {k} has {f.shape[0]} coefficients, "
                                  f"basis has {mats[k].ndof}")
-            if f.shape[1:] != columns:
+            if f.shape[1:] != item.weights.shape:
                 raise ValueError(f"factor {k} has {f.shape[1:]} columns, "
-                                 f"weights have {columns}")
+                                 f"weights have {item.weights.shape}")
 
 
 def operator_terms(form: EnergyForm) -> list:
@@ -236,10 +236,10 @@ def _applied(op_terms, mats, f: SeparatedFunction) -> "Functional":
     return Functional(np.concatenate([coef * f.weights for coef, _ in op_terms]), factors)
 
 
-def energy_rank1(form: EnergyForm, mats, u: RankOneTerm, v: RankOneTerm) -> float:
-    """a(u, v) for rank-one u (trial) and v (test)."""
+def energy_rank1(form: EnergyForm, mats, u: SeparatedFunction, v: SeparatedFunction) -> float:
+    """a(u, v) for rank-1 u (trial) and v (test)."""
     _check_sizes(form, mats, u, v)
-    return _applied(form.terms, mats, u.as_function()).value_rank1(v)
+    return _applied(form.terms, mats, u).value(v)
 
 
 def energy_pairing(form: EnergyForm, mats, f: SeparatedFunction, g: SeparatedFunction) -> float:
@@ -282,16 +282,17 @@ class Functional(_CPForm):
         return reduce(np.multiply, [f.T @ v for k, (f, v) in enumerate(zip(self.factors, test))
                                     if k != skip], 1.0)
 
-    def values(self, test) -> np.ndarray:
-        """f at each column of a separated test function, or at a rank-one term."""
+    def values(self, test: SeparatedFunction) -> np.ndarray:
+        """f at each column of a separated test function."""
         return self.weights @ self._products(test.factors)
 
-    def value_rank1(self, v: RankOneTerm) -> float:
-        return float(self.values(v))
+    def value(self, v: SeparatedFunction) -> float:
+        """f(v) for a rank-1 v."""
+        return float(self.weights @ self._products(_vectors(v)))
 
-    def slot_vector(self, frozen: RankOneTerm, j: int) -> np.ndarray:
-        """Vector b with f(frozen but slot j -> y) = y . b."""
-        return self.factors[j] @ (self.weights * self._products(frozen.factors, skip=j))
+    def slot_vector(self, frozen: list, j: int) -> np.ndarray:
+        """Vector b with f(frozen but slot j -> y) = y . b; frozen holds one vector per factor."""
+        return self.factors[j] @ (self.weights * self._products(frozen, skip=j))
 
 
 def _quad_forms(form: EnergyForm, mats_k: FactorMatrices, k: int, f: np.ndarray) -> dict:
@@ -312,27 +313,25 @@ def _slot_hessian(form: EnergyForm, mats, quad, j: int) -> np.ndarray:
                for coef, ops in form.terms)
 
 
-def als_rank1(form: EnergyForm, mats, rhs: Functional, init: RankOneTerm,
+def als_rank1(form: EnergyForm, mats, rhs: Functional, init: SeparatedFunction,
               tol: float = 1e-10, max_sweeps: int = 60):
     """Alternating minimization of J(u) = 1/2 a(u,u) - rhs(u) over rank-one u.
 
     Each slot solve is a symmetric positive-definite banded system, factored
     by banded Cholesky in O(ndof); sweeps stop when the relative change of J
-    drops below tol or max_sweeps is hit.  Returns (term, J) with the term
-    normalized so factors 1..N-1 have unit mass norm.
+    drops below tol or max_sweeps is hit.  Returns (term, J) with the term a
+    rank-1 form, normalized so factors 1..N-1 have unit mass norm.
 
     Raises AlsError on a singular slot system or an increasing J (restart
     with a different init), NullTermError when a slot minimizer collapses
-    below mass norm 1e-14 (residual orthogonal to the rank-one set).
+    below mass norm 1e-14 (residual orthogonal to the rank-one set, as is an empty rhs).
     """
     _check_sizes(form, mats, init)
-    if not rhs.rank:
-        return zero_term(mats), 0.0
     n = form.n_factors
-    r = RankOneTerm(list(init.factors))
-    for k in range(n):
-        if mass_norm(mats[k], r.factors[k]) < _NULL_MASS_NORM:
-            raise ValueError(f"init factor {k} is zero")
+    r = _vectors(init)
+    norms = [mass_norm(m, f) for m, f in zip(mats, r)]
+    if min(norms) < _NULL_MASS_NORM:
+        raise ValueError(f"init factor {norms.index(min(norms))} is zero")
     j_prev = np.inf
     j_val = np.inf
     # quadratic forms of each factor, None from the moment the factor changes
@@ -341,44 +340,44 @@ def als_rank1(form: EnergyForm, mats, rhs: Functional, init: RankOneTerm,
         for j in range(n):
             for k in range(n):
                 if k != j and quad[k] is None:
-                    quad[k] = _quad_forms(form, mats[k], k, r.factors[k])
+                    quad[k] = _quad_forms(form, mats[k], k, r[k])
             band = _slot_hessian(form, mats, quad, j)
             b = rhs.slot_vector(r, j)
             try:
                 u = cho_solve_banded((cholesky_banded(band), False), b)
             except np.linalg.LinAlgError as exc:
                 raise AlsError(f"slot {j} system not positive definite: {exc}") from exc
-            if mass_norm(mats[j], u) < _NULL_MASS_NORM:
+            norms[j] = mass_norm(mats[j], u)
+            if norms[j] < _NULL_MASS_NORM:
                 raise NullTermError("residual orthogonal to rank-one set")
-            r.factors[j] = u
+            r[j] = u
             quad[j] = None
             # at the fresh slot minimum J = -1/2 b.u
             j_val = -0.5 * float(b @ u)
-        r = normalize_term(mats, r)
+        # every factor was solved in this sweep, so norms are those of r
+        r = _normalized(r, norms)
         quad = [None] * n
         if j_val > j_prev + 1e-12 * (1.0 + abs(j_prev)):
             raise AlsError(f"J increased across sweep {sweep}: {j_prev!r} -> {j_val!r}")
         if abs(j_prev - j_val) <= tol * (1.0 + abs(j_val)):
             break
         j_prev = j_val
-    return r, float(j_val)
+    return rank_one(r), float(j_val)
 
 
-def random_unit_term(mats, rng) -> RankOneTerm:
+def random_unit_term(mats, rng) -> SeparatedFunction:
     """Random start: factor-wise standard normals, unit mass norm each."""
-    factors = []
-    for m in mats:
-        v = rng.standard_normal(m.ndof)
-        factors.append(v / mass_norm(m, v))
-    return RankOneTerm(factors)
+    draws = [rng.standard_normal(m.ndof) for m in mats]
+    return rank_one([v / mass_norm(m, v) for m, v in zip(mats, draws)])
 
 
 def als_best(form: EnergyForm, mats, rhs: Functional, *, tol: float = 1e-10,
              max_sweeps: int = 60, restarts: int = 1, rng=None):
     """Multi-start ALS, keeping the lowest-J stationary point.
 
-    NullTermError propagates only if every start collapses; a failed start
-    (AlsError) is retried from the next random init.
+    A failed (AlsError) or collapsed (NullTermError) start is retried from
+    the next random init.  If no start succeeds, NullTermError is raised
+    when any start collapsed, even if others failed, and AlsError otherwise.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -453,9 +452,6 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
         except AlsError as exc:
             raise GreedyError(f"iteration {n}: {exc}") from exc
         norm_n = float(np.sqrt(max(energy_rank1(form, mats, term, term), 0.0)))
-        if norm_n == 0.0:
-            trace.status = "null_term"
-            return approx, trace
         if r1_norm is None:
             r1_norm = norm_n
         surrogate = norm_n / r1_norm
@@ -464,11 +460,11 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
             trace.status = "converged"
             trace.final_surrogate = surrogate
             return approx, trace
-        captured = captured + term.as_function()
+        captured = captured + term
         if orthogonal:
-            column = Functional.from_target(form, mats, term.as_function()).values(captured)
+            column = Functional.from_target(form, mats, term).values(captured)
             gram = np.block([[gram, column[:-1, None]], [column]])
-            fvec = np.append(fvec, rhs.value_rank1(term))
+            fvec = np.append(fvec, rhs.value(term))
             alpha = _solve_galerkin(gram, fvec)
             approx = SeparatedFunction(alpha, captured.factors)
             alpha_out = tuple(float(a) for a in alpha)
@@ -476,7 +472,7 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
             approx = captured
             alpha_out = None
         residual = rhs.minus(form, mats, approx)
-        ortho_defect = residual.value_rank1(term)
+        ortho_defect = residual.value(term)
         trace.rows.append(TraceRow(
             n=n,
             err_energy=_err_energy(form, mats, target, approx),

@@ -20,8 +20,8 @@ from greedy_ou.diagnostics import (MIX, UNIF, CoeffTensor, WeightFamily, b1_boun
 from greedy_ou.eigen import (EigenSystem, resolved_factor_eigens, solve_factor_eigens,
                              tensor_eigenvalue, weyl_fit)
 from greedy_ou.fem import assemble, build_mesh
-from greedy_ou.greedy import (EnergyForm, Functional, RankOneTerm, SeparatedFunction,
-                              als_best, energy_norm, energy_rank1, run_oga, run_pga)
+from greedy_ou.greedy import (EnergyForm, Functional, SeparatedFunction, als_best,
+                              energy_norm, energy_rank1, rank_one, run_oga, run_pga)
 from greedy_ou.springs import (CPAIL, FENE, SpringModel, boundary_limit_d2q, normalize,
                                q_theta)
 from test_greedy import dense_slot_hessian
@@ -49,12 +49,11 @@ def manufactured(form, mats, rng, coeffs):
     terms = []
     for _ in coeffs:
         fac = [rng.standard_normal(m.ndof) for m in mats]
-        t = RankOneTerm([f / np.sqrt(f @ m.mass @ f) for f, m in zip(fac, mats)])
-        na = np.sqrt(energy_rank1(form, mats, t, t))
-        t.factors[-1] = t.factors[-1] / na
-        terms.append(t)
-    return SeparatedFunction(coeffs, [np.column_stack(fs)
-                                      for fs in zip(*(t.factors for t in terms))])
+        vs = [f / np.sqrt(f @ m.mass @ f) for f, m in zip(fac, mats)]
+        t = rank_one(vs)
+        vs[-1] = vs[-1] / np.sqrt(energy_rank1(form, mats, t, t))
+        terms.append(vs)
+    return SeparatedFunction(coeffs, [np.column_stack(fs) for fs in zip(*terms)])
 
 
 def record_trace(name, form, mats, target, trace):
@@ -216,10 +215,11 @@ def test_criterion_07_als_vs_brute_force():
                             restarts=8, rng=rng)
 
         def objective(z):
-            t = RankOneTerm([z[:n0], z[n0:]])
-            val = 0.5 * energy_rank1(form, mats, t, t) - rhs.value_rank1(t)
-            grads = [(dense_slot_hessian(form, mats, t, j) @ t.factors[j]
-                      - rhs.slot_vector(t, j)) for j in range(2)]
+            vs = [z[:n0], z[n0:]]
+            t = rank_one(vs)
+            val = 0.5 * energy_rank1(form, mats, t, t) - rhs.value(t)
+            grads = [(dense_slot_hessian(form, mats, vs, j) @ vs[j]
+                      - rhs.slot_vector(vs, j)) for j in range(2)]
             return val, np.concatenate(grads)
 
         best = np.inf

@@ -53,6 +53,25 @@ def test_public_names_resolve():
     assert [name for name in greedy_ou.__all__ if not hasattr(greedy_ou, name)] == []
 
 
+def test_benchmark_hooks_resolve(monkeypatch):
+    # perfbench/spans.py wraps these call sites by name; a renamed one fails here
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import spans
+
+    original = greedy.als_rank1
+    cfg = validate_config(base_config())
+    form, mats = build_problem(cfg)
+    target, _ = build_target(cfg, form, mats)
+    rhs = greedy.Functional.from_target(form, mats, target)
+    with spans.Tracer().installed() as tracer:
+        approx, _ = greedy.run_pga(form, mats, rhs, n_max=2, target=target)
+    assert greedy.als_rank1 is original
+    assert {"greedy.als_best", "greedy.als_rank1", "greedy.slot_vector",
+            "greedy.energy_norm"} <= {s.name for s in tracer.spans}
+    residual = rhs.minus(form, mats, approx)
+    assert len(residual.terms) == residual.rank
+
+
 # --- validation ---
 
 def test_non_spd_coupling_names_offending_eigenvalue(tmp_path, capsys):
@@ -193,11 +212,16 @@ def test_index_beyond_basis_refused_at_validation(tmp_path, kind, degree, size):
         validate_config(raw)
 
 
-@pytest.mark.parametrize("name,reason", [("nope.json", "No such file or directory"),
-                                         (".", "Is a directory")], ids=["missing", "directory"])
-def test_unreadable_coefficient_file_refused_at_validation(tmp_path, name, reason):
+@pytest.mark.parametrize("name,content,message", [
+    ("nope.json", None, "cannot read .*: No such file or directory$"),
+    (".", None, "cannot read .*: Is a directory$"),
+    ("bad.json", "{bad", "invalid JSON in .*bad\\.json: "),
+], ids=["missing", "directory", "invalid-json"])
+def test_unreadable_coefficient_file_refused_at_validation(tmp_path, name, content, message):
     path = tmp_path / name
-    with pytest.raises(ConfigError, match=rf"^target\.path: cannot read .*: {reason}$"):
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(ConfigError, match=rf"^target\.path: {message}"):
         validate_config(base_config(target={"kind": "coefficient_file", "path": str(path)}))
 
 

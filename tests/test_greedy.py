@@ -18,7 +18,6 @@ from greedy_ou.greedy import (
     EnergyForm,
     Functional,
     NullTermError,
-    RankOneTerm,
     SeparatedFunction,
     _quad_forms,
     _slot_hessian,
@@ -33,9 +32,9 @@ from greedy_ou.greedy import (
     mass_pairing,
     normalize_term,
     random_unit_term,
+    rank_one,
     run_oga,
     run_pga,
-    zero_term,
 )
 from greedy_ou.springs import CPAIL, FENE, SpringModel, normalize
 
@@ -49,12 +48,17 @@ def two_factor_mats(n_el=5, degree=1, b=4.0):
 
 
 def random_term(mats, rng, normalized=True):
-    term = RankOneTerm([rng.standard_normal(m.ndof) for m in mats])
+    term = rank_one([rng.standard_normal(m.ndof) for m in mats])
     return normalize_term(mats, term) if normalized else term
 
 
+def vectors(term):
+    """The factor columns of a unit-weight rank-1 form, as 1-D vectors."""
+    return [f[:, 0] for f in term.factors]
+
+
 def separated(pairs):
-    """SeparatedFunction from (weight, RankOneTerm) pairs, one column per term."""
+    """SeparatedFunction from (weight, rank-1 form) pairs, one column per term."""
     weights, terms = zip(*pairs)
     return SeparatedFunction(weights, [np.column_stack(fs)
                                        for fs in zip(*(t.factors for t in terms))])
@@ -64,10 +68,11 @@ def random_target(mats, rng, rank):
     return separated([(rng.uniform(0.5, 1.5), random_term(mats, rng)) for _ in range(rank)])
 
 
-def dense_slot_hessian(form, mats, term, j):
-    """Slot-j Hessian at a frozen term as a dense matrix, expanded symmetrically
-    from the upper band that _slot_hessian returns (cholesky_banded layout)."""
-    quad = [_quad_forms(form, m, k, f) for k, (m, f) in enumerate(zip(mats, term.factors))]
+def dense_slot_hessian(form, mats, frozen, j):
+    """Slot-j Hessian at frozen factor vectors as a dense matrix, expanded
+    symmetrically from the upper band that _slot_hessian returns
+    (cholesky_banded layout)."""
+    quad = [_quad_forms(form, m, k, f) for k, (m, f) in enumerate(zip(mats, frozen))]
     band = _slot_hessian(form, mats, quad, j)
     p = band.shape[0] - 1
     upper = sum(np.diag(band[p - d, d:], d) for d in range(p + 1))
@@ -75,10 +80,7 @@ def dense_slot_hessian(form, mats, term, j):
 
 
 def kron_vec(term):
-    out = term.factors[0]
-    for f in term.factors[1:]:
-        out = np.kron(out, f)
-    return out
+    return reduce(np.kron, vectors(term))
 
 
 def test_energy_form_validation():
@@ -99,7 +101,7 @@ def test_energy_form_validation():
 def test_energy_constant_rank_one():
     mats = two_factor_mats()
     form = EnergyForm(np.eye(2), wi=2.0, c=1.0)
-    const = normalize_term(mats, RankOneTerm([np.ones(m.ndof) for m in mats]))
+    const = normalize_term(mats, rank_one([np.ones(m.ndof) for m in mats]))
     # stiffness terms vanish on constants; mass product is 1 after normalization
     assert energy_rank1(form, mats, const, const) == pytest.approx(1.0, rel=1e-12)
 
@@ -109,8 +111,9 @@ def test_energy_identity_coupling_has_no_cross_terms():
     form = EnergyForm(np.eye(2), wi=0.7, c=1.3)
     rng = np.random.default_rng(1)
     u, v = random_term(mats, rng), random_term(mats, rng)
-    m = [v.factors[k] @ mats[k].mass @ u.factors[k] for k in range(2)]
-    s = [v.factors[k] @ mats[k].stiffness @ u.factors[k] for k in range(2)]
+    us, vs = vectors(u), vectors(v)
+    m = [vs[k] @ mats[k].mass @ us[k] for k in range(2)]
+    s = [vs[k] @ mats[k].stiffness @ us[k] for k in range(2)]
     expected = 1.3 * m[0] * m[1] + (s[0] * m[1] + m[0] * s[1]) / (4 * 0.7)
     assert energy_rank1(form, mats, u, v) == pytest.approx(expected, rel=1e-13)
 
@@ -137,9 +140,9 @@ def test_energy_dimension_mismatch():
     rng = np.random.default_rng(3)
     u = random_term(mats, rng)
     with pytest.raises(ValueError, match="factors"):
-        energy_rank1(form, mats, RankOneTerm(u.factors[:1]), u)
+        energy_rank1(form, mats, SeparatedFunction(u.weights, u.factors[:1]), u)
     with pytest.raises(ValueError, match="coefficients"):
-        energy_rank1(form, mats, RankOneTerm([u.factors[0][:-1], u.factors[1]]), u)
+        energy_rank1(form, mats, rank_one([vectors(u)[0][:-1], vectors(u)[1]]), u)
     f = random_target(mats, rng, 2)
     with pytest.raises(ValueError, match="factors"):
         energy_pairing(form, mats, SeparatedFunction(f.weights, f.factors[:1]), f)
@@ -148,19 +151,22 @@ def test_energy_dimension_mismatch():
             f.weights, [f.factors[0][:-1], f.factors[1]]))
     with pytest.raises(ValueError, match="columns"):
         energy_pairing(form, mats, f, SeparatedFunction(f.weights[:1], f.factors))
+    with pytest.raises(ValueError, match="rank-1"):
+        energy_rank1(form, mats, u, f)
 
 
 def test_slot_hessian_matches_energy():
     mats = two_factor_mats()
     form = EnergyForm(ROUSE2, wi=0.8, c=1.2)
     rng = np.random.default_rng(4)
-    frozen = random_term(mats, rng)
+    frozen = vectors(random_term(mats, rng))
     for j in range(2):
         h = dense_slot_hessian(form, mats, frozen, j)
         for _ in range(4):
             x = rng.standard_normal(mats[j].ndof)
-            repl = RankOneTerm(list(frozen.factors))
-            repl.factors[j] = x
+            repl = list(frozen)
+            repl[j] = x
+            repl = rank_one(repl)
             assert x @ h @ x == pytest.approx(energy_rank1(form, mats, repl, repl), rel=1e-12)
 
 
@@ -170,14 +176,14 @@ def test_slot_vector_matches_functional_value():
     rng = np.random.default_rng(5)
     rhs = (Functional.from_target(form, mats, random_target(mats, rng, 2))
            + Functional.from_source(mats, random_target(mats, rng, 1)))
-    frozen = random_term(mats, rng)
+    frozen = vectors(random_term(mats, rng))
     for j in range(2):
         b = rhs.slot_vector(frozen, j)
         for _ in range(4):
             y = rng.standard_normal(mats[j].ndof)
-            repl = RankOneTerm(list(frozen.factors))
-            repl.factors[j] = y
-            assert y @ b == pytest.approx(rhs.value_rank1(repl), rel=1e-12)
+            repl = list(frozen)
+            repl[j] = y
+            assert y @ b == pytest.approx(rhs.value(rank_one(repl)), rel=1e-12)
 
 
 def test_als_recovers_rank_one_target():
@@ -194,13 +200,13 @@ def test_als_recovers_rank_one_target():
     assert energy_norm(form, mats, diff) <= 1e-6 * np.sqrt(a_tau)
 
 
-def test_als_empty_rhs_returns_zero():
+def test_als_empty_rhs_raises_null_term():
+    # b = 0 in every slot solve, so the first slot minimizer is zero
     mats = two_factor_mats()
     form = EnergyForm(ROUSE2, 1.0, 1.0)
     empty = Functional(np.zeros(0), [np.zeros((m.ndof, 0)) for m in mats])
-    term, j_val = als_rank1(form, mats, empty, random_unit_term(mats, np.random.default_rng(0)))
-    assert j_val == 0.0
-    assert term.is_null()
+    with pytest.raises(NullTermError):
+        als_rank1(form, mats, empty, random_unit_term(mats, np.random.default_rng(0)))
 
 
 def test_als_rejects_zero_init():
@@ -208,7 +214,26 @@ def test_als_rejects_zero_init():
     form = EnergyForm(ROUSE2, 1.0, 1.0)
     rhs = Functional.from_target(form, mats, random_target(mats, np.random.default_rng(7), 1))
     with pytest.raises(ValueError, match="init factor"):
-        als_rank1(form, mats, rhs, zero_term(mats))
+        als_rank1(form, mats, rhs, rank_one([np.zeros(m.ndof) for m in mats]))
+
+
+def test_rank_one_terms_have_unit_weight():
+    mats = two_factor_mats()
+    form = EnergyForm(ROUSE2, 1.0, 1.0)
+    rng = np.random.default_rng(7)
+    rhs = Functional.from_target(form, mats, random_target(mats, rng, 2))
+    init = random_unit_term(mats, rng)
+    term, _ = als_rank1(form, mats, rhs, init)
+    raw = rank_one([rng.standard_normal(m.ndof) for m in mats])
+    for t in (init, term, normalize_term(mats, raw)):
+        assert t.rank == 1 and t.weights.tolist() == [1.0]
+        assert [f.shape for f in t.factors] == [(m.ndof, 1) for m in mats]
+
+
+def test_normalize_term_refuses_zero_factor():
+    mats = two_factor_mats()
+    with pytest.raises(ValueError, match="factor 1 is zero"):
+        normalize_term(mats, rank_one([np.ones(mats[0].ndof), np.zeros(mats[1].ndof)]))
 
 
 def test_als_cancelling_rhs_is_null():
@@ -222,6 +247,21 @@ def test_als_cancelling_rhs_is_null():
         als_best(form, mats, rhs, restarts=3, rng=rng)
 
 
+def test_als_best_null_start_outranks_failed_start(monkeypatch):
+    # one start collapses and the next fails: the residual is reported null
+    errors = iter([NullTermError("null"), AlsError("failed")])
+
+    def als_rank1_stub(*args, **kwargs):
+        raise next(errors)
+
+    monkeypatch.setattr(greedy, "als_rank1", als_rank1_stub)
+    mats = two_factor_mats()
+    form = EnergyForm(ROUSE2, 1.0, 1.0)
+    rhs = Functional.from_target(form, mats, random_target(mats, np.random.default_rng(8), 1))
+    with pytest.raises(NullTermError):
+        als_best(form, mats, rhs, restarts=2)
+
+
 def test_als_stationarity_residual():
     # each slot gradient H_j r_j - b_j vanishes at the sweep limit;
     # tol=0 iterates until J stalls in floating point
@@ -233,9 +273,9 @@ def test_als_stationarity_residual():
     target = SeparatedFunction(target.weights / scale, target.factors)
     rhs = Functional.from_target(form, mats, target)
     term, _ = als_rank1(form, mats, rhs, random_unit_term(mats, rng), tol=0.0, max_sweeps=300)
+    vs = vectors(term)
     for j in range(2):
-        grad = dense_slot_hessian(form, mats, term, j) @ term.factors[j] \
-            - rhs.slot_vector(term, j)
+        grad = dense_slot_hessian(form, mats, vs, j) @ vs[j] - rhs.slot_vector(vs, j)
         assert np.abs(grad).max() <= 1e-8
 
 
@@ -277,7 +317,8 @@ def test_als_output_is_normalized():
     rng = np.random.default_rng(10)
     rhs = Functional.from_target(form, mats, random_target(mats, rng, 2))
     term, _ = als_rank1(form, mats, rhs, random_unit_term(mats, rng))
-    assert term.factors[0] @ mats[0].mass @ term.factors[0] == pytest.approx(1.0, rel=1e-12)
+    f0 = vectors(term)[0]
+    assert f0 @ mats[0].mass @ f0 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_als_matches_brute_force_minimizer():
@@ -289,16 +330,14 @@ def test_als_matches_brute_force_minimizer():
     _, j_als = als_best(form, mats, rhs, tol=1e-12, max_sweeps=200, restarts=8, rng=rng)
     n0, n1 = mats[0].ndof, mats[1].ndof
 
-    def unpack(z):
-        return RankOneTerm([z[:n0], z[n0:]])
-
     def objective(z):
-        t = unpack(z)
-        val = 0.5 * energy_rank1(form, mats, t, t) - rhs.value_rank1(t)
+        vs = [z[:n0], z[n0:]]
+        t = rank_one(vs)
+        val = 0.5 * energy_rank1(form, mats, t, t) - rhs.value(t)
         grads = []
         for j in range(2):
-            grads.append(dense_slot_hessian(form, mats, t, j) @ t.factors[j]
-                         - rhs.slot_vector(t, j))
+            grads.append(dense_slot_hessian(form, mats, vs, j) @ vs[j]
+                         - rhs.slot_vector(vs, j))
         return val, np.concatenate(grads)
 
     best = np.inf
@@ -358,7 +397,7 @@ def test_oga_first_coefficient_is_line_minimizer():
     rhs = Functional.from_target(form, mats, target)
     approx, trace = run_oga(form, mats, rhs, tol_stop=1e-14, n_max=1, rng=rng, target=target)
     (alpha1, r1), = approx.terms
-    expected = (rhs.value_rank1(r1)
+    expected = (rhs.value(r1)
                 / energy_rank1(form, mats, r1, r1))
     assert alpha1 == pytest.approx(expected, rel=1e-12)
     assert trace.rows[0].alpha == (pytest.approx(alpha1),)
@@ -376,8 +415,8 @@ def test_oga_exact_on_orthogonal_rank_two():
     evals, evecs = eigh(one.stiffness + one.mass, one.mass)
     e = [evecs[:, k] for k in range(3)]
     target = separated([
-        (1.0, RankOneTerm([e[1], e[1]])),
-        (0.6, RankOneTerm([e[2], e[0]])),
+        (1.0, rank_one([e[1], e[1]])),
+        (0.6, rank_one([e[2], e[0]])),
     ])
     approx, trace = run_oga(form, mats, Functional.from_target(form, mats, target),
                             tol_stop=1e-10, n_max=4, restarts=4,
@@ -484,12 +523,12 @@ def absolute_problem(form, mats):
 
 def slot_embedding(term, j, ndof_j):
     """Kronecker map from slot-j coefficients to the full tensor vector."""
-    return reduce(np.kron, [np.eye(ndof_j) if k == j else f[:, None]
+    return reduce(np.kron, [np.eye(ndof_j) if k == j else f
                             for k, f in enumerate(term.factors)])
 
 
 def abs_term(term):
-    return RankOneTerm([np.abs(f) for f in term.factors])
+    return rank_one([np.abs(f) for f in vectors(term)])
 
 
 def abs_function(f):
@@ -532,12 +571,12 @@ def test_separated_operator_matches_dense_oracle(problem, ranks):
     f_abs = (a_abs @ (dense(abs_function(f)) + dense(abs_function(h)))
              + reduce(np.kron, [m.mass for m in abs_mats]) @ dense(abs_function(g)))
     assert_close(dense_functional_vector(rhs), f_full, f_abs)
-    assert_close(rhs.value_rank1(v), kron_vec(v) @ f_full, kron_vec(abs_term(v)) @ f_abs)
+    assert_close(rhs.value(v), kron_vec(v) @ f_full, kron_vec(abs_term(v)) @ f_abs)
     for j in range(n):
         embed = slot_embedding(v, j, mats[j].ndof)
         abs_embed = slot_embedding(abs_term(v), j, mats[j].ndof)
-        assert_close(rhs.slot_vector(v, j), embed.T @ f_full, abs_embed.T @ f_abs)
-        assert_close(dense_slot_hessian(form, mats, v, j), embed.T @ a_full @ embed,
+        assert_close(rhs.slot_vector(vectors(v), j), embed.T @ f_full, abs_embed.T @ f_abs)
+        assert_close(dense_slot_hessian(form, mats, vectors(v), j), embed.T @ a_full @ embed,
                      abs_embed.T @ a_abs @ abs_embed)
 
 
@@ -551,10 +590,10 @@ def test_banded_slot_solves_match_dense_cholesky(problem, grading):
     rhs = Functional.from_target(form, mats, random_target(mats, rng, 2))
     init = random_unit_term(mats, rng)
     term, _ = als_rank1(form, mats, rhs, init, max_sweeps=1)
-    ref = RankOneTerm(list(init.factors))
+    ref = vectors(init)
     for j in range(form.n_factors):
         h = dense_slot_hessian(form, mats, ref, j)
-        ref.factors[j] = cho_solve(cho_factor(h), rhs.slot_vector(ref, j))
-    ref = normalize_term(mats, ref)
+        ref[j] = cho_solve(cho_factor(h), rhs.slot_vector(ref, j))
+    ref = normalize_term(mats, rank_one(ref))
     for got, want in zip(term.factors, ref.factors):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
