@@ -3,9 +3,8 @@
 from .config import ConfigError, ExperimentConfig, build_problem, build_target
 from .diagnostics import (B1Bound, CoeffTensor, WeightFamily, b1_bound, fourier_coeffs,
                           rate_class_report, sigma_norm)
-from .eigen import (EigenError, EigenSystem, FactorEigens, WeylFit,
-                    resolved_factor_eigens, solve_factor_eigens, tensor_eigenvalue,
-                    weyl_fit)
+from .eigen import (EigenError, FactorEigens, WeylFit, resolved_factor_eigens,
+                    solve_factor_eigens, tensor_eigenvalue, weyl_fit)
 from .fem import (AssemblyError, FactorMatrices, FactorMesh, assemble, build_mesh,
                   dof_coordinates, interpolate)
 from .greedy import (AlsError, EnergyForm, Functional, GreedyError, GreedyTrace,
@@ -20,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlsError", "AssemblyError", "B1Bound", "CoeffTensor", "ConfigError",
-    "EigenError", "EigenSystem", "EnergyForm", "ExperimentConfig", "FactorEigens",
+    "EigenError", "EnergyForm", "ExperimentConfig", "FactorEigens",
     "FactorMatrices", "FactorMesh", "Functional", "GreedyError", "GreedyTrace",
     "MaxwellianWeight", "NullTermError", "SeparatedFunction",
     "SpringModel", "TraceRow", "WeightFamily", "WeylFit", "__version__", "als_best",

@@ -27,7 +27,7 @@ import numpy as np
 from .config import (SCHEMA_VERSION, ConfigError, ExperimentConfig, build_problem,
                      build_target, load_raw, validate_config)
 from .diagnostics import fourier_coeffs, rate_class_report
-from .eigen import EigenSystem, EigenError, resolved_factor_eigens, weyl_fit
+from .eigen import EigenError, resolved_factor_eigens, weyl_fit
 from .fem import AssemblyError
 from .greedy import Functional, GreedyError, SeparatedFunction, exact_dual_norms, run_oga, run_pga
 from .springs import normalize  # noqa: F401  (perfbench/spans.py patches cli.normalize)
@@ -37,11 +37,11 @@ logger = logging.getLogger(__name__)
 _RUNNERS = {"pga": run_pga, "oga": run_oga}
 _ENVELOPE_EXPONENTS = {"pga": -1.0 / 6.0, "oga": -0.5}
 _EXIT_BY_STATUS = {"converged": 0, "null_term": 0, "n_max": 2}
+# failures that main, and each sweep run on its own, report as "error: ..." and exit code 1
+_ERRORS = (GreedyError, EigenError, AssemblyError, ValueError, OSError)
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -114,14 +114,12 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, exact_dual: bool = False) ->
     return _EXIT_BY_STATUS[trace.status]
 
 
-def _resolved_system(cfg: ExperimentConfig, mats) -> EigenSystem:
-    factors = []
+def _resolved_system(cfg: ExperimentConfig, mats) -> tuple:
     for i, m in enumerate(mats):
         if cfg.eig_k > m.ndof:
             logger.warning("factor %d: k=%d exceeds %d degrees of freedom, clamping",
                            i, cfg.eig_k, m.ndof)
-        factors.append(resolved_factor_eigens(m, min(cfg.eig_k, m.ndof)))
-    return EigenSystem(factors)
+    return tuple(resolved_factor_eigens(m, min(cfg.eig_k, m.ndof)) for m in mats)
 
 
 def cmd_eig(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -129,7 +127,7 @@ def cmd_eig(cfg: ExperimentConfig, out_dir: Path) -> int:
     system = _resolved_system(cfg, mats)
     rows = []
     summary = {}
-    for i, (model, eig) in enumerate(zip(cfg.factor_models, system.factors)):
+    for i, (model, eig) in enumerate(zip(cfg.factor_models, system)):
         for n in range(1, eig.k + 1):
             rows.append([i, n, float(eig.values[n - 1]), int(eig.resolved[n - 1])])
         hi = min(40, eig.n_resolved if eig.n_resolved >= 2 else eig.k)
@@ -178,8 +176,8 @@ def cmd_regularity(cfg: ExperimentConfig, out_dir: Path) -> int:
     form, mats = build_problem(cfg)
     target, _ = build_target(cfg, form, mats)
     system = _resolved_system(cfg, mats)
-    box = cfg.box or tuple(min(20, eig.n_resolved) for eig in system.factors)
-    clamped = tuple(min(b, eig.n_resolved) for b, eig in zip(box, system.factors))
+    box = cfg.box or tuple(min(20, eig.n_resolved) for eig in system)
+    clamped = tuple(min(b, eig.n_resolved) for b, eig in zip(box, system))
     if clamped != box:
         logger.warning("box %s exceeds the resolved range, clamping to %s", box, clamped)
     coeffs = fourier_coeffs(target, system, clamped)
@@ -202,8 +200,12 @@ def _deep_merge(base: dict, overrides: dict) -> dict:
 def _sweep_worker(args) -> int:
     cfg, out_sub = args
     out = Path(out_sub)
-    out.mkdir(parents=True, exist_ok=True)
-    return cmd_solve(cfg, out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        return cmd_solve(cfg, out)
+    except _ERRORS as exc:
+        print(f"error: {out.name}: {exc}", file=sys.stderr)
+        return 1
 
 
 def cmd_sweep(raw_sweep: dict, out_dir: Path, jobs: int) -> int:
@@ -308,7 +310,7 @@ def main(argv=None) -> int:
         if args.command == "rates":
             return cmd_rates(cfg, out_dir)
         return cmd_regularity(cfg, out_dir)
-    except (GreedyError, EigenError, AssemblyError, ValueError, OSError) as exc:
+    except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,15 +41,21 @@ def _require(d, key, path, kind=None):
     return value
 
 
+def _finite(value, path) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(path, "expected a number")
+    # json reads NaN and Infinity; an int past the float range fails here too
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(path, "must be a finite number")
+    return float(value)
+
+
 def _number(d, key, path, default=None, minimum=None, strict=False):
     if key not in d:
         if default is None:
             raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
         return default
-    value = d[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}" if path else key, "expected a number")
-    value = float(value)
+    value = _finite(d[key], f"{path}.{key}" if path else key)
     if minimum is not None and (value <= minimum if strict else value < minimum):
         word = "greater than" if strict else "at least"
         raise ConfigError(f"{path}.{key}" if path else key, f"must be {word} {minimum}")
@@ -122,10 +129,15 @@ def _parse_coupling(raw, n_factors):
         a = np.eye(n_factors) + off * (np.eye(n_factors, k=1) + np.eye(n_factors, k=-1))
     elif kind == "explicit":
         matrix = _require(spec, "matrix", "coupling", list)
-        a = np.asarray(matrix, dtype=float)
+        try:
+            a = np.asarray(matrix, dtype=float)
+        except OverflowError as exc:  # an integer past the float range
+            raise ConfigError("coupling.matrix", "must be a finite number") from exc
         if a.shape != (n_factors, n_factors):
             raise ConfigError("coupling.matrix",
                               f"expected shape ({n_factors}, {n_factors}), got {a.shape}")
+        if not np.isfinite(a).all():
+            raise ConfigError("coupling.matrix", "must be a finite number")
     else:
         raise ConfigError("coupling.kind", f"unknown coupling kind {kind!r}")
     return a
@@ -139,11 +151,9 @@ def _parse_target(raw, n_factors, basis_size):
         coeffs = _require(spec, "coefficients", "target", list)
         if not coeffs:
             raise ConfigError("target.coefficients", "must be a nonempty list")
-        for i, ck in enumerate(coeffs):
-            if isinstance(ck, bool) or not isinstance(ck, (int, float)):
-                raise ConfigError(f"target.coefficients[{i}]", "expected a number")
+        coeffs = [_finite(ck, f"target.coefficients[{i}]") for i, ck in enumerate(coeffs)]
         seed = _integer(spec, "seed", "target", default=7, minimum=0)
-        return {"kind": kind, "coefficients": [float(c) for c in coeffs], "seed": seed}
+        return {"kind": kind, "coefficients": coeffs, "seed": seed}
     if kind == "coefficient_file":
         file_path = _require(spec, "path", "target", str)
         try:
@@ -207,6 +217,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if algorithm not in ("pga", "oga"):
         raise ConfigError("algorithm", f"must be 'pga' or 'oga', got {algorithm!r}")
     tol_stop = _number(raw, "tol_stop", "", default=1e-6, minimum=0, strict=True)
+    if tol_stop > 1:
+        raise ConfigError("tol_stop", "must be at most 1")
     n_max = _integer(raw, "n_max", "", default=30)
     als = raw.get("als", {})
     if not isinstance(als, dict):

@@ -1,9 +1,10 @@
 """Fourier-side regularity diagnostics in the tensorized eigenbasis.
 
 A separated function expands against tensor products of factor
-eigenfunctions; because the basis is mass-orthonormal, the coefficient
-tensor of a rank-one term is an outer product of per-factor coefficient
-vectors.  On top of the truncated coefficient box this module evaluates
+eigenfunctions (an eigens argument holds one FactorEigens per factor);
+because the basis is mass-orthonormal, the coefficient tensor of a rank-one
+term is an outer product of per-factor coefficient vectors.  On top of the
+truncated coefficient box this module evaluates
 
   * weighted norms (sum_n sigma_n <tau,e_n>^2)^(1/2) for the product
     ("mix") and sum ("unif") eigenvalue weight families,
@@ -28,7 +29,6 @@ from functools import reduce
 
 import numpy as np
 
-from .eigen import EigenSystem
 from .greedy import Functional, SeparatedFunction
 
 MIX = "mix"
@@ -99,11 +99,11 @@ def _gamma(n: int) -> float:
     return n * u / (1 - n * u)
 
 
-def _check_box(sys: EigenSystem, box) -> tuple:
+def _check_box(eigens, box) -> tuple:
     box = tuple(int(b) for b in box)
-    if len(box) != sys.n_factors:
-        raise ValueError(f"box has {len(box)} sizes, expected {sys.n_factors}")
-    for i, (b, eig) in enumerate(zip(box, sys.factors)):
+    if len(box) != len(eigens):
+        raise ValueError(f"box has {len(box)} sizes, expected {len(eigens)}")
+    for i, (b, eig) in enumerate(zip(box, eigens)):
         if b < 1:
             raise ValueError(f"box size {b} for factor {i} must be positive")
         if b > eig.n_resolved:
@@ -112,11 +112,11 @@ def _check_box(sys: EigenSystem, box) -> tuple:
     return box
 
 
-def fourier_coeffs(tau: SeparatedFunction, sys: EigenSystem, box) -> CoeffTensor:
+def fourier_coeffs(tau: SeparatedFunction, eigens, box) -> CoeffTensor:
     """Coefficients <tau, e_n>_{L2_M} over the truncation box, factor-wise."""
-    box = _check_box(sys, box)
-    mats = [eig.mats for eig in sys.factors]
-    vectors = [eig.vectors[:, :b] for eig, b in zip(sys.factors, box)]
+    box = _check_box(eigens, box)
+    mats = [eig.mats for eig in eigens]
+    vectors = [eig.vectors[:, :b] for eig, b in zip(eigens, box)]
     # the functional (tau, .)_{L2_M} has the columns M_k U_k; the coefficients
     # are its values on the tensor eigenbasis
     source = Functional.from_source(mats, tau)
@@ -138,12 +138,12 @@ def _outer_sum(weights, per_factor) -> np.ndarray:
     return reduce(lambda a, p: a[..., None, :] * p, per_factor, weights).sum(axis=-1)
 
 
-def _factor_values(sys: EigenSystem, box) -> list:
-    return [eig.values[:b] for eig, b in zip(sys.factors, box)]
+def _factor_values(eigens, box) -> list:
+    return [eig.values[:b] for eig, b in zip(eigens, box)]
 
 
-def _sigma_tensor(sys: EigenSystem, box, w: WeightFamily) -> np.ndarray:
-    lams = _factor_values(sys, box)
+def _sigma_tensor(eigens, box, w: WeightFamily) -> np.ndarray:
+    lams = _factor_values(eigens, box)
     if w.kind == MIX:
         return reduce(np.multiply.outer, [lam ** w.m for lam in lams])
     return reduce(np.add.outer, lams) ** w.m
@@ -170,34 +170,34 @@ def _weighted_sum_with_tail(contrib: np.ndarray, err, box):
     return total, float(shell / total), below
 
 
-def sigma_norm(coeffs: CoeffTensor, sys: EigenSystem, w: WeightFamily) -> float:
+def sigma_norm(coeffs: CoeffTensor, eigens, w: WeightFamily) -> float:
     """(sum_n sigma_n <tau,e_n>^2)^(1/2) over the box, extended-precision sum."""
-    return _sigma_norm_with_tail(coeffs, sys, w)[0]
+    return _sigma_norm_with_tail(coeffs, eigens, w)[0]
 
 
-def _sigma_norm_with_tail(coeffs, sys, w):
-    sigma = _sigma_tensor(sys, coeffs.box, w)
+def _sigma_norm_with_tail(coeffs, eigens, w):
+    sigma = _sigma_tensor(eigens, coeffs.box, w)
     contrib = np.longdouble(sigma) * np.longdouble(coeffs.values) ** 2
     err = sigma * (2 * np.abs(coeffs.values) + coeffs.values_err) * coeffs.values_err
     total, tail, below = _weighted_sum_with_tail(contrib, err, coeffs.box)
     return float(np.sqrt(total)), tail, below
 
 
-def _tensor_lambda(sys: EigenSystem, box) -> np.ndarray:
-    lams = _factor_values(sys, box)
+def _tensor_lambda(eigens, box) -> np.ndarray:
+    lams = _factor_values(eigens, box)
     return reduce(np.add.outer, [lam - 1.0 for lam in lams]) + 1.0
 
 
-def b1_bound(coeffs: CoeffTensor, sys: EigenSystem) -> B1Bound:
+def b1_bound(coeffs: CoeffTensor, eigens) -> B1Bound:
     """sum_n sqrt(Lambda_n) |<tau,e_n>| with the outermost-shell share."""
-    tensor_lam = _tensor_lambda(sys, coeffs.box)
+    tensor_lam = _tensor_lambda(eigens, coeffs.box)
     contrib = np.sqrt(np.longdouble(tensor_lam)) * np.abs(np.longdouble(coeffs.values))
     err = np.sqrt(tensor_lam) * coeffs.values_err
     total, tail, below = _weighted_sum_with_tail(contrib, err, coeffs.box)
     return B1Bound(total=float(total), tail_ratio=tail, tail_below_roundoff=below)
 
 
-def rate_class_report(coeffs: CoeffTensor, sys: EigenSystem, d: int = 1) -> dict:
+def rate_class_report(coeffs: CoeffTensor, eigens, d: int = 1) -> dict:
     """Truncated-box class diagnostics at the sufficiency exponents.
 
     The mix family guarantees the rate class above m = d/2 + 1 and the unif
@@ -208,15 +208,15 @@ def rate_class_report(coeffs: CoeffTensor, sys: EigenSystem, d: int = 1) -> dict
     roundoff bound is written as 0.0 beside a true *_below_roundoff flag.
     Finite boxes cannot prove membership; the report states evidence only.
     """
-    n = sys.n_factors
-    b1 = b1_bound(coeffs, sys)
+    n = len(eigens)
+    b1 = b1_bound(coeffs, eigens)
     defect = coeffs.parseval_defect
     defect_below = bool(abs(defect) < coeffs.parseval_roundoff)
     report = {
         "box": list(coeffs.box),
         "n_factors": n,
         "d": d,
-        "resolved_per_factor": [eig.n_resolved for eig in sys.factors],
+        "resolved_per_factor": [eig.n_resolved for eig in eigens],
         "l2m_norm_sq": coeffs.norm_sq_l2m,
         "parseval_defect": 0.0 if defect_below else defect,
         "parseval_defect_below_roundoff": defect_below,
@@ -225,7 +225,7 @@ def rate_class_report(coeffs: CoeffTensor, sys: EigenSystem, d: int = 1) -> dict
     }
     for kind, threshold in ((MIX, d / 2 + 1), (UNIF, 1 + n * d / 2)):
         m = threshold + THRESHOLD_MARGIN
-        norm, tail, below = _sigma_norm_with_tail(coeffs, sys, WeightFamily(kind, m))
+        norm, tail, below = _sigma_norm_with_tail(coeffs, eigens, WeightFamily(kind, m))
         report[kind] = {
             "m": m,
             "threshold": threshold,

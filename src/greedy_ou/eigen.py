@@ -75,15 +75,6 @@ class FactorEigens:
         return int(bad[0]) if bad.size else self.k
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    factors: list
-
-    @property
-    def n_factors(self) -> int:
-        return len(self.factors)
-
-
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Make positive the first entry of each column tied for its largest magnitude."""
     mag = np.abs(vectors)
@@ -157,15 +148,15 @@ def resolved_factor_eigens(mats: FactorMatrices, k: int) -> FactorEigens:
                         mats=mats, resolved=rel <= RESOLVED_REL_TOL)
 
 
-def tensor_eigenvalue(sys: EigenSystem, idx) -> float:
-    """Eigenvalue of the tensorized pair at 1-based multi-index idx."""
-    if len(idx) != sys.n_factors:
-        raise ValueError(f"index has {len(idx)} components, expected {sys.n_factors}")
+def tensor_eigenvalue(eigens, idx) -> float:
+    """Eigenvalue of the tensorized pair at 1-based multi-index idx over per-factor eigens."""
+    if len(idx) != len(eigens):
+        raise ValueError(f"index has {len(idx)} components, expected {len(eigens)}")
     total = 1.0
-    for i, n in enumerate(idx):
-        if not 1 <= n <= sys.factors[i].k:
-            raise IndexError(f"component {i} index {n} outside [1, {sys.factors[i].k}]")
-        total += sys.factors[i].values[n - 1] - 1.0
+    for i, (n, eig) in enumerate(zip(idx, eigens)):
+        if not 1 <= n <= eig.k:
+            raise IndexError(f"component {i} index {n} outside [1, {eig.k}]")
+        total += eig.values[n - 1] - 1.0
     return float(total)
 
 

@@ -431,6 +431,8 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
                  restarts, rng, target, orthogonal):
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
+    if not tol_stop <= 1:  # NaN included
+        raise ValueError(f"tol_stop must be at most 1, got {tol_stop}")
     if rng is None:
         rng = np.random.default_rng(0)
     # normalized dictionary terms, one column each
@@ -455,8 +457,8 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
         if r1_norm is None:
             r1_norm = norm_n
         surrogate = norm_n / r1_norm
-        if n > 1 and surrogate < tol_stop:
-            # candidate is negligible; do not record it
+        if surrogate < tol_stop:
+            # negligible candidate, not recorded; never the first, whose surrogate is 1.0
             trace.status = "converged"
             trace.final_surrogate = surrogate
             return approx, trace
@@ -481,10 +483,6 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
             surrogate=float(surrogate),
             alpha=alpha_out,
         ))
-        if surrogate < tol_stop:
-            trace.status = "converged"
-            trace.final_surrogate = surrogate
-            return approx, trace
     return approx, trace
 
 
@@ -512,8 +510,8 @@ def run_pga(form: EnergyForm, mats, rhs: Functional, tol_stop: float = 1e-6,
     """Pure greedy loop: capture a rank-one term, subtract it, repeat.
 
     The residual functional stays in separated form.  Stops when the next
-    captured term's relative norm drops below tol_stop, the residual is
-    orthogonal to every rank-one candidate, or n_max is reached.
+    captured term's relative norm drops below tol_stop (at most 1), the
+    residual is orthogonal to every rank-one candidate, or n_max is reached.
     """
     return _greedy_loop(form, mats, rhs, tol_stop, n_max, als_tol=als_tol,
                         max_sweeps=max_sweeps, restarts=restarts, rng=rng,

@@ -111,10 +111,6 @@ class MaxwellianWeight:
     def __call__(self, q):
         return self.z_inv * maxwellian_unnormalized(self.model, q)
 
-    @property
-    def q_max(self) -> float:
-        return self.model.q_max
-
 
 def _gauss_panels(breaks, n_gauss):
     """Gauss-Legendre nodes/weights tiled over consecutive panels."""

@@ -17,8 +17,8 @@ from scipy.optimize import minimize
 from greedy_ou import cli
 from greedy_ou.diagnostics import (MIX, UNIF, CoeffTensor, WeightFamily, b1_bound,
                                    fourier_coeffs, sigma_norm)
-from greedy_ou.eigen import (EigenSystem, resolved_factor_eigens, solve_factor_eigens,
-                             tensor_eigenvalue, weyl_fit)
+from greedy_ou.eigen import (resolved_factor_eigens, solve_factor_eigens, tensor_eigenvalue,
+                             weyl_fit)
 from greedy_ou.fem import assemble, build_mesh
 from greedy_ou.greedy import (EnergyForm, Functional, SeparatedFunction, als_best,
                               energy_norm, energy_rank1, rank_one, run_oga, run_pga)
@@ -85,7 +85,7 @@ def test_criterion_01_eigen_structure():
     diff = np.max(np.abs(dense_vals - sums))
     if diff > 1e-9:
         failures.append(f"tensor sum identity defect {diff:.3e} on {mats.ndof}^2 dof")
-    sys2 = EigenSystem([eig, eig])
+    sys2 = (eig, eig)
     worst = 0.0
     for n in (1, 6, 15, 31):
         for mm in (1, 8, 31):
@@ -257,7 +257,7 @@ def test_criterion_09_diagnostic_oracles():
     failures = []
     mats = assemble(build_mesh(4.0, 40), normalize(SpringModel(FENE, 4.0)), 2)
     eig = solve_factor_eigens(mats, 30)
-    sys2 = EigenSystem([eig, eig])
+    sys2 = (eig, eig)
     lam = eig.values
 
     rng = np.random.default_rng(9)

@@ -130,6 +130,48 @@ def test_file_level_errors_have_no_empty_path(tmp_path, capsys, command, text, m
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+_NON_FINITE_FIELDS = {
+    "wi": lambda v: {"wi": v},
+    "c": lambda v: {"c": v},
+    "tol_stop": lambda v: {"tol_stop": v},
+    "als.tol": lambda v: {"als": {"tol": v}},
+    "mesh.grading": lambda v: {"mesh": {"grading": v}},
+    "factors[0].b": lambda v: {"factors": [{"kind": "fene", "b": v}, {"kind": "fene", "b": 4.0}]},
+    "coupling.off_diag": lambda v: {"coupling": {"off_diag": v}},
+    "coupling.matrix": lambda v: {"coupling": {"kind": "explicit",
+                                               "matrix": [[1.0, v], [v, 1.0]]}},
+    "target.coefficients[0]": lambda v: {"target": {"coefficients": [v, 0.6, 0.3]}},
+    "target.terms[0].weight": lambda v: {"target": {"kind": "eigen",
+                                                    "terms": [{"weight": v, "index": [1, 2]}]}},
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("field", list(_NON_FINITE_FIELDS))
+def test_non_finite_numbers_refused(tmp_path, capsys, field, value):
+    # json reads NaN and Infinity; each is refused with its field path
+    raw = base_config(**_NON_FINITE_FIELDS[field](value))
+    out = tmp_path / "out"
+    code = cli.main(["solve", "--config", write_config(tmp_path, raw), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {field}: must be a finite number\n"
+    assert list(out.iterdir()) == []
+
+
+def test_integers_past_float_range_refused():
+    raw = base_config(coupling={"kind": "explicit", "matrix": [[1, 10 ** 400], [10 ** 400, 1]]})
+    with pytest.raises(ConfigError, match=r"^coupling.matrix: must be a finite number$"):
+        validate_config(json.loads(json.dumps(raw)))
+    with pytest.raises(ConfigError, match=r"^wi: must be a finite number$"):
+        validate_config(json.loads(json.dumps(base_config(wi=10 ** 400))))
+
+
+def test_tol_stop_above_one_refused():
+    with pytest.raises(ConfigError, match=r"^tol_stop: must be at most 1$"):
+        validate_config(base_config(tol_stop=1.5))
+    assert validate_config(base_config(tol_stop=1)).tol_stop == 1.0
+
+
 def test_validate_config_rejects_unknown_kinds():
     with pytest.raises(ConfigError, match="coupling.kind"):
         validate_config(base_config(coupling={"kind": "circulant"}))
@@ -546,6 +588,44 @@ def test_sweep_rejects_duplicate_names(tmp_path, capsys):
     code = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "runs[1].name" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep,field", [
+    ({"schema_version": 2}, "schema_version"),
+    ({"base": None}, "base"),
+    ({"runs": []}, "runs"),
+    ({"runs": [{"overrides": {}}]}, "runs[0]"),
+    ({"runs": [{"name": "a", "overrides": [1]}]}, "runs[0].overrides"),
+], ids=["schema-version", "missing-base", "empty-runs", "unnamed-run", "list-overrides"])
+def test_bad_sweep_file_refused_before_any_run(tmp_path, capsys, sweep, field):
+    raw = {"schema_version": 1, "base": base_config(),
+           "runs": [{"name": "a", "overrides": {}}], **sweep}
+    raw = {key: value for key, value in raw.items() if value is not None}  # None drops a key
+    out = tmp_path / "out"
+    code = cli.main(["sweep", "--config", write_config(tmp_path, raw), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert list(out.iterdir()) == []
+
+
+def test_failing_sweep_run_is_recorded_and_later_runs_still_run(tmp_path, capsys, monkeypatch):
+    solve = cli.cmd_solve
+
+    def cmd_solve_stub(cfg, out_dir, exact_dual=False):
+        if out_dir.name == "b":
+            raise greedy.GreedyError("iteration 1: stub failure")
+        return solve(cfg, out_dir, exact_dual)
+
+    monkeypatch.setattr(cli, "cmd_solve", cmd_solve_stub)
+    sweep = {"schema_version": 1, "base": base_config(n_max=2),
+             "runs": [{"name": name, "overrides": {}} for name in ("a", "b", "c")]}
+    out = tmp_path / "out"
+    code = cli.main(["sweep", "--config", write_config(tmp_path, sweep), "--out", str(out)])
+    assert code == 1
+    assert "error: b: iteration 1: stub failure" in capsys.readouterr().err
+    assert (out / "c" / "solve.csv").exists()
+    codes = json.loads((out / "sweep.json").read_text())["runs"]
+    assert codes["b"] == 1 and codes["a"] == codes["c"] != 1
 
 
 def test_readme_library_example_runs():

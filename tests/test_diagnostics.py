@@ -13,7 +13,7 @@ from greedy_ou.diagnostics import (
     rate_class_report,
     sigma_norm,
 )
-from greedy_ou.eigen import EigenSystem, resolved_factor_eigens, solve_factor_eigens, tensor_eigenvalue
+from greedy_ou.eigen import resolved_factor_eigens, solve_factor_eigens, tensor_eigenvalue
 from greedy_ou.fem import assemble, build_mesh
 from greedy_ou.greedy import Functional, SeparatedFunction, energy_norm, run_oga
 from greedy_ou.greedy import EnergyForm
@@ -23,13 +23,13 @@ from greedy_ou.springs import FENE, SpringModel, normalize
 def eigen_system(n_el=40, k=20, n_factors=2):
     mats = assemble(build_mesh(4.0, n_el), normalize(SpringModel(FENE, 4.0)), 2)
     eig = solve_factor_eigens(mats, k)
-    return EigenSystem([eig] * n_factors)
+    return (eig,) * n_factors
 
 
 def eig_target(sys, weights, ns, ms):
     """sum_r weights[r] e_{ns[r]} (x) e_{ms[r]} over the first two factors (0-based)."""
-    return SeparatedFunction(weights, [sys.factors[0].vectors[:, ns],
-                                       sys.factors[1].vectors[:, ms]])
+    return SeparatedFunction(weights, [sys[0].vectors[:, ns],
+                                       sys[1].vectors[:, ms]])
 
 
 def test_constant_target_gives_delta_tensor():
@@ -58,18 +58,18 @@ def test_finite_expansion_weights_recovered():
 def test_rank_one_coeffs_are_outer_product():
     sys = eigen_system()
     rng = np.random.default_rng(0)
-    factors = [rng.standard_normal(f.mats.ndof) for f in sys.factors]
+    factors = [rng.standard_normal(f.mats.ndof) for f in sys]
     tau = SeparatedFunction([1.0], [f[:, None] for f in factors])
     box = (8, 8)
     coeffs = fourier_coeffs(tau, sys, box)
-    per = [f.vectors[:, :8].T @ f.mats.mass @ v for f, v in zip(sys.factors, factors)]
+    per = [f.vectors[:, :8].T @ f.mats.mass @ v for f, v in zip(sys, factors)]
     assert np.abs(coeffs.values - np.outer(per[0], per[1])).max() <= 1e-12
 
 
 def test_parseval_defect_nonnegative_and_monotone():
     sys = eigen_system()
     rng = np.random.default_rng(1)
-    factors = [rng.standard_normal(f.mats.ndof) for f in sys.factors]
+    factors = [rng.standard_normal(f.mats.ndof) for f in sys]
     tau = SeparatedFunction([1.0], [f[:, None] for f in factors])
     defects = [fourier_coeffs(tau, sys, (b, b)).parseval_defect for b in (4, 8, 12, 16)]
     assert all(d >= -1e-10 for d in defects)
@@ -79,7 +79,7 @@ def test_parseval_defect_nonnegative_and_monotone():
 def test_box_validation():
     weight = normalize(SpringModel(FENE, 4.0))
     eig = resolved_factor_eigens(assemble(build_mesh(4.0, 20), weight, 2), k=35)
-    sys = EigenSystem([eig, eig])
+    sys = (eig, eig)
     tau = SeparatedFunction([1.0], [np.ones((eig.mats.ndof, 1))] * 2)
     assert eig.n_resolved < 35
     with pytest.raises(ValueError, match="resolved"):
@@ -110,7 +110,7 @@ def test_sigma_norm_mix_zero_is_l2():
 
 def test_sigma_norm_single_term_and_monotonicity():
     sys = eigen_system()
-    lam = sys.factors[0].values
+    lam = sys[0].values
     values = np.zeros((5, 5))
     values[2, 3] = 0.7
     coeffs = CoeffTensor(values=values, box=(5, 5), values_err=np.zeros((5, 5)),
@@ -149,7 +149,7 @@ def test_b1_and_sigma_match_direct_summation():
             direct_b1 += np.sqrt(lam_grid[n, m]) * abs(values[n, m])
     out = b1_bound(coeffs, sys)
     assert out.total == pytest.approx(direct_b1, rel=1e-12)
-    lam = sys.factors[0].values
+    lam = sys[0].values
     direct_sigma = 0.0
     for n in range(30):
         for m in range(30):
@@ -162,7 +162,7 @@ def test_mix_weighted_eigenvalue_sum_is_cauchy():
     # sum_n Lambda_n / prod lambda^m converges at m=4: once the box is large
     # enough, growing it further stops moving the partial sum
     sys = eigen_system(n_el=80, k=50)
-    lam = sys.factors[0].values
+    lam = sys[0].values
 
     def partial(bound):
         s = 0.0
@@ -208,7 +208,7 @@ def test_slowly_decaying_coefficients_fail_the_flags():
 def test_observed_oga_rate_steeper_for_smoother_target():
     # reported, not asserted against a numeric threshold
     sys = eigen_system(n_el=12, k=10)
-    mats = [sys.factors[0].mats] * 2
+    mats = [sys[0].mats] * 2
     form = EnergyForm(np.eye(2), wi=1.0, c=1.0)
 
     def run(decay):
@@ -306,12 +306,12 @@ def test_coefficient_roundoff_bounds_hold():
     sys = eigen_system()
     rng = np.random.default_rng(6)
     tau = SeparatedFunction(rng.uniform(-1.5, 1.5, 3),
-                            [rng.standard_normal((f.mats.ndof, 3)) for f in sys.factors])
+                            [rng.standard_normal((f.mats.ndof, 3)) for f in sys])
     box = (8, 8)
     coeffs = fourier_coeffs(tau, sys, box)
     ld = [np.asarray(f, dtype=np.longdouble) for f in tau.factors]
-    mass = [np.asarray(f.mats.mass, dtype=np.longdouble) for f in sys.factors]
-    vecs = [np.asarray(f.vectors[:, :b], dtype=np.longdouble) for f, b in zip(sys.factors, box)]
+    mass = [np.asarray(f.mats.mass, dtype=np.longdouble) for f in sys]
+    vecs = [np.asarray(f.vectors[:, :b], dtype=np.longdouble) for f, b in zip(sys, box)]
     w = np.asarray(tau.weights, dtype=np.longdouble)
     per = [v.T @ (m @ u) for v, m, u in zip(vecs, mass, ld)]
     exact = np.einsum("r,ir,jr->ij", w, per[0], per[1])

@@ -11,7 +11,6 @@ from scipy.linalg import eigh
 from greedy_ou import cli, eigen
 from greedy_ou.eigen import (
     EigenError,
-    EigenSystem,
     FactorEigens,
     WeylFit,
     resolved_factor_eigens,
@@ -167,7 +166,7 @@ def synthetic_system(values_by_factor):
     factors = [FactorEigens(values=np.asarray(v, dtype=float),
                             vectors=np.eye(len(v)), mats=None)
                for v in values_by_factor]
-    return EigenSystem(factors)
+    return tuple(factors)
 
 
 def test_tensor_eigenvalue_formula():
@@ -185,7 +184,7 @@ def test_tensorized_pairs_against_kronecker_operator():
     mats = factor_mats(n_el=15)
     k = 4
     eig = solve_factor_eigens(mats, k)
-    sys = EigenSystem([eig, eig])
+    sys = (eig, eig)
     # H1 tensor form: mass x mass + stiffness x mass + mass x stiffness
     b_full = np.kron(mats.mass, mats.mass)
     a_full = b_full + np.kron(mats.stiffness, mats.mass) + np.kron(mats.mass, mats.stiffness)

@@ -1,6 +1,7 @@
 """Energy form, rank-one alternating solver, and greedy drivers."""
 
 import dataclasses
+import logging
 import tracemalloc
 from functools import lru_cache, reduce
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve
 from scipy.optimize import minimize
 
 from greedy_ou import greedy
@@ -17,6 +18,7 @@ from greedy_ou.greedy import (
     AlsError,
     EnergyForm,
     Functional,
+    GreedyError,
     NullTermError,
     SeparatedFunction,
     _quad_forms,
@@ -480,6 +482,64 @@ def test_surrogate_within_dual_norm_bounds():
         assert row.term_norm_a <= dual * (1 + 1e-8)
         ratio = dual / row.term_norm_a
         assert ratio <= bound * np.sqrt(row.n)
+
+
+@pytest.mark.parametrize("runner", [run_pga, run_oga])
+def test_tol_stop_above_one_refused(runner):
+    mats = two_factor_mats()
+    form = EnergyForm(ROUSE2, wi=1.0, c=1.0)
+    rhs = Functional.from_target(form, mats, random_target(mats, np.random.default_rng(22), 3))
+    for tol_stop in (1.5, float("nan")):
+        with pytest.raises(ValueError, match="tol_stop must be at most 1"):
+            runner(form, mats, rhs, tol_stop=tol_stop)
+    # 1 is allowed: the first candidate's surrogate is 1.0, so it is always recorded
+    _, trace = runner(form, mats, rhs, tol_stop=1.0, n_max=4, rng=np.random.default_rng(23))
+    assert [row.surrogate for row in trace.rows] == [1.0]
+    assert trace.status == "converged" and trace.final_surrogate < 1.0
+
+
+def test_als_failure_names_the_greedy_iteration(monkeypatch):
+    calls = []
+    real_als_best = greedy.als_best
+
+    def als_best_stub(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise AlsError("all ALS starts failed: stub")
+        return real_als_best(*args, **kwargs)
+
+    monkeypatch.setattr(greedy, "als_best", als_best_stub)
+    mats = two_factor_mats()
+    form = EnergyForm(ROUSE2, wi=1.0, c=1.0)
+    rhs = Functional.from_target(form, mats, random_target(mats, np.random.default_rng(24), 3))
+    with pytest.raises(GreedyError, match=r"^iteration 2: all ALS starts failed: stub$") as info:
+        run_oga(form, mats, rhs, tol_stop=1e-13, n_max=4)
+    assert isinstance(info.value.__cause__, AlsError)
+
+
+def test_galerkin_solve_matches_scipy_when_well_conditioned():
+    rng = np.random.default_rng(25)
+    a = rng.standard_normal((4, 4))
+    gram = a @ a.T + 4.0 * np.eye(4)
+    fvec = rng.standard_normal(4)
+    np.testing.assert_allclose(greedy._solve_galerkin(gram, fvec), solve(gram, fvec),
+                               rtol=1e-12)
+
+
+def test_galerkin_solve_drops_a_nearly_dependent_direction(caplog):
+    # eigenvalues 1e-20, 1e-2, 1: condition far above 1e12, and the smallest
+    # lies under 1e-13 of the largest, so its direction is left out
+    rng = np.random.default_rng(26)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    evals = np.array([1e-20, 1e-2, 1.0])
+    gram = (q * evals) @ q.T
+    fvec = rng.standard_normal(3)
+    with caplog.at_level(logging.INFO, logger="greedy_ou.greedy"):
+        alpha = greedy._solve_galerkin(gram, fvec)
+    assert "re-orthogonalizing dictionary" in caplog.text
+    kept = q[:, 1:]
+    np.testing.assert_allclose(alpha, kept @ ((kept.T @ fvec) / evals[1:]), rtol=1e-10)
+    assert abs(q[:, 0] @ alpha) <= 1e-10 * np.linalg.norm(alpha)
 
 
 @lru_cache(maxsize=None)
