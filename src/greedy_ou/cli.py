@@ -4,7 +4,7 @@ Subcommands: solve, eig, rates, regularity, sweep.  Every command reads one
 JSON config (see config.py), writes its outputs under --out, and exits 0 on
 success, 2 when the greedy loop hits its iteration cap, and 1 on validation
 or solver errors.  The GREEDY_OU_LOG environment variable sets the logging
-level.  Output files are deterministic for a fixed config and seed: floats
+level.  Output files are deterministic for a fixed config file: floats
 are written with repr, rows in a fixed order, and wall-clock time is
 confined to its own field in runrecord.json.
 """
@@ -241,7 +241,7 @@ def cmd_sweep(raw_sweep: dict, out_dir: Path, jobs: int) -> int:
         for args, run in zip(jobs_args, runs):
             codes[run["name"]] = _sweep_worker(args)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(jobs_args))) as pool:
             for run, code in zip(runs, pool.map(_sweep_worker, jobs_args)):
                 codes[run["name"]] = code
     _write_json(out_dir / "sweep.json", {"runs": codes})
@@ -250,16 +250,6 @@ def cmd_sweep(raw_sweep: dict, out_dir: Path, jobs: int) -> int:
     if any(code == 2 for code in codes.values()):
         return 2
     return 0
-
-
-def _apply_seed(raw: dict, seed) -> dict:
-    if seed is None or not isinstance(raw, dict):
-        return raw
-    raw = dict(raw)
-    als = dict(raw.get("als", {}))
-    als["seed"] = seed
-    raw["als"] = als
-    return raw
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -279,8 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=".", help="output directory (created if missing)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the ALS restart seed from the config")
         if name == "solve":
             p.add_argument("--exact-dual", action="store_true",
                            help="add a dense residual dual-norm column, tiny grids only")
@@ -299,10 +287,8 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         raw = load_raw(args.config)
         if args.command == "sweep":
-            if isinstance(raw, dict) and "base" in raw:
-                raw["base"] = _apply_seed(raw["base"], args.seed)
             return cmd_sweep(raw, out_dir, args.jobs)
-        cfg = validate_config(_apply_seed(raw, args.seed))
+        cfg = validate_config(raw)
         if args.command == "solve":
             return cmd_solve(cfg, out_dir, args.exact_dual)
         if args.command == "eig":

@@ -144,7 +144,7 @@ def _parse_coupling(raw, n_factors):
 
 
 def _parse_target(raw, n_factors, basis_size):
-    """Manufactured or eigen target; a coefficient file is read as eigen terms."""
+    """Manufactured or eigen target."""
     spec = _require(raw, "target", "", dict)
     kind = _require(spec, "kind", "target", str)
     if kind == "manufactured":
@@ -154,17 +154,6 @@ def _parse_target(raw, n_factors, basis_size):
         coeffs = [_finite(ck, f"target.coefficients[{i}]") for i, ck in enumerate(coeffs)]
         seed = _integer(spec, "seed", "target", default=7, minimum=0)
         return {"kind": kind, "coefficients": coeffs, "seed": seed}
-    if kind == "coefficient_file":
-        file_path = _require(spec, "path", "target", str)
-        try:
-            spec = load_raw(file_path)
-        except OSError as exc:
-            raise ConfigError("target.path", f"cannot read {file_path}: {exc.strerror}") from exc
-        except ConfigError as exc:
-            raise ConfigError("target.path", str(exc)) from exc
-        if not isinstance(spec, dict) or not spec.get("terms"):
-            raise ConfigError("target.path", f"{file_path} has no terms list")
-        kind = "eigen"
     if kind == "eigen":
         terms = _require(spec, "terms", "target", list)
         if not terms:
@@ -255,12 +244,11 @@ def load_raw(path):
 
 
 def build_problem(cfg: ExperimentConfig):
-    """Energy form and per-factor matrices for a validated config."""
-    mats = []
-    for model in cfg.factor_models:
-        mesh = build_mesh(model.b, cfg.n_el, cfg.grading)
-        mats.append(assemble(mesh, normalize(model), cfg.degree))
-    return cfg.form, mats
+    """Energy form and per-factor matrices; equal factor models share one basis."""
+    bases = {model: assemble(build_mesh(model.b, cfg.n_el, cfg.grading), normalize(model),
+                             cfg.degree)
+             for model in dict.fromkeys(cfg.factor_models)}
+    return cfg.form, [bases[model] for model in cfg.factor_models]
 
 
 def build_target(cfg: ExperimentConfig, form: EnergyForm, mats):

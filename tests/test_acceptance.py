@@ -28,9 +28,6 @@ from test_greedy import dense_slot_hessian
 
 ROUSE2 = np.array([[1.0, -0.5], [-0.5, 1.0]])
 
-# traces recorded by criteria 4-6 and re-checked wholesale by criterion 8
-TRACES = []
-
 
 def _verdict(num, label, failures):
     status = "PASS" if not failures else "FAIL"
@@ -56,10 +53,56 @@ def manufactured(form, mats, rng, coeffs):
     return SeparatedFunction(coeffs, [np.column_stack(fs) for fs in zip(*terms)])
 
 
-def record_trace(name, form, mats, target, trace):
-    errs = [energy_norm(form, mats, target)] + [r.err_energy for r in trace.rows]
-    TRACES.append((name, errs))
-    return errs
+def trace_errs(form, mats, target, trace):
+    """Target norm, then the error after each iteration."""
+    return [energy_norm(form, mats, target)] + [r.err_energy for r in trace.rows]
+
+
+# The greedy runs of criteria 4-6, one fixture each, keyed by trace name and
+# holding (trace, errs).  Criterion 8 re-checks all of them wholesale.
+
+@pytest.fixture(scope="module")
+def pga_identity_runs():
+    form, mats = two_factor_setup(n_el=6)
+    rng = np.random.default_rng(2)
+    runs = {}
+    for trial in range(20):
+        rank = int(rng.integers(1, 6))
+        target = manufactured(form, mats, rng, rng.uniform(0.2, 1.0, rank))
+        _, trace = run_pga(form, mats, Functional.from_target(form, mats, target),
+                           tol_stop=1e-12, n_max=6, restarts=2, rng=rng, target=target)
+        runs[f"pga-identity-{trial}"] = trace, trace_errs(form, mats, target, trace)
+    return runs
+
+
+@pytest.fixture(scope="module")
+def rank_one_runs():
+    form, mats = two_factor_setup(n_el=6)
+    rng = np.random.default_rng(5)
+    runs = {}
+    for trial in range(5):
+        target = manufactured(form, mats, rng, [float(rng.uniform(0.5, 2.0))])
+        _, trace = run_pga(form, mats, Functional.from_target(form, mats, target),
+                           tol_stop=1e-12, n_max=1, als_tol=1e-10, restarts=3,
+                           rng=rng, target=target)
+        runs[f"rank-one-{trial}"] = trace, trace_errs(form, mats, target, trace)
+    return runs
+
+
+RATE_COEFFS = [0.8, 0.5, 0.35, 0.2, 0.15]
+
+
+@pytest.fixture(scope="module")
+def rate_runs():
+    form, mats = two_factor_setup(n_el=12)
+    target = manufactured(form, mats, np.random.default_rng(6), RATE_COEFFS)
+    runs = {}
+    for name, runner in (("pga", run_pga), ("oga", run_oga)):
+        _, trace = runner(form, mats, Functional.from_target(form, mats, target),
+                          tol_stop=0.0, n_max=20, restarts=8,
+                          rng=np.random.default_rng(60), target=target)
+        runs[f"{name}-rate"] = trace, trace_errs(form, mats, target, trace)
+    return runs
 
 
 def test_criterion_01_eigen_structure():
@@ -140,16 +183,9 @@ def test_criterion_03_boundary_limit():
     _verdict(3, "boundary limit of the squared-distance potential", failures)
 
 
-def test_criterion_04_pga_identities():
+def test_criterion_04_pga_identities(pga_identity_runs):
     failures = []
-    form, mats = two_factor_setup(n_el=6)
-    rng = np.random.default_rng(2)
-    for trial in range(20):
-        rank = int(rng.integers(1, 6))
-        target = manufactured(form, mats, rng, rng.uniform(0.2, 1.0, rank))
-        _, trace = run_pga(form, mats, Functional.from_target(form, mats, target),
-                           tol_stop=1e-12, n_max=6, restarts=2, rng=rng, target=target)
-        errs = record_trace(f"pga-identity-{trial}", form, mats, target, trace)
+    for trial, (trace, errs) in enumerate(pga_identity_runs.values()):
         for row, e_prev, e_next in zip(trace.rows, errs, errs[1:]):
             gap = e_prev ** 2 - e_next ** 2
             captured = row.term_norm_a ** 2
@@ -162,16 +198,9 @@ def test_criterion_04_pga_identities():
     _verdict(4, "per-iteration energy identity and orthogonality", failures)
 
 
-def test_criterion_05_rank_one_recovery():
+def test_criterion_05_rank_one_recovery(rank_one_runs):
     failures = []
-    form, mats = two_factor_setup(n_el=6)
-    rng = np.random.default_rng(5)
-    for trial in range(5):
-        target = manufactured(form, mats, rng, [float(rng.uniform(0.5, 2.0))])
-        _, trace = run_pga(form, mats, Functional.from_target(form, mats, target),
-                           tol_stop=1e-12, n_max=1, als_tol=1e-10, restarts=3,
-                           rng=rng, target=target)
-        errs = record_trace(f"rank-one-{trial}", form, mats, target, trace)
+    for trial, (trace, errs) in enumerate(rank_one_runs.values()):
         if len(trace.rows) != 1:
             failures.append(f"trial {trial}: {len(trace.rows)} iterations recorded")
         elif errs[1] > 1e-6 * errs[0]:
@@ -179,17 +208,11 @@ def test_criterion_05_rank_one_recovery():
     _verdict(5, "rank-one recovery in a single iteration", failures)
 
 
-def test_criterion_06_rate_envelopes():
+def test_criterion_06_rate_envelopes(rate_runs):
     failures = []
-    form, mats = two_factor_setup(n_el=12)
-    coeffs = [0.8, 0.5, 0.35, 0.2, 0.15]
-    bound = sum(coeffs)  # 2.0 by construction
-    target = manufactured(form, mats, np.random.default_rng(6), coeffs)
-    for name, runner, exponent in (("pga", run_pga, -1 / 6), ("oga", run_oga, -0.5)):
-        _, trace = runner(form, mats, Functional.from_target(form, mats, target),
-                          tol_stop=0.0, n_max=20, restarts=8,
-                          rng=np.random.default_rng(60), target=target)
-        record_trace(f"{name}-rate", form, mats, target, trace)
+    bound = sum(RATE_COEFFS)  # 2.0 by construction
+    for name, exponent in (("pga", -1 / 6), ("oga", -0.5)):
+        trace, _ = rate_runs[f"{name}-rate"]
         if len(trace.rows) != 20:
             failures.append(f"{name}: expected 20 iterations, got {len(trace.rows)}")
         for row in trace.rows:
@@ -239,18 +262,17 @@ def test_criterion_07_als_vs_brute_force():
     _verdict(7, "alternating solver matches brute-force minima", failures)
 
 
-def test_criterion_08_monotone_traces():
+def test_criterion_08_monotone_traces(pga_identity_runs, rank_one_runs, rate_runs):
     failures = []
-    if not TRACES:
-        failures.append("no traces were recorded by the earlier criteria")
-    for name, errs in TRACES:
+    traces = {**pga_identity_runs, **rank_one_runs, **rate_runs}
+    for name, (_, errs) in traces.items():
         errs = np.asarray(errs)
         slack = 1e-10 * errs[0]
         # row 0 is the target norm, row n the error after iteration n
         for n in np.flatnonzero(np.diff(errs) > slack) + 1:
             failures.append(f"{name}: residual norm rises at row {n}, "
                             f"{errs[n - 1]:.4e} -> {errs[n]:.4e} (slack {slack:.3e})")
-    _verdict(8, f"residual norms nonincreasing on all {len(TRACES)} traces", failures)
+    _verdict(8, f"residual norms nonincreasing on all {len(traces)} traces", failures)
 
 
 def test_criterion_09_diagnostic_oracles():
@@ -331,7 +353,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     for rep in ("first", "second"):
         root = tmp_path / rep
         for argv in commands:
-            code = cli.main(argv + ["--out", str(root / argv[0]), "--seed", "42"])
+            code = cli.main(argv + ["--out", str(root / argv[0])])
             if code not in (0, 2):
                 failures.append(f"{rep} {argv[0]}: exit code {code}")
         outputs[rep] = {p.relative_to(root): p.read_bytes()

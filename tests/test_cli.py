@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end and config validation."""
 
 import csv
+import hashlib
 import json
 import logging
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import greedy_ou
-from greedy_ou import cli, greedy
+from greedy_ou import cli, config, greedy
 from greedy_ou.config import ConfigError, build_problem, build_target, validate_config
 
 
@@ -177,6 +178,10 @@ def test_validate_config_rejects_unknown_kinds():
         validate_config(base_config(coupling={"kind": "circulant"}))
     with pytest.raises(ConfigError, match="target.kind"):
         validate_config(base_config(target={"kind": "mystery"}))
+    # a run's only input is its config file: file terms go inline under an eigen target
+    with pytest.raises(ConfigError,
+                       match=r"^target\.kind: unknown target kind 'coefficient_file'$"):
+        validate_config(base_config(target={"kind": "coefficient_file", "path": "c.json"}))
     with pytest.raises(ConfigError, match="schema_version"):
         validate_config(base_config(schema_version=99))
 
@@ -209,62 +214,39 @@ def test_eigen_target_index_length_refused_at_validation(index):
         validate_config(base_config(target={"kind": "eigen", "terms": terms}))
 
 
-def test_coefficient_file_index_length_refused(tmp_path, capsys):
-    coeff_path = tmp_path / "coeffs.json"
-    coeff_path.write_text(json.dumps({"terms": [{"weight": 1.0, "index": [1]}]}))
-    raw = base_config(target={"kind": "coefficient_file", "path": str(coeff_path)})
-    code = cli.main(["regularity", "--config", write_config(tmp_path, raw),
-                     "--out", str(tmp_path / "out")])
-    assert code == 1
-    assert "target.terms[0].index: expected 2 entries, got 1" in capsys.readouterr().err
-
-
-def test_coefficient_file_target_equals_inline_terms(tmp_path):
-    terms = [{"weight": 1.0, "index": [1, 1]}, {"weight": 0.5, "index": [2, 13]}]
-    coeff_path = tmp_path / "coeffs.json"
-    coeff_path.write_text(json.dumps({"terms": terms}))
-    from_file = validate_config(
-        base_config(target={"kind": "coefficient_file", "path": str(coeff_path)}))
-    inline = validate_config(base_config(target={"kind": "eigen", "terms": terms}))
-    assert from_file.target == inline.target == {"kind": "eigen", "terms": terms}
-
-
-def test_coefficient_file_is_read_only_at_validation(tmp_path):
-    coeff_path = tmp_path / "coeffs.json"
-    coeff_path.write_text(json.dumps({"terms": [{"weight": 2.0, "index": [3, 1]}]}))
-    cfg = validate_config(base_config(target={"kind": "coefficient_file", "path": str(coeff_path)}))
-    coeff_path.unlink()
-    form, mats = build_problem(cfg)
-    target, _ = build_target(cfg, form, mats)
-    assert list(target.weights) == [2.0]
-
-
 @pytest.mark.parametrize("degree,size", [(1, 7), (2, 13)])  # 6 elements
-@pytest.mark.parametrize("kind", ["eigen", "coefficient_file"])
-def test_index_beyond_basis_refused_at_validation(tmp_path, kind, degree, size):
+def test_index_beyond_basis_refused_at_validation(degree, size):
     terms = [{"weight": 1.0, "index": [1, 1]}, {"weight": 0.5, "index": [1, size + 1]}]
-    target = {"kind": "eigen", "terms": terms}
-    if kind == "coefficient_file":
-        coeff_path = tmp_path / "coeffs.json"
-        coeff_path.write_text(json.dumps({"terms": terms}))
-        target = {"kind": kind, "path": str(coeff_path)}
-    raw = base_config(mesh={"degree": degree}, target=target)
+    raw = base_config(mesh={"degree": degree}, target={"kind": "eigen", "terms": terms})
     with pytest.raises(ConfigError, match=rf"^target\.terms\[1\]\.index: index {size + 1} "
                                           rf"exceeds basis size {size}$"):
         validate_config(raw)
 
 
-@pytest.mark.parametrize("name,content,message", [
-    ("nope.json", None, "cannot read .*: No such file or directory$"),
-    (".", None, "cannot read .*: Is a directory$"),
-    ("bad.json", "{bad", "invalid JSON in .*bad\\.json: "),
-], ids=["missing", "directory", "invalid-json"])
-def test_unreadable_coefficient_file_refused_at_validation(tmp_path, name, content, message):
-    path = tmp_path / name
-    if content is not None:
-        path.write_text(content)
-    with pytest.raises(ConfigError, match=rf"^target\.path: {message}"):
-        validate_config(base_config(target={"kind": "coefficient_file", "path": str(path)}))
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_seed_flag_refused(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", write_config(tmp_path, base_config()),
+                  "--out", str(tmp_path / "out"), "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_equal_factor_models_share_one_basis(monkeypatch):
+    calls = []
+    for name in ("assemble", "normalize"):
+        original = getattr(config, name)
+        monkeypatch.setattr(config, name,
+                            lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    _, mats = build_problem(validate_config(base_config(n_factors=3)))
+    assert sorted(calls) == ["assemble", "normalize"]
+    assert mats[0] is mats[1] is mats[2]
+    calls.clear()
+    _, mats = build_problem(validate_config(base_config(
+        factors=[{"kind": "fene", "b": 4.0}, {"kind": "cpail", "b": 6.0}])))
+    assert sorted(calls) == ["assemble", "assemble", "normalize", "normalize"]
+    assert mats[0] is not mats[1]
 
 
 def test_zero_seeds_accepted():
@@ -274,14 +256,10 @@ def test_zero_seeds_accepted():
 
 @pytest.mark.parametrize("target,field", [
     ({"seed": -1}, "target.seed"),
-    ({"kind": "coefficient_file", "path": "nope.json"}, "target.path"),
-    ({"kind": "coefficient_file", "path": "no_terms.json"}, "target.path"),
+    ({"kind": "coefficient_file", "path": "coeffs.json"}, "target.kind"),
     ({"kind": "eigen", "terms": [{"weight": 1.0, "index": [14, 1]}]}, "target.terms[0].index"),
-], ids=["negative-seed", "missing-file", "file-without-terms", "index-beyond-basis"])
+], ids=["negative-seed", "coefficient-file", "index-beyond-basis"])
 def test_bad_run_fails_sweep_before_any_run(tmp_path, capsys, target, field):
-    (tmp_path / "no_terms.json").write_text(json.dumps({"weights": [1.0]}))
-    if "path" in target:
-        target = {**target, "path": str(tmp_path / target["path"])}
     sweep = {"schema_version": 1, "base": base_config(),
              "runs": [{"name": "ok", "overrides": {}},
                       {"name": "bad", "overrides": {"target": target}}]}
@@ -372,16 +350,29 @@ def test_iteration_cap_exit_code(tmp_path):
     assert len(rows) == 2
 
 
-def test_seed_flag_overrides_and_hashes(tmp_path):
-    cfg = write_config(tmp_path, base_config())
+def test_als_seed_is_hashed_and_reruns_are_identical(tmp_path):
+    paths = [write_config(tmp_path, base_config(als={"seed": seed}), f"seed{seed}.json")
+             for seed in (42, 7)]
     out_a, out_b, out_c = (tmp_path / n for n in ("a", "b", "c"))
-    cli.main(["solve", "--config", cfg, "--out", str(out_a)])
-    cli.main(["solve", "--config", cfg, "--out", str(out_b), "--seed", "7"])
-    cli.main(["solve", "--config", cfg, "--out", str(out_c), "--seed", "7"])
+    cli.main(["solve", "--config", paths[0], "--out", str(out_a)])
+    cli.main(["solve", "--config", paths[1], "--out", str(out_b)])
+    cli.main(["solve", "--config", paths[1], "--out", str(out_c)])
     rec = [json.loads((o / "runrecord.json").read_text()) for o in (out_a, out_b, out_c)]
     assert rec[0]["config_hash"] != rec[1]["config_hash"]
     assert rec[1]["config_hash"] == rec[2]["config_hash"]
     assert (out_b / "solve.csv").read_bytes() == (out_c / "solve.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command,output", [("solve", "runrecord.json"),
+                                            ("regularity", "regularity.json")])
+def test_config_hash_is_hash_of_the_config_file(tmp_path, command, output):
+    raw = base_config(n_max=2, box=[3, 3])
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", write_config(tmp_path, raw), "--out", str(out)])
+    assert code in (0, 2)
+    digest = hashlib.sha256(
+        json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    assert json.loads((out / output).read_text())["config_hash"] == digest
 
 
 def test_oga_alpha_column_and_error_vs_pga(tmp_path):
@@ -520,14 +511,11 @@ def test_regularity_ground_eigenfunction_target(tmp_path):
     assert len(report["config_hash"]) == 64
 
 
-def test_regularity_coefficient_file_target(tmp_path):
-    coeff_path = tmp_path / "coeffs.json"
-    coeff_path.write_text(json.dumps(
-        {"terms": [{"weight": 1.0, "index": [1, 1]},
-                   {"weight": 0.5, "index": [2, 1]}]}))
+def test_regularity_eigen_terms_target(tmp_path):
     raw = base_config(
         mesh={"n_el": 12},
-        target={"kind": "coefficient_file", "path": str(coeff_path)},
+        target={"kind": "eigen", "terms": [{"weight": 1.0, "index": [1, 1]},
+                                           {"weight": 0.5, "index": [2, 1]}]},
         eig={"k": 8},
         box=[4, 4])
     out = tmp_path / "out"
@@ -606,6 +594,32 @@ def test_bad_sweep_file_refused_before_any_run(tmp_path, capsys, sweep, field):
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
     assert list(out.iterdir()) == []
+
+
+def test_sweep_asks_for_no_more_workers_than_runs(tmp_path, monkeypatch):
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    sweep = {"schema_version": 1, "base": base_config(n_max=2),
+             "runs": [{"name": name, "overrides": {}} for name in ("a", "b")]}
+    out = tmp_path / "out"
+    cli.main(["sweep", "--config", write_config(tmp_path, sweep), "--out", str(out),
+              "--jobs", "64"])
+    assert asked == [2]
+    assert (out / "a" / "solve.csv").exists() and (out / "b" / "solve.csv").exists()
 
 
 def test_failing_sweep_run_is_recorded_and_later_runs_still_run(tmp_path, capsys, monkeypatch):
