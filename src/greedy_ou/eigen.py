@@ -26,7 +26,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, eigh
+from scipy.linalg import eigh
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .fem import FactorMatrices, assemble, build_mesh
 
@@ -88,7 +89,9 @@ def _shift_invert_eigens(mats: FactorMatrices, k: int):
     """k smallest pairs by ARPACK Lanczos on (stiffness + mass)^-1 mass.
 
     Both matrices have bandwidth mats.degree, so one banded Cholesky factor
-    applies the inverse in O(ndof) per Lanczos step.
+    (LAPACK dpbtrf) applies the inverse in O(ndof) per Lanczos step.  dpbtrf
+    lets a NaN or inf through, so a factor that is not finite is an
+    EigenError, as is stiffness + mass not positive definite.
     """
     # imported on first use: scipy.sparse.linalg adds about 4 MB to every
     # process, and solves with manufactured targets never get here
@@ -102,9 +105,13 @@ def _shift_invert_eigens(mats: FactorMatrices, k: int):
     offsets = range(-p, p + 1)
     m_diags, h_diags = ([band[p - abs(d), abs(d):] for d in offsets]
                         for band in (upper_m, upper_h))
-    factor = cholesky_banded(upper_h)
-    op_inv = LinearOperator((n, n), dtype=float,
-                            matvec=lambda x: cho_solve_banded((factor, False), x))
+    factor, info = dpbtrf(upper_h)
+    if info != 0:
+        raise EigenError(f"factor eigensolve failed: stiffness + mass not positive definite "
+                         f"(leading minor of order {info})")
+    if not np.isfinite(factor).all():
+        raise EigenError("factor eigensolve failed: stiffness + mass has non-finite entries")
+    op_inv = LinearOperator((n, n), dtype=float, matvec=lambda x: dpbtrs(factor, x)[0])
     # fixed and generic; the constant vector would be eigenvector 1 itself
     v0 = np.random.default_rng(0).standard_normal(n)
     try:

@@ -14,7 +14,7 @@ contains the constants, and the weight itself supplies the boundary decay.
 The matrices have bandwidth equal to the element degree p.  They are kept
 dense for the matrix products of the solvers, where dense BLAS is the faster
 choice below a few hundred dofs, and each basis also caches the upper bands
-that banded Cholesky factorizations take.
+that banded Cholesky factorizations (LAPACK dpbtrf) take.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ class FactorMatrices:
 
     @cached_property
     def bands(self) -> dict:
-        """Upper band of each operator by name, in the (degree + 1) x ndof layout of
-        scipy.linalg.cholesky_banded: bands[name][degree - d, i + d] = op[i, i + d]."""
+        """Upper band of each operator by name, in the (degree + 1) x ndof LAPACK
+        dpbtrf upper-band layout: bands[name][degree - d, i + d] = op[i, i + d]."""
         p = self.degree
         bands = {}
         for name in ("mass", "stiffness", "grad_coupling", "grad_coupling_t"):

@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded, eigh, solve
+from scipy.linalg import cho_factor, cho_solve, eigh, solve
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .fem import FactorMatrices
 
@@ -305,7 +306,8 @@ def _slot_hessian(form: EnergyForm, mats, quad, j: int) -> np.ndarray:
 
     Operator term t contributes coef_t prod_{k != j} (f_k . op_{t,k} f_k) op_{t,j};
     quad[k] holds _quad_forms of the frozen factor f_k for every k != j.  The
-    band is in the layout of FactorMatrices.bands, the input of cholesky_banded.
+    band is in the layout of FactorMatrices.bands, the LAPACK dpbtrf upper-band
+    layout that _slot_solve takes.
     """
     others = [k for k in range(form.n_factors) if k != j]
     bands = mats[j].bands
@@ -313,18 +315,42 @@ def _slot_hessian(form: EnergyForm, mats, quad, j: int) -> np.ndarray:
                for coef, ops in form.terms)
 
 
+def _slot_solve(band: np.ndarray, b: np.ndarray, j: int):
+    """Minimizer u of 1/2 u.Hu - b.u and the minimum J = -1/2 b.u, for H given
+    by its upper band in the LAPACK dpbtrf layout.
+
+    One dpbtrf factorisation and one dpbtrs solve, with no finiteness check
+    on the way in: a NaN or inf in the band or in b passes through LAPACK,
+    and since b.u is finite only when b and u both are, the check on J
+    catches it.  Raises AlsError when H is not positive definite or J is
+    not finite.
+    """
+    factor, info = dpbtrf(band)
+    if info != 0:
+        raise AlsError(f"slot {j} system not positive definite: "
+                       f"leading minor of order {info} is not positive")
+    u, _ = dpbtrs(factor, b)
+    j_val = -0.5 * float(b @ u)
+    if not math.isfinite(j_val):
+        raise AlsError(f"slot {j} solve is not finite: J = {j_val!r}")
+    return u, j_val
+
+
 def als_rank1(form: EnergyForm, mats, rhs: Functional, init: SeparatedFunction,
               tol: float = 1e-10, max_sweeps: int = 60):
     """Alternating minimization of J(u) = 1/2 a(u,u) - rhs(u) over rank-one u.
 
-    Each slot solve is a symmetric positive-definite banded system, factored
-    by banded Cholesky in O(ndof); sweeps stop when the relative change of J
-    drops below tol or max_sweeps is hit.  Returns (term, J) with the term a
-    rank-1 form, normalized so factors 1..N-1 have unit mass norm.
+    Each slot solve is a symmetric positive-definite banded system in the
+    LAPACK dpbtrf upper-band layout, factored by banded Cholesky in O(ndof)
+    (_slot_solve); sweeps stop when the relative change of J drops below tol
+    or max_sweeps is hit.  Returns (term, J) with the term a rank-1 form,
+    normalized so factors 1..N-1 have unit mass norm.
 
-    Raises AlsError on a singular slot system or an increasing J (restart
-    with a different init), NullTermError when a slot minimizer collapses
-    below mass norm 1e-14 (residual orthogonal to the rank-one set, as is an empty rhs).
+    Raises AlsError on a slot system that is not positive definite, a slot
+    solve that is not finite (a NaN or inf in rhs or in the factor
+    matrices) or an increasing J (restart with a different init),
+    NullTermError when a slot minimizer collapses below mass norm 1e-14
+    (residual orthogonal to the rank-one set, as is an empty rhs).
     """
     _check_sizes(form, mats, init)
     n = form.n_factors
@@ -341,19 +367,13 @@ def als_rank1(form: EnergyForm, mats, rhs: Functional, init: SeparatedFunction,
             for k in range(n):
                 if k != j and quad[k] is None:
                     quad[k] = _quad_forms(form, mats[k], k, r[k])
-            band = _slot_hessian(form, mats, quad, j)
-            b = rhs.slot_vector(r, j)
-            try:
-                u = cho_solve_banded((cholesky_banded(band), False), b)
-            except np.linalg.LinAlgError as exc:
-                raise AlsError(f"slot {j} system not positive definite: {exc}") from exc
+            u, j_val = _slot_solve(_slot_hessian(form, mats, quad, j),
+                                   rhs.slot_vector(r, j), j)
             norms[j] = mass_norm(mats[j], u)
             if norms[j] < _NULL_MASS_NORM:
                 raise NullTermError("residual orthogonal to rank-one set")
             r[j] = u
             quad[j] = None
-            # at the fresh slot minimum J = -1/2 b.u
-            j_val = -0.5 * float(b @ u)
         # every factor was solved in this sweep, so norms are those of r
         r = _normalized(r, norms)
         quad = [None] * n

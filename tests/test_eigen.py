@@ -1,5 +1,6 @@
 """Factor eigenproblem, tensorization, and growth-law measurement."""
 
+import dataclasses
 import json
 import logging
 
@@ -152,6 +153,26 @@ def test_arpack_failure_is_an_eigen_error(fine_mats, monkeypatch, tmp_path, caps
     assert cli.main(["eig", "--config", str(config), "--out", str(out)]) == 1
     assert "error: factor eigensolve failed: " in capsys.readouterr().err
     assert not (out / "eig.csv").exists()
+
+
+def _indefinite(mats):
+    return dataclasses.replace(mats, stiffness=-mats.stiffness)
+
+
+def _nan_mass(mats):
+    mass = mats.mass.copy()
+    mass[5, 5] = np.nan
+    return dataclasses.replace(mats, mass=mass)
+
+
+@pytest.mark.parametrize("broken,reason", [(_indefinite, "not positive definite"),
+                                           (_nan_mass, "non-finite entries")],
+                         ids=["indefinite", "nan-mass"])
+def test_broken_banded_pencil_is_an_eigen_error(fine_mats, broken, reason):
+    # the banded path factors stiffness + mass by LAPACK dpbtrf, which lets a NaN through
+    assert fine_mats.ndof >= eigen.BANDED_MIN_NDOF
+    with pytest.raises(EigenError, match=f"^factor eigensolve failed: .*{reason}"):
+        solve_factor_eigens(broken(fine_mats), 40)
 
 
 def test_k_validation():

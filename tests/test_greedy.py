@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve, solve
+from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded, solve
 from scipy.optimize import minimize
 
 from greedy_ou import greedy
@@ -23,6 +23,7 @@ from greedy_ou.greedy import (
     SeparatedFunction,
     _quad_forms,
     _slot_hessian,
+    _slot_solve,
     als_best,
     als_rank1,
     assemble_dense,
@@ -73,7 +74,7 @@ def random_target(mats, rng, rank):
 def dense_slot_hessian(form, mats, frozen, j):
     """Slot-j Hessian at frozen factor vectors as a dense matrix, expanded
     symmetrically from the upper band that _slot_hessian returns
-    (cholesky_banded layout)."""
+    (LAPACK dpbtrf upper-band layout)."""
     quad = [_quad_forms(form, m, k, f) for k, (m, f) in enumerate(zip(mats, frozen))]
     band = _slot_hessian(form, mats, quad, j)
     p = band.shape[0] - 1
@@ -292,6 +293,42 @@ def test_indefinite_slot_system_is_an_als_error():
         als_rank1(form, mats, rhs, random_unit_term(mats, rng))
     with pytest.raises(AlsError, match="all ALS starts failed"):
         als_best(form, mats, rhs, restarts=2, rng=rng)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_slot_solve_is_bitwise_scipy_banded_cholesky(degree):
+    # the same LAPACK routines on the same band that scipy's wrappers call
+    mats = two_factor_mats(n_el=40 // degree, degree=degree)
+    form = EnergyForm(ROUSE2, wi=1.0, c=1.0)
+    rng = np.random.default_rng(13)
+    rhs = Functional.from_target(form, mats, random_target(mats, rng, 3))
+    frozen = vectors(random_unit_term(mats, rng))
+    quad = [_quad_forms(form, m, k, f) for k, (m, f) in enumerate(zip(mats, frozen))]
+    for j in range(2):
+        band = _slot_hessian(form, mats, quad, j)
+        b = rhs.slot_vector(frozen, j)
+        u, j_val = _slot_solve(band, b, j)
+        expected = cho_solve_banded((cholesky_banded(band), False), b)
+        assert np.array_equal(u, expected)
+        assert j_val == -0.5 * float(b @ expected)
+
+
+def test_nan_in_rhs_is_an_als_error():
+    # LAPACK passes a NaN through, and every test on the NaN J it gives is
+    # False, so without the check on J the sweeps would return a NaN term
+    mats = two_factor_mats()
+    form = EnergyForm(ROUSE2, wi=1.0, c=1.0)
+    rng = np.random.default_rng(14)
+    rhs = Functional.from_target(form, mats, random_target(mats, rng, 2))
+    factors = [f.copy() for f in rhs.factors]
+    factors[1][2, 1] = np.nan
+    rhs = Functional(rhs.weights, factors)
+    with pytest.raises(AlsError, match="^slot 0 solve is not finite: J = nan$"):
+        als_rank1(form, mats, rhs, random_unit_term(mats, rng))
+    with pytest.raises(GreedyError, match=r"^iteration 1: all ALS starts failed: "
+                                          r"slot 0 solve is not finite") as info:
+        run_pga(form, mats, rhs, n_max=3, restarts=2, rng=rng)
+    assert isinstance(info.value.__cause__, AlsError)
 
 
 def test_als_allocates_no_dense_slot_matrix():
