@@ -13,11 +13,15 @@ index, so a refinement gate marks how far a mesh can be trusted.
 
 Both matrices of the pencil have bandwidth equal to the element degree.  On
 bases of at least BANDED_MIN_NDOF dofs the k smallest pairs come from
-shift-invert Lanczos (ARPACK) at shift 0, whose inverse is one banded
-Cholesky factor, so the cost is O(ndof) per Lanczos step instead of the
-O(ndof^3) of dense eigh.  Dense eigh still runs on smaller bases, where it
-is faster, and whenever 2k + 1 >= ndof, where ARPACK has no room for its
-Lanczos basis.  The choice depends only on ndof and k.
+standard-mode Lanczos (ARPACK) on U^-T mass U^-1, where
+stiffness + mass = U^T U is one banded Cholesky factorization: its largest
+eigenvalues are the reciprocals of the smallest of the pencil, and each
+Lanczos step is two banded triangular solves and one banded product on the
+bands of the basis, O(ndof) instead of the O(ndof^3) of dense eigh.  Its
+Krylov space is the one of shift-invert at shift 0.  Dense eigh still runs
+on smaller bases, where it is faster, and whenever 2k + 1 >= ndof, where
+ARPACK has no room for its Lanczos basis.  The choice depends only on ndof
+and k.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.blas import dsbmv, dtbsv
+from scipy.linalg.lapack import dpbtrf, dtbtrs
 
 from .fem import FactorMatrices, assemble, build_mesh
 
@@ -42,12 +47,14 @@ RESOLVED_REL_TOL = 1e-3
 # largest entry would follow roundoff and differ between solvers.
 SIGN_TIE_REL = 1e-8
 
-# Smallest basis solved by shift-invert Lanczos instead of dense eigh.  Per
-# call at k = 20 and 40, P2 FENE b=4 and CPAIL b=6, one BLAS thread, 2-core
-# VM: ndof 241 dense 6-10 ms, banded 6-17 ms; 321 about equal (10-15 ms);
-# 401 dense 14-22 ms, banded 7-18 ms; 641 dense 44-59 ms, banded 13-19 ms;
-# 1281 dense 450-580 ms, banded 11-30 ms.
-BANDED_MIN_NDOF = 400
+# Smallest basis solved by Lanczos instead of dense eigh.  Median per call,
+# P2 FENE b=4 and CPAIL b=6, one BLAS thread, 2-core VM, dense / banded:
+# ndof 161 k=10-20 2.0-3.4 / 1.1-2.5 ms, k=40 4.8-5.0 / 5.4-6.1 ms;
+# 201 k=10-20 3.7-5.2 / 1.4-3.0 ms, k=40 5.8-7.2 / 4.7-7.8 ms (about equal);
+# 241 k=10-40 4.2-9.6 / 1.1-7.3 ms; 321 k=20 9-12 / 3-4 ms, k=40 12-16 /
+# 6-8 ms; 641 k=20 56-60 / 4-6 ms, k=40 63-67 / 11-12 ms; 1281 k=20
+# 520-550 / 7-10 ms, k=40 520-550 / 18 ms.
+BANDED_MIN_NDOF = 200
 
 
 class EigenError(RuntimeError):
@@ -85,51 +92,60 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def _shift_invert_eigens(mats: FactorMatrices, k: int):
-    """k smallest pairs by ARPACK Lanczos on (stiffness + mass)^-1 mass.
+def _cholesky_lanczos_eigens(upper_m: np.ndarray, upper_h: np.ndarray, k: int):
+    """k smallest pairs of the pencil by ARPACK Lanczos on U^-T mass U^-1.
 
-    Both matrices have bandwidth mats.degree, so one banded Cholesky factor
-    (LAPACK dpbtrf) applies the inverse in O(ndof) per Lanczos step.  dpbtrf
-    lets a NaN or inf through, so a factor that is not finite is an
-    EigenError, as is stiffness + mass not positive definite.
+    upper_m and upper_h are the upper bands of mass and of
+    H = stiffness + mass.  With H = U^T U (LAPACK dpbtrf), the eigenpairs
+    (theta, y) of the symmetric U^-T mass U^-1 give lambda = 1 / theta and
+    the mass-orthonormal e = sqrt(lambda) U^-1 y, so the k largest theta
+    give the k smallest lambda.  Raises EigenError when H is not positive
+    definite or ARPACK fails.
     """
     # imported on first use: scipy.sparse.linalg adds about 4 MB to every
     # process, and solves with manufactured targets never get here
-    from scipy.sparse import diags
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    n, p = mats.ndof, mats.degree
-    upper_m = mats.bands["mass"]
-    upper_h = mats.bands["stiffness"] + upper_m
-    # both matrices are bitwise symmetric, so diagonal -d repeats diagonal d
-    offsets = range(-p, p + 1)
-    m_diags, h_diags = ([band[p - abs(d), abs(d):] for d in offsets]
-                        for band in (upper_m, upper_h))
+    p, n = upper_h.shape[0] - 1, upper_h.shape[1]
     factor, info = dpbtrf(upper_h)
     if info != 0:
         raise EigenError(f"factor eigensolve failed: stiffness + mass not positive definite "
                          f"(leading minor of order {info})")
-    if not np.isfinite(factor).all():
-        raise EigenError("factor eigensolve failed: stiffness + mass has non-finite entries")
-    op_inv = LinearOperator((n, n), dtype=float, matvec=lambda x: dpbtrs(factor, x)[0])
-    # fixed and generic; the constant vector would be eigenvector 1 itself
+    # column-major once here; f2py would copy a row-major band on every call
+    mass = np.asfortranarray(upper_m)
+
+    def matvec(y):
+        x = dtbsv(p, factor, y.ravel())
+        return dtbsv(p, factor, dsbmv(p, 1.0, mass, x), trans=1, overwrite_x=1)
+
+    # fixed, so repeated solves agree bitwise, and generic, so no wanted
+    # eigenvector is missing from the start vector
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        values, vectors = eigsh(diags(h_diags, offsets), k, M=diags(m_diags, offsets),
-                                sigma=0.0, OPinv=op_inv, v0=v0, tol=0)
+        theta, y = eigsh(LinearOperator((n, n), matvec=matvec, dtype=float), k,
+                         which="LA", v0=v0, tol=0)
     except ArpackError as exc:  # ArpackNoConvergence included
         raise EigenError(f"factor eigensolve failed: {exc}") from exc
-    order = np.argsort(values)
-    return values[order], vectors[:, order]
+    order = np.argsort(theta)[::-1]
+    values = 1.0 / theta[order]
+    vectors, _ = dtbtrs(factor, y[:, order])
+    return values, vectors * np.sqrt(values)
 
 
 def solve_factor_eigens(mats: FactorMatrices, k: int) -> FactorEigens:
     """k smallest eigenpairs of (stiffness + mass) e = lambda mass e."""
     if not 1 <= k <= mats.ndof:
         raise ValueError(f"k must be in [1, {mats.ndof}], got {k}")
+    upper_m = mats.bands["mass"]
+    upper_h = mats.bands["stiffness"] + upper_m
+    # eigh would refuse a NaN with a bare ValueError, and LAPACK's banded
+    # routines let it through; a NaN or inf in the mass band carries into
+    # the sum, so this one check covers both matrices of the pencil
+    if not np.isfinite(upper_h).all():
+        raise EigenError("factor eigensolve failed: stiffness + mass has non-finite entries")
     try:
         if mats.ndof >= BANDED_MIN_NDOF and 2 * k + 1 < mats.ndof:
-            values, vectors = _shift_invert_eigens(mats, k)
+            values, vectors = _cholesky_lanczos_eigens(upper_m, upper_h, k)
         else:
             values, vectors = eigh(mats.stiffness + mats.mass, mats.mass,
                                    subset_by_index=[0, k - 1])

@@ -11,10 +11,14 @@ every weighted pairing in this package reduces to:
 No essential boundary conditions are imposed: the natural weighted space
 contains the constants, and the weight itself supplies the boundary decay.
 
-The matrices have bandwidth equal to the element degree p.  They are kept
-dense for the matrix products of the solvers, where dense BLAS is the faster
-choice below a few hundred dofs, and each basis also caches the upper bands
-that banded Cholesky factorizations (LAPACK dpbtrf) take.
+The matrices have bandwidth equal to the element degree p, and their
+storage is four upper bands (mass, stiffness, grad_coupling and its
+transpose) in the layout that LAPACK's banded routines take.  Banded
+Cholesky solves and the banded eigensolve read only these.  The dense
+matrices are views built from the bands on first use, for the matrix
+products of the greedy solvers, where dense BLAS is the faster choice below
+a few hundred dofs.  Bands and views are read-only, so the two can never
+disagree.
 """
 
 from __future__ import annotations
@@ -65,36 +69,54 @@ def build_mesh(b: float, n_el: int, grading: float = 1.0) -> FactorMesh:
 
 @dataclass(frozen=True)
 class FactorMatrices:
-    """Weighted mass/stiffness/gradient-coupling matrices for one factor."""
+    """Weighted mass/stiffness/gradient-coupling matrices for one factor.
 
-    mass: np.ndarray
-    stiffness: np.ndarray
-    grad_coupling: np.ndarray
+    bands maps each of "mass", "stiffness", "grad_coupling" and
+    "grad_coupling_t" to its upper band, (degree + 1) x ndof in the LAPACK
+    dpbtrf upper-band layout: bands[name][degree - d, i + d] = op[i, i + d].
+    The lower band of an operator is the upper band of its transpose.
+    """
+
+    bands: dict
     mesh: FactorMesh
     degree: int
     weight: MaxwellianWeight
 
     @property
     def ndof(self) -> int:
-        return self.mass.shape[0]
+        return self.bands["mass"].shape[1]
+
+    def _dense(self, name: str, t_name: str) -> np.ndarray:
+        """Read-only dense matrix with upper band bands[name] and lower band
+        taken from bands[t_name]."""
+        p, n = self.degree, self.ndof
+        upper, lower = self.bands[name], self.bands[t_name]
+        dense = np.zeros((n, n))
+        flat = dense.reshape(-1)
+        # diagonal d holds (i, i + d) at flat d + i (n + 1), and -d holds
+        # (i + d, i) = transpose entry (i, i + d) at flat d n + i (n + 1)
+        for d in range(p + 1):
+            flat[d::n + 1][:n - d] = upper[p - d, d:]
+            if d:
+                flat[d * n::n + 1][:n - d] = lower[p - d, d:]
+        dense.setflags(write=False)
+        return dense
+
+    @cached_property
+    def mass(self) -> np.ndarray:
+        return self._dense("mass", "mass")
+
+    @cached_property
+    def stiffness(self) -> np.ndarray:
+        return self._dense("stiffness", "stiffness")
+
+    @cached_property
+    def grad_coupling(self) -> np.ndarray:
+        return self._dense("grad_coupling", "grad_coupling_t")
 
     @property
     def grad_coupling_t(self) -> np.ndarray:
         return self.grad_coupling.T
-
-    @cached_property
-    def bands(self) -> dict:
-        """Upper band of each operator by name, in the (degree + 1) x ndof LAPACK
-        dpbtrf upper-band layout: bands[name][degree - d, i + d] = op[i, i + d]."""
-        p = self.degree
-        bands = {}
-        for name in ("mass", "stiffness", "grad_coupling", "grad_coupling_t"):
-            op = getattr(self, name)
-            band = np.zeros((p + 1, self.ndof))
-            for d in range(p + 1):
-                band[p - d, d:] = np.diagonal(op, d)
-            bands[name] = band
-        return bands
 
 
 def _shape_functions(degree, xi):
@@ -136,8 +158,8 @@ def assemble(mesh: FactorMesh, weight: MaxwellianWeight, basis_degree: int = 2) 
 
     Quadrature per panel is Gauss-Legendre with basis_degree + 4 points,
     exact beyond degree 2*basis_degree + 6 against the smooth part of the
-    weight.  All panels are evaluated in one batch and scattered in element
-    order.
+    weight.  All panels are evaluated in one batch and scattered straight
+    into the upper bands.
     """
     if basis_degree not in (1, 2):
         raise ValueError(f"basis_degree must be 1 or 2, got {basis_degree}")
@@ -164,16 +186,29 @@ def assemble(mesh: FactorMesh, weight: MaxwellianWeight, basis_degree: int = 2) 
     vr = vals * root
     dr = 2.0 / (xr - xl) * (ders * root)
     dofs = p * elem + np.arange(p + 1)[:, None]
-    index = (dofs[:, None], dofs[None, :])
-    mass = np.zeros((ndof, ndof))
-    stiff = np.zeros((ndof, ndof))
-    grad = np.zeros((ndof, ndof))
-    np.add.at(mass, index, (vr[:, None] * vr[None, :]).sum(axis=-1))
-    np.add.at(stiff, index, (dr[:, None] * dr[None, :]).sum(axis=-1))
-    # grad[k,l] = int M phi_l' phi_k
-    np.add.at(grad, index, (vr[:, None] * dr[None, :]).sum(axis=-1))
-    return FactorMatrices(mass=mass, stiffness=stiff, grad_coupling=grad,
-                          mesh=mesh, degree=p, weight=weight)
+    rows = np.broadcast_to(dofs[:, None], (p + 1,) + dofs.shape).ravel()
+    cols = np.broadcast_to(dofs[None, :], (p + 1,) + dofs.shape).ravel()
+    # entry (r, c) with c >= r sits at flat (p - (c - r)) ndof + c of the
+    # upper band.  np.bincount adds the panel values in the flattened
+    # (k, l, panel) order, the order np.add.at uses on a dense matrix, so
+    # each entry is the same sequential sum as a dense scatter gives.
+    upper = cols >= rows
+    at = ((p - (cols - rows)) * ndof + cols)[upper]
+
+    def band(values):
+        out = np.bincount(at, values.ravel()[upper], minlength=(p + 1) * ndof)
+        out = out.reshape(p + 1, ndof)
+        out.setflags(write=False)
+        return out
+
+    # grad[k,l] = int M phi_l' phi_k; its transpose's band takes the panel
+    # values with k and l swapped
+    grad = (vr[:, None] * dr[None, :]).sum(axis=-1)
+    bands = {"mass": band((vr[:, None] * vr[None, :]).sum(axis=-1)),
+             "stiffness": band((dr[:, None] * dr[None, :]).sum(axis=-1)),
+             "grad_coupling": band(grad),
+             "grad_coupling_t": band(grad.swapaxes(0, 1))}
+    return FactorMatrices(bands=bands, mesh=mesh, degree=p, weight=weight)
 
 
 def dof_coordinates(mats: FactorMatrices) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from greedy_ou.fem import (
     _BOUNDARY_SPLIT,
     AssemblyError,
+    _panels,
     _shape_functions,
     assemble,
     build_mesh,
@@ -59,6 +60,61 @@ def loop_assemble(mesh, weight, p):
         stiff[np.ix_(dofs, dofs)] += k_el
         grad[np.ix_(dofs, dofs)] += c_el
     return mass, stiff, grad
+
+
+def add_at_assemble(mesh, weight, p):
+    """Dense scatter of the batched panel values by np.add.at: the oracle that
+    the banded scatter must reproduce bit for bit."""
+    nodes = mesh.nodes
+    ndof = mesh.n_el * p + 1
+    xi, wq = np.polynomial.legendre.leggauss(p + 4)
+    a, b, elem = _panels(nodes)
+    xl, xr = nodes[elem, None], nodes[elem + 1, None]
+    half = 0.5 * (b - a)[:, None]
+    x = 0.5 * (a + b)[:, None] + half * xi
+    vals, ders = _shape_functions(p, (2.0 * x - (xl + xr)) / (xr - xl))
+    root = np.sqrt(wq * half * weight(x))
+    vr = vals * root
+    dr = 2.0 / (xr - xl) * (ders * root)
+    dofs = p * elem + np.arange(p + 1)[:, None]
+    index = (dofs[:, None], dofs[None, :])
+    mass, stiff, grad = (np.zeros((ndof, ndof)) for _ in range(3))
+    np.add.at(mass, index, (vr[:, None] * vr[None, :]).sum(axis=-1))
+    np.add.at(stiff, index, (dr[:, None] * dr[None, :]).sum(axis=-1))
+    np.add.at(grad, index, (vr[:, None] * dr[None, :]).sum(axis=-1))
+    return mass, stiff, grad
+
+
+def upper_band(op, p):
+    band = np.zeros((p + 1, op.shape[0]))
+    for d in range(p + 1):
+        band[p - d, d:] = np.diagonal(op, d)
+    return band
+
+
+@pytest.mark.parametrize("grading", [1.0, 2.0])
+@pytest.mark.parametrize("kind,b", [(FENE, 4.0), (CPAIL, 6.0), (FENE, 2.5)])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_banded_scatter_is_bitwise_dense_scatter(degree, kind, b, grading):
+    mesh = build_mesh(b, 24, grading)
+    weight = normalize(SpringModel(kind, b))
+    mats = assemble(mesh, weight, degree)
+    mass, stiff, grad = add_at_assemble(mesh, weight, degree)
+    want = {"mass": mass, "stiffness": stiff, "grad_coupling": grad, "grad_coupling_t": grad.T}
+    assert set(mats.bands) == set(want)
+    for name, op in want.items():
+        assert np.array_equal(mats.bands[name], upper_band(op, degree)), name
+        assert np.array_equal(getattr(mats, name), op), name
+
+
+def test_storage_is_read_only():
+    mats = make_mats(n_el=8)
+    for name in ("mass", "stiffness", "grad_coupling", "grad_coupling_t"):
+        with pytest.raises(ValueError, match="read-only"):
+            mats.bands[name][0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(mats, name)[0, 0] = 1.0
+    assert mats.mass is mats.mass
 
 
 @pytest.mark.parametrize("grading", [1.0, 2.0])

@@ -156,13 +156,13 @@ def test_arpack_failure_is_an_eigen_error(fine_mats, monkeypatch, tmp_path, caps
 
 
 def _indefinite(mats):
-    return dataclasses.replace(mats, stiffness=-mats.stiffness)
+    return dataclasses.replace(mats, bands={**mats.bands, "stiffness": -mats.bands["stiffness"]})
 
 
 def _nan_mass(mats):
-    mass = mats.mass.copy()
-    mass[5, 5] = np.nan
-    return dataclasses.replace(mats, mass=mass)
+    mass = mats.bands["mass"].copy()
+    mass[mats.degree, 5] = np.nan  # diagonal entry (5, 5)
+    return dataclasses.replace(mats, bands={**mats.bands, "mass": mass})
 
 
 @pytest.mark.parametrize("broken,reason", [(_indefinite, "not positive definite"),
@@ -173,6 +173,30 @@ def test_broken_banded_pencil_is_an_eigen_error(fine_mats, broken, reason):
     assert fine_mats.ndof >= eigen.BANDED_MIN_NDOF
     with pytest.raises(EigenError, match=f"^factor eigensolve failed: .*{reason}"):
         solve_factor_eigens(broken(fine_mats), 40)
+
+
+def test_nonfinite_dense_pencil_is_an_eigen_error():
+    # eigh alone would refuse the NaN with a bare ValueError
+    mats = factor_mats(n_el=60)
+    assert mats.ndof < eigen.BANDED_MIN_NDOF
+    with pytest.raises(EigenError, match="^factor eigensolve failed: stiffness \\+ mass "
+                                         "has non-finite entries$"):
+        solve_factor_eigens(_nan_mass(mats), 10)
+
+
+def test_spectrum_path_stays_banded(fine_mats, monkeypatch):
+    coarse = dataclasses.replace(fine_mats)  # no dense view cached by other tests
+    refined = []
+
+    def capturing_assemble(*args, **kwargs):
+        refined.append(assemble(*args, **kwargs))
+        return refined[-1]
+
+    monkeypatch.setattr(eigen, "assemble", capturing_assemble)
+    resolved_factor_eigens(coarse, 40)
+    assert len(refined) == 1 and refined[0].ndof == 2 * coarse.ndof - 1
+    for mats in (coarse, refined[0]):
+        assert not {"mass", "stiffness", "grad_coupling"} & set(vars(mats))
 
 
 def test_k_validation():

@@ -284,7 +284,7 @@ def test_als_stationarity_residual():
 
 def test_indefinite_slot_system_is_an_als_error():
     base = two_factor_mats()[0]
-    bad = dataclasses.replace(base, stiffness=-base.stiffness)
+    bad = dataclasses.replace(base, bands={**base.bands, "stiffness": -base.bands["stiffness"]})
     mats = [bad, bad]
     form = EnergyForm(ROUSE2, 1.0, 1.0)
     rng = np.random.default_rng(12)
@@ -613,8 +613,8 @@ def absolute_problem(form, mats):
     """Entrywise absolute values of every matrix: the dense oracle on these data,
     applied to absolute factor vectors, bounds each computed sum term by term."""
     abs_form = EnergyForm(np.abs(form.coupling), wi=form.wi, c=form.c)
-    abs_mats = [dataclasses.replace(m, mass=np.abs(m.mass), stiffness=np.abs(m.stiffness),
-                                    grad_coupling=np.abs(m.grad_coupling)) for m in mats]
+    abs_mats = [dataclasses.replace(m, bands={name: np.abs(op) for name, op in m.bands.items()})
+                for m in mats]
     return abs_form, abs_mats
 
 
