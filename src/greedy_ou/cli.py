@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (SCHEMA_VERSION, ConfigError, ExperimentConfig, build_problem,
-                     build_target, load_raw, validate_config)
+                     build_target, load_raw, separated_target, validate_config)
 from .diagnostics import fourier_coeffs, rate_class_report
 from .eigen import EigenError, resolved_factor_eigens, weyl_fit
 from .fem import AssemblyError
@@ -174,8 +174,8 @@ def cmd_rates(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_regularity(cfg: ExperimentConfig, out_dir: Path) -> int:
     form, mats = build_problem(cfg)
-    target, _ = build_target(cfg, form, mats)
     system = _resolved_system(cfg, mats)
+    target = separated_target(cfg, form, mats, system)
     box = cfg.box or tuple(min(20, eig.n_resolved) for eig in system)
     clamped = tuple(min(b, eig.n_resolved) for b, eig in zip(box, system))
     if clamped != box:

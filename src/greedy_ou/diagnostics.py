@@ -29,6 +29,7 @@ from functools import reduce
 
 import numpy as np
 
+from .fem import band_matmul
 from .greedy import Functional, SeparatedFunction
 
 MIX = "mix"
@@ -123,7 +124,10 @@ def fourier_coeffs(tau: SeparatedFunction, eigens, box) -> CoeffTensor:
     values = _outer_sum(source.weights, [v.T @ f for v, f in zip(vectors, source.factors)])
     # the same sums on absolute values bound the roundoff of both figures;
     # each sum is at most two ndof-long products, N factors and 2R terms deep
-    abs_mass_u = [np.abs(m.mass) @ np.abs(u) for m, u in zip(mats, tau.factors)]
+    abs_mass_u = []
+    for m, u in zip(mats, tau.factors):
+        abs_band = np.abs(m.bands["mass"])  # symmetric: the lower band is the upper one
+        abs_mass_u.append(band_matmul(abs_band, abs_band, np.abs(u)))
     abs_w = np.abs(tau.weights)
     abs_values = _outer_sum(abs_w, [np.abs(v).T @ f for v, f in zip(vectors, abs_mass_u)])
     abs_gram = reduce(np.multiply, [np.abs(u).T @ f for u, f in zip(tau.factors, abs_mass_u)])

@@ -21,7 +21,7 @@ bands of the basis, O(ndof) instead of the O(ndof^3) of dense eigh.  Its
 Krylov space is the one of shift-invert at shift 0.  Dense eigh still runs
 on smaller bases, where it is faster, and whenever 2k + 1 >= ndof, where
 ARPACK has no room for its Lanczos basis.  The choice depends only on ndof
-and k.
+and k; the crossover and its measurements are in fem.py.
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ from scipy.linalg import eigh
 from scipy.linalg.blas import dsbmv, dtbsv
 from scipy.linalg.lapack import dpbtrf, dtbtrs
 
-from .fem import FactorMatrices, assemble, build_mesh
+# solve_factor_eigens reads BANDED_MIN_NDOF from this module, so setting
+# eigen.BANDED_MIN_NDOF moves the eigensolve crossover and no product
+from .fem import BANDED_MIN_NDOF, FactorMatrices, assemble, build_mesh
 
 logger = logging.getLogger(__name__)
 
@@ -46,15 +48,6 @@ RESOLVED_REL_TOL = 1e-3
 # only to roundoff (a few 1e-12 relatively), so a sign fixed by the single
 # largest entry would follow roundoff and differ between solvers.
 SIGN_TIE_REL = 1e-8
-
-# Smallest basis solved by Lanczos instead of dense eigh.  Median per call,
-# P2 FENE b=4 and CPAIL b=6, one BLAS thread, 2-core VM, dense / banded:
-# ndof 161 k=10-20 2.0-3.4 / 1.1-2.5 ms, k=40 4.8-5.0 / 5.4-6.1 ms;
-# 201 k=10-20 3.7-5.2 / 1.4-3.0 ms, k=40 5.8-7.2 / 4.7-7.8 ms (about equal);
-# 241 k=10-40 4.2-9.6 / 1.1-7.3 ms; 321 k=20 9-12 / 3-4 ms, k=40 12-16 /
-# 6-8 ms; 641 k=20 56-60 / 4-6 ms, k=40 63-67 / 11-12 ms; 1281 k=20
-# 520-550 / 7-10 ms, k=40 520-550 / 18 ms.
-BANDED_MIN_NDOF = 200
 
 
 class EigenError(RuntimeError):

@@ -13,12 +13,14 @@ contains the constants, and the weight itself supplies the boundary decay.
 
 The matrices have bandwidth equal to the element degree p, and their
 storage is four upper bands (mass, stiffness, grad_coupling and its
-transpose) in the layout that LAPACK's banded routines take.  Banded
-Cholesky solves and the banded eigensolve read only these.  The dense
-matrices are views built from the bands on first use, for the matrix
-products of the greedy solvers, where dense BLAS is the faster choice below
-a few hundred dofs.  Bands and views are read-only, so the two can never
-disagree.
+transpose) in the layout that LAPACK's banded routines take.  Quadratic
+forms f . op f come from one product of a cached band stack with the
+shifted products f_i f_(i+d) at every size, and operator-applied stacks
+op X from 2p + 1 slice multiply-adds (band_matmul) on bases of at least
+BANDED_MIN_NDOF dofs.  Below that size the stacks use dense BLAS, which is
+faster there, on dense matrices that are views built from the bands on
+first use; the dense eigensolve and the Kronecker oracle read them too.
+Bands and views are read-only, so the two can never disagree.
 """
 
 from __future__ import annotations
@@ -32,6 +34,28 @@ from .springs import MaxwellianWeight
 
 # subpanels per boundary element, shrinking geometrically toward the endpoint
 _BOUNDARY_SPLIT = 12
+
+# Smallest basis whose operator stacks (FactorMatrices.apply) read the
+# bands and whose eigenpairs come from Lanczos (eigen.py), instead of dense
+# BLAS and dense eigh.  Medians, P2, one BLAS thread, 2-core VM, dense / banded.
+# Eigensolve per call, FENE b=4 and CPAIL b=6: ndof 161 k=10-20 2.0-3.4 /
+# 1.1-2.5 ms, k=40 4.8-5.0 / 5.4-6.1 ms; 201 k=10-20 3.7-5.2 / 1.4-3.0 ms,
+# k=40 5.8-7.2 / 4.7-7.8 ms (about equal); 241 k=10-40 4.2-9.6 / 1.1-7.3 ms;
+# 321 k=20 9-12 / 3-4 ms, k=40 12-16 / 6-8 ms; 641 k=20 56-60 / 4-6 ms,
+# k=40 63-67 / 11-12 ms; 1281 k=20 520-550 / 7-10 ms, k=40 520-550 / 18 ms.
+# Operator stack G X per call, FENE b=4, timeit, two runs: X of 33 columns,
+# ndof 41 3.7-3.9 / 24-25 us, 81 9-10 / 32-36 us, 161 30-38 / 47-63 us,
+# 201 79-104 / 50-63 us, 241 101-107 / 54-68 us, 321 168-196 / 81-90 us,
+# 641 832-909 / 138-159 us; one column, 161 4.4-6.1 / 8.8-12 us, 201
+# 7.1-8.7 / 11-14 us, 321 17 / 9-15 us, 641 92-105 / 9-12 us.  Quadratic
+# forms read the bands at every size: all three from one gemv take 7.3, 9.0,
+# 9.8 and 12 us at ndof 41, 81, 321 and 641, four dense forms 12, 13, 118
+# and 508 us.
+BANDED_MIN_NDOF = 200
+
+# the operator whose upper band is the lower band of each named operator
+_TRANSPOSE = {"mass": "mass", "stiffness": "stiffness",
+              "grad_coupling": "grad_coupling_t", "grad_coupling_t": "grad_coupling"}
 
 
 class AssemblyError(RuntimeError):
@@ -75,6 +99,10 @@ class FactorMatrices:
     "grad_coupling_t" to its upper band, (degree + 1) x ndof in the LAPACK
     dpbtrf upper-band layout: bands[name][degree - d, i + d] = op[i, i + d].
     The lower band of an operator is the upper band of its transpose.
+    quad_forms and apply compute products from the bands; the dense
+    attributes mass, stiffness, grad_coupling and grad_coupling_t are
+    read-only views built on first read, which apply uses below
+    BANDED_MIN_NDOF dofs.  Derived arrays are cached on the instance.
     """
 
     bands: dict
@@ -117,6 +145,55 @@ class FactorMatrices:
     @property
     def grad_coupling_t(self) -> np.ndarray:
         return self.grad_coupling.T
+
+    def apply(self, name: str, x: np.ndarray) -> np.ndarray:
+        """op @ x for the operator of the given name; x a vector or an ndof x R stack.
+
+        Dense BLAS on the view below BANDED_MIN_NDOF dofs, band_matmul from there up.
+        """
+        if self.ndof < BANDED_MIN_NDOF:
+            return getattr(self, name) @ x
+        return band_matmul(self.bands[name], self.bands[_TRANSPOSE[name]], x)
+
+    @cached_property
+    def _form_stack(self) -> np.ndarray:
+        """Upper bands of mass, stiffness and (grad_coupling + grad_coupling_t) / 2,
+        off-diagonal rows doubled, as the rows of a 3 x (degree + 1) ndof matrix."""
+        b, p = self.bands, self.degree
+        stack = np.stack([b["mass"], b["stiffness"],
+                          0.5 * (b["grad_coupling"] + b["grad_coupling_t"])])
+        stack[:, :p] *= 2.0
+        return stack.reshape(3, -1)
+
+    def quad_forms(self, f: np.ndarray) -> np.ndarray:
+        """f . mass f, f . stiffness f and f . grad_coupling f from one gemv.
+
+        The shifted products f_i f_(i+d) sit where op[i, i + d] sits in the
+        bands, so each form is one row of _form_stack times them.  Only the
+        symmetric part of an operator enters its form, so
+        f . grad_coupling_t f is the same number as f . grad_coupling f.
+        """
+        p, n = self.degree, self.ndof
+        shifted = np.zeros((p + 1, n))
+        for d in range(p + 1):
+            shifted[p - d, d:] = f[:n - d] * f[d:]
+        return self._form_stack @ shifted.reshape(-1)
+
+
+def band_matmul(upper: np.ndarray, lower: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """op @ x for the operator with upper band upper and lower band lower.
+
+    Both bands are in the FactorMatrices.bands layout, so lower is the upper
+    band of op^T.  x is a vector or an ndof x R stack; the product is
+    2p + 1 slice multiply-adds, one per diagonal.
+    """
+    p, n = upper.shape[0] - 1, upper.shape[1]
+    rows = (slice(None),) + (None,) * (x.ndim - 1)
+    out = upper[p][rows] * x
+    for d in range(1, p + 1):
+        out[:n - d] += upper[p - d, d:][rows] * x[d:]
+        out[d:] += lower[p - d, d:][rows] * x[:n - d]
+    return out
 
 
 def _shape_functions(degree, xi):

@@ -163,7 +163,7 @@ def _vectors(term: _CPForm) -> list:
 
 
 def mass_norm(mats_k: FactorMatrices, vec: np.ndarray) -> float:
-    return float(np.sqrt(max(vec @ mats_k.mass @ vec, 0.0)))
+    return float(np.sqrt(max(mats_k.quad_forms(vec)[0], 0.0)))
 
 
 def _normalized(vectors, norms) -> list:
@@ -227,12 +227,13 @@ def _applied(op_terms, mats, f: SeparatedFunction) -> "Functional":
     """The functional v -> sum_t coef_t sum_r w_r prod_k v_k . op_{t,k} U_k[:, r].
 
     One dual column op_{t,k} U_k[:, r] with weight coef_t w_r per operator
-    term and primal column; each distinct op_{t,k} U_k is formed once.
+    term and primal column; each distinct op_{t,k} U_k is formed once
+    (FactorMatrices.apply).
     """
     factors = []
     for k, m in enumerate(mats):
         names = {ops[k] for _, ops in op_terms}
-        applied = {name: getattr(m, name) @ f.factors[k] for name in names}
+        applied = {name: m.apply(name, f.factors[k]) for name in names}
         factors.append(np.concatenate([applied[ops[k]] for _, ops in op_terms], axis=1))
     return Functional(np.concatenate([coef * f.weights for coef, _ in op_terms]), factors)
 
@@ -296,9 +297,10 @@ class Functional(_CPForm):
         return self.factors[j] @ (self.weights * self._products(frozen, skip=j))
 
 
-def _quad_forms(form: EnergyForm, mats_k: FactorMatrices, k: int, f: np.ndarray) -> dict:
-    """f . op f for each operator that factor k carries in some term, by name."""
-    return {name: f @ (getattr(mats_k, name) @ f) for name in {ops[k] for _, ops in form.terms}}
+def _quad_forms(mats_k: FactorMatrices, f: np.ndarray) -> dict:
+    """f . op f for every factor operator, by name, from the bands (FactorMatrices.quad_forms)."""
+    mass, stiffness, grad = mats_k.quad_forms(f)
+    return {MASS: mass, STIFFNESS: stiffness, GRAD: grad, GRAD_T: grad}
 
 
 def _slot_hessian(form: EnergyForm, mats, quad, j: int) -> np.ndarray:
@@ -360,20 +362,22 @@ def als_rank1(form: EnergyForm, mats, rhs: Functional, init: SeparatedFunction,
         raise ValueError(f"init factor {norms.index(min(norms))} is zero")
     j_prev = np.inf
     j_val = np.inf
-    # quadratic forms of each factor, None from the moment the factor changes
+    # quadratic forms of each factor, None until computed for the current r[k]
     quad = [None] * n
     for sweep in range(max_sweeps):
         for j in range(n):
             for k in range(n):
                 if k != j and quad[k] is None:
-                    quad[k] = _quad_forms(form, mats[k], k, r[k])
+                    quad[k] = _quad_forms(mats[k], r[k])
             u, j_val = _slot_solve(_slot_hessian(form, mats, quad, j),
                                    rhs.slot_vector(r, j), j)
-            norms[j] = mass_norm(mats[j], u)
+            # the forms of u give its mass norm, the same number mass_norm gives,
+            # and serve the next slots' Hessians
+            quad[j] = _quad_forms(mats[j], u)
+            norms[j] = float(np.sqrt(max(quad[j][MASS], 0.0)))
             if norms[j] < _NULL_MASS_NORM:
                 raise NullTermError("residual orthogonal to rank-one set")
             r[j] = u
-            quad[j] = None
         # every factor was solved in this sweep, so norms are those of r
         r = _normalized(r, norms)
         quad = [None] * n

@@ -5,15 +5,23 @@ import pytest
 
 from greedy_ou.fem import (
     _BOUNDARY_SPLIT,
+    BANDED_MIN_NDOF,
     AssemblyError,
     _panels,
     _shape_functions,
     assemble,
+    band_matmul,
     build_mesh,
     dof_coordinates,
     interpolate,
 )
 from greedy_ou.springs import CPAIL, FENE, SpringModel, integrate_weighted, normalize
+
+EPS = np.finfo(float).eps
+
+# the lower band of each operator is the upper band of its transpose
+TRANSPOSE = {"mass": "mass", "stiffness": "stiffness",
+             "grad_coupling": "grad_coupling_t", "grad_coupling_t": "grad_coupling"}
 
 
 def make_mats(kind=FENE, b=4.0, n_el=40, grading=1.0, degree=2):
@@ -179,16 +187,32 @@ def test_cached_bands_reproduce_dense_matrices(degree, kind, b, grading):
         assert all(np.all(band[p - d, :d] == 0.0) for d in range(1, p + 1))
         return sum(np.diag(band[p - d, d:], d) for d in range(p + 1))
 
-    # the lower band of each operator is the upper band of its transpose; equality
-    # everywhere also shows that nothing lies outside bandwidth p
-    transpose = {"mass": "mass", "stiffness": "stiffness",
-                 "grad_coupling": "grad_coupling_t", "grad_coupling_t": "grad_coupling"}
-    assert set(mats.bands) == set(transpose)
-    for name, t_name in transpose.items():
+    # equality everywhere also shows that nothing lies outside bandwidth p
+    assert set(mats.bands) == set(TRANSPOSE)
+    for name, t_name in TRANSPOSE.items():
         rebuilt = (from_upper_band(mats.bands[name])
                    + np.tril(from_upper_band(mats.bands[t_name]).T, -1))
         assert np.array_equal(rebuilt, getattr(mats, name)), name
     assert mats.bands is mats.bands
+
+
+@pytest.mark.parametrize("ndof", [121, 241], ids=["below-crossover", "above-crossover"])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_band_products_match_dense_views(degree, ndof):
+    assert 121 < BANDED_MIN_NDOF <= 241  # apply takes the dense view below, the bands above
+    mats = make_mats(n_el=(ndof - 1) // degree, degree=degree)
+    assert mats.ndof == ndof
+    rng = np.random.default_rng(21)
+    for x in (rng.standard_normal(ndof), rng.standard_normal((ndof, 5))):
+        for name, t_name in TRANSPOSE.items():
+            dense = getattr(mats, name)
+            # each entry sums 2p + 1 products in both; each path rounds at
+            # most 2p + 1 times, so they differ by at most 2 gamma_(2p+1) |op| |x|
+            tol = (2 * degree + 1) * 1.01 * EPS * (np.abs(dense) @ np.abs(x))
+            for got in (band_matmul(mats.bands[name], mats.bands[t_name], x),
+                        mats.apply(name, x)):
+                assert got.shape == x.shape
+                assert np.all(np.abs(got - dense @ x) <= tol), name
 
 
 def test_constant_function_identities():

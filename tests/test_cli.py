@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import greedy_ou
-from greedy_ou import cli, config, greedy
+from greedy_ou import cli, config, fem, greedy
 from greedy_ou.config import ConfigError, build_problem, build_target, validate_config
 
 
@@ -535,6 +535,35 @@ def test_regularity_box_clamped_to_resolved(tmp_path, caplog):
     assert code == 0
     report = json.loads((out / "regularity.json").read_text())
     assert all(b <= r for b, r in zip(report["box"], report["resolved_per_factor"]))
+
+
+def test_regularity_above_the_crossover_reuses_the_system_and_builds_no_dense_view(
+        tmp_path, monkeypatch):
+    views, target_solves = [], []
+    dense, solve = fem.FactorMatrices._dense, config.solve_factor_eigens
+
+    def recording_dense(mats, *names):
+        views.append(names)
+        return dense(mats, *names)
+
+    def recording_solve(*args):
+        target_solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(fem.FactorMatrices, "_dense", recording_dense)
+    monkeypatch.setattr(config, "solve_factor_eigens", recording_solve)
+    terms = [{"weight": 1.0, "index": [1, 1]}, {"weight": -0.5, "index": [3, 2]}]
+    for k, solves in ((10, 0), (2, 2)):  # the target's vectors come from the system if k covers them
+        target_solves.clear()
+        raw = base_config(mesh={"n_el": 100}, target={"kind": "eigen", "terms": terms},
+                          eig={"k": k}, box=[2, 2])  # 201 dofs
+        out = tmp_path / f"k{k}"
+        assert cli.main(["regularity", "--config", write_config(tmp_path, raw),
+                         "--out", str(out)]) == 0
+        assert len(target_solves) == solves
+        report = json.loads((out / "regularity.json").read_text())
+        assert report["l2m_norm_sq"] == pytest.approx(1.25, rel=1e-12)
+    assert fem.BANDED_MIN_NDOF <= 201 and views == []
 
 
 # --- sweep ---

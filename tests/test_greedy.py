@@ -13,7 +13,7 @@ from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_bande
 from scipy.optimize import minimize
 
 from greedy_ou import greedy
-from greedy_ou.fem import assemble, build_mesh
+from greedy_ou.fem import BANDED_MIN_NDOF, assemble, build_mesh
 from greedy_ou.greedy import (
     AlsError,
     EnergyForm,
@@ -21,7 +21,6 @@ from greedy_ou.greedy import (
     GreedyError,
     NullTermError,
     SeparatedFunction,
-    _quad_forms,
     _slot_hessian,
     _slot_solve,
     als_best,
@@ -42,6 +41,7 @@ from greedy_ou.greedy import (
 from greedy_ou.springs import CPAIL, FENE, SpringModel, normalize
 
 ROUSE2 = np.array([[1.0, -0.5], [-0.5, 1.0]])
+EPS = np.finfo(float).eps
 
 
 def two_factor_mats(n_el=5, degree=1, b=4.0):
@@ -71,11 +71,16 @@ def random_target(mats, rng, rank):
     return separated([(rng.uniform(0.5, 1.5), random_term(mats, rng)) for _ in range(rank)])
 
 
+def dense_quad_forms(form, mats_k, k, f):
+    """f . op f on the dense views, for each operator that factor k carries in some term."""
+    return {name: f @ (getattr(mats_k, name) @ f) for name in {ops[k] for _, ops in form.terms}}
+
+
 def dense_slot_hessian(form, mats, frozen, j):
     """Slot-j Hessian at frozen factor vectors as a dense matrix, expanded
     symmetrically from the upper band that _slot_hessian returns
     (LAPACK dpbtrf upper-band layout)."""
-    quad = [_quad_forms(form, m, k, f) for k, (m, f) in enumerate(zip(mats, frozen))]
+    quad = [dense_quad_forms(form, m, k, f) for k, (m, f) in enumerate(zip(mats, frozen))]
     band = _slot_hessian(form, mats, quad, j)
     p = band.shape[0] - 1
     upper = sum(np.diag(band[p - d, d:], d) for d in range(p + 1))
@@ -303,7 +308,7 @@ def test_slot_solve_is_bitwise_scipy_banded_cholesky(degree):
     rng = np.random.default_rng(13)
     rhs = Functional.from_target(form, mats, random_target(mats, rng, 3))
     frozen = vectors(random_unit_term(mats, rng))
-    quad = [_quad_forms(form, m, k, f) for k, (m, f) in enumerate(zip(mats, frozen))]
+    quad = [greedy._quad_forms(m, f) for m, f in zip(mats, frozen)]
     for j in range(2):
         band = _slot_hessian(form, mats, quad, j)
         b = rhs.slot_vector(frozen, j)
@@ -311,6 +316,39 @@ def test_slot_solve_is_bitwise_scipy_banded_cholesky(degree):
         expected = cho_solve_banded((cholesky_banded(band), False), b)
         assert np.array_equal(u, expected)
         assert j_val == -0.5 * float(b @ expected)
+
+
+@pytest.mark.parametrize("n_el", [60, 120], ids=["below-crossover", "above-crossover"])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_band_quad_forms_match_dense_oracle(degree, n_el):
+    mats = two_factor_mats(n_el=n_el // degree, degree=degree)
+    m, n, p = mats[0], mats[0].ndof, degree
+    form = EnergyForm(ROUSE2, wi=1.0, c=1.0)  # every factor carries all four operators
+    rng = np.random.default_rng(15)
+    for f in (rng.standard_normal(n), np.ones(n), np.linspace(-1.0, 1.0, n)):
+        quad = greedy._quad_forms(m, f)
+        want = dense_quad_forms(form, m, 0, f)
+        assert set(quad) == set(want)
+        assert quad[greedy.GRAD] == quad[greedy.GRAD_T]  # bitwise, one number for both
+        assert greedy.mass_norm(m, f) == np.sqrt(quad[greedy.MASS])
+        for name, value in want.items():
+            # dense: 2p + 1 then n terms deep; bands: one product, then (p + 1) n terms
+            # deep, with the symmetric part of G rounded once
+            tol = ((p + 2) * n + 2 * p + 4) * EPS * (np.abs(f) @ np.abs(getattr(m, name))
+                                                     @ np.abs(f))
+            assert abs(quad[name] - value) <= tol, name
+
+
+def test_pga_above_the_crossover_builds_no_dense_view():
+    mats = two_factor_mats(n_el=100, degree=2)  # one basis of 201 dofs for both factors
+    assert mats[0].ndof >= BANDED_MIN_NDOF
+    form = EnergyForm(ROUSE2, wi=1.0, c=1.0)
+    rng = np.random.default_rng(16)
+    target = random_target(mats, rng, 2)
+    _, trace = run_pga(form, mats, Functional.from_target(form, mats, target), n_max=3,
+                       rng=rng, target=target)
+    assert len(trace.rows) == 3
+    assert not {"mass", "stiffness", "grad_coupling"} & set(vars(mats[0]))
 
 
 def test_nan_in_rhs_is_an_als_error():
