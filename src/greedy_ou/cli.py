@@ -41,18 +41,11 @@ _EXIT_BY_STATUS = {"converged": 0, "null_term": 0, "n_max": 2}
 _ERRORS = (GreedyError, EigenError, AssemblyError, ValueError, OSError)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _write_json(path, payload):
@@ -72,7 +65,7 @@ def _residual_at(form, mats, rhs, approx, row):
     """Residual functional after the update recorded in a trace row."""
     weights = approx.weights[:row.n] if row.alpha is None else row.alpha
     used = SeparatedFunction(weights, [f[:, :row.n] for f in approx.factors])
-    return rhs.minus(form, mats, used)
+    return rhs - Functional.from_target(form, mats, used)
 
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path, exact_dual: bool = False) -> int:
@@ -115,11 +108,15 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, exact_dual: bool = False) ->
 
 
 def _resolved_system(cfg: ExperimentConfig, mats) -> tuple:
+    """Resolved eigens per factor; factors sharing one basis share its solve."""
+    resolved = {}
     for i, m in enumerate(mats):
         if cfg.eig_k > m.ndof:
             logger.warning("factor %d: k=%d exceeds %d degrees of freedom, clamping",
                            i, cfg.eig_k, m.ndof)
-    return tuple(resolved_factor_eigens(m, min(cfg.eig_k, m.ndof)) for m in mats)
+        if id(m) not in resolved:
+            resolved[id(m)] = resolved_factor_eigens(m, min(cfg.eig_k, m.ndof))
+    return tuple(resolved[id(m)] for m in mats)
 
 
 def cmd_eig(cfg: ExperimentConfig, out_dir: Path) -> int:

@@ -270,7 +270,11 @@ def separated_target(cfg: ExperimentConfig, form: EnergyForm, mats,
         return SeparatedFunction(spec["coefficients"], factors)
     k_needed = [max(t["index"][i] for t in spec["terms"]) for i in range(cfg.n_factors)]
     if eigens is None or any(k > eig.k for k, eig in zip(k_needed, eigens)):
-        eigens = [solve_factor_eigens(m, k) for m, k in zip(mats, k_needed)]
+        solved = {}  # one solve per distinct (basis, k)
+        for m, k in zip(mats, k_needed):
+            if (id(m), k) not in solved:
+                solved[id(m), k] = solve_factor_eigens(m, k)
+        eigens = [solved[id(m), k] for m, k in zip(mats, k_needed)]
     return SeparatedFunction(
         [t["weight"] for t in spec["terms"]],
         [eig.vectors[:, [t["index"][i] - 1 for t in spec["terms"]]]

@@ -29,7 +29,7 @@ from functools import reduce
 
 import numpy as np
 
-from .fem import band_matmul
+from .fem import MASS, band_matmul
 from .greedy import Functional, SeparatedFunction
 
 MIX = "mix"
@@ -126,7 +126,7 @@ def fourier_coeffs(tau: SeparatedFunction, eigens, box) -> CoeffTensor:
     # each sum is at most two ndof-long products, N factors and 2R terms deep
     abs_mass_u = []
     for m, u in zip(mats, tau.factors):
-        abs_band = np.abs(m.bands["mass"])  # symmetric: the lower band is the upper one
+        abs_band = np.abs(m.bands[MASS])  # symmetric: the lower band is the upper one
         abs_mass_u.append(band_matmul(abs_band, abs_band, np.abs(u)))
     abs_w = np.abs(tau.weights)
     abs_values = _outer_sum(abs_w, [np.abs(v).T @ f for v, f in zip(vectors, abs_mass_u)])

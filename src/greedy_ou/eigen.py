@@ -36,7 +36,7 @@ from scipy.linalg.lapack import dpbtrf, dtbtrs
 
 # solve_factor_eigens reads BANDED_MIN_NDOF from this module, so setting
 # eigen.BANDED_MIN_NDOF moves the eigensolve crossover and no product
-from .fem import BANDED_MIN_NDOF, FactorMatrices, assemble, build_mesh
+from .fem import BANDED_MIN_NDOF, MASS, STIFFNESS, FactorMatrices, assemble, build_mesh
 
 logger = logging.getLogger(__name__)
 
@@ -129,8 +129,8 @@ def solve_factor_eigens(mats: FactorMatrices, k: int) -> FactorEigens:
     """k smallest eigenpairs of (stiffness + mass) e = lambda mass e."""
     if not 1 <= k <= mats.ndof:
         raise ValueError(f"k must be in [1, {mats.ndof}], got {k}")
-    upper_m = mats.bands["mass"]
-    upper_h = mats.bands["stiffness"] + upper_m
+    upper_m = mats.bands[MASS]
+    upper_h = mats.bands[STIFFNESS] + upper_m
     # eigh would refuse a NaN with a bare ValueError, and LAPACK's banded
     # routines let it through; a NaN or inf in the mass band carries into
     # the sum, so this one check covers both matrices of the pencil

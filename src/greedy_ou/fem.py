@@ -12,12 +12,13 @@ No essential boundary conditions are imposed: the natural weighted space
 contains the constants, and the weight itself supplies the boundary decay.
 
 The matrices have bandwidth equal to the element degree p, and their
-storage is four upper bands (mass, stiffness, grad_coupling and its
-transpose) in the layout that LAPACK's banded routines take.  Quadratic
-forms f . op f come from one product of a cached band stack with the
-shifted products f_i f_(i+d) at every size, and operator-applied stacks
-op X from 2p + 1 slice multiply-adds (band_matmul) on bases of at least
-BANDED_MIN_NDOF dofs.  Below that size the stacks use dense BLAS, which is
+storage is four upper bands, named MASS, STIFFNESS, GRAD and GRAD_T (the
+transpose of GRAD) here and nowhere else, in the layout that LAPACK's
+banded routines take.  Quadratic forms f . op f come by name from one
+product of a cached band stack with the shifted products f_i f_(i+d) at
+every size, and operator-applied stacks op X from 2p + 1 slice
+multiply-adds (band_matmul) on bases of at least BANDED_MIN_NDOF dofs.
+Below that size the stacks use dense BLAS, which is
 faster there, on dense matrices that are views built from the bands on
 first use; the dense eigensolve and the Kronecker oracle read them too.
 Bands and views are read-only, so the two can never disagree.
@@ -53,9 +54,15 @@ _BOUNDARY_SPLIT = 12
 # and 508 us.
 BANDED_MIN_NDOF = 200
 
+# the per-factor operators of the energy form: the keys of FactorMatrices.bands
+# and of its quad_forms, and the names of its dense views
+MASS = "mass"
+STIFFNESS = "stiffness"
+GRAD = "grad_coupling"
+GRAD_T = "grad_coupling_t"
+
 # the operator whose upper band is the lower band of each named operator
-_TRANSPOSE = {"mass": "mass", "stiffness": "stiffness",
-              "grad_coupling": "grad_coupling_t", "grad_coupling_t": "grad_coupling"}
+_TRANSPOSE = {MASS: MASS, STIFFNESS: STIFFNESS, GRAD: GRAD_T, GRAD_T: GRAD}
 
 
 class AssemblyError(RuntimeError):
@@ -95,13 +102,12 @@ def build_mesh(b: float, n_el: int, grading: float = 1.0) -> FactorMesh:
 class FactorMatrices:
     """Weighted mass/stiffness/gradient-coupling matrices for one factor.
 
-    bands maps each of "mass", "stiffness", "grad_coupling" and
-    "grad_coupling_t" to its upper band, (degree + 1) x ndof in the LAPACK
-    dpbtrf upper-band layout: bands[name][degree - d, i + d] = op[i, i + d].
-    The lower band of an operator is the upper band of its transpose.
-    quad_forms and apply compute products from the bands; the dense
-    attributes mass, stiffness, grad_coupling and grad_coupling_t are
-    read-only views built on first read, which apply uses below
+    bands maps each operator name (MASS, STIFFNESS, GRAD, GRAD_T) to its
+    upper band, (degree + 1) x ndof in the LAPACK dpbtrf upper-band layout:
+    bands[name][degree - d, i + d] = op[i, i + d].  The lower band of an
+    operator is the upper band of its transpose.  quad_forms and apply
+    compute products from the bands; the dense attributes of the same
+    names are read-only views built on first read, which apply uses below
     BANDED_MIN_NDOF dofs.  Derived arrays are cached on the instance.
     """
 
@@ -112,7 +118,7 @@ class FactorMatrices:
 
     @property
     def ndof(self) -> int:
-        return self.bands["mass"].shape[1]
+        return self.bands[MASS].shape[1]
 
     def _dense(self, name: str, t_name: str) -> np.ndarray:
         """Read-only dense matrix with upper band bands[name] and lower band
@@ -132,15 +138,15 @@ class FactorMatrices:
 
     @cached_property
     def mass(self) -> np.ndarray:
-        return self._dense("mass", "mass")
+        return self._dense(MASS, MASS)
 
     @cached_property
     def stiffness(self) -> np.ndarray:
-        return self._dense("stiffness", "stiffness")
+        return self._dense(STIFFNESS, STIFFNESS)
 
     @cached_property
     def grad_coupling(self) -> np.ndarray:
-        return self._dense("grad_coupling", "grad_coupling_t")
+        return self._dense(GRAD, GRAD_T)
 
     @property
     def grad_coupling_t(self) -> np.ndarray:
@@ -160,24 +166,24 @@ class FactorMatrices:
         """Upper bands of mass, stiffness and (grad_coupling + grad_coupling_t) / 2,
         off-diagonal rows doubled, as the rows of a 3 x (degree + 1) ndof matrix."""
         b, p = self.bands, self.degree
-        stack = np.stack([b["mass"], b["stiffness"],
-                          0.5 * (b["grad_coupling"] + b["grad_coupling_t"])])
+        stack = np.stack([b[MASS], b[STIFFNESS], 0.5 * (b[GRAD] + b[GRAD_T])])
         stack[:, :p] *= 2.0
         return stack.reshape(3, -1)
 
-    def quad_forms(self, f: np.ndarray) -> np.ndarray:
-        """f . mass f, f . stiffness f and f . grad_coupling f from one gemv.
+    def quad_forms(self, f: np.ndarray) -> dict:
+        """f . op f for each operator, by name, from one gemv.
 
         The shifted products f_i f_(i+d) sit where op[i, i + d] sits in the
         bands, so each form is one row of _form_stack times them.  Only the
-        symmetric part of an operator enters its form, so
-        f . grad_coupling_t f is the same number as f . grad_coupling f.
+        symmetric part of an operator enters its form, so the GRAD_T form is
+        the same number as the GRAD form.
         """
         p, n = self.degree, self.ndof
         shifted = np.zeros((p + 1, n))
         for d in range(p + 1):
             shifted[p - d, d:] = f[:n - d] * f[d:]
-        return self._form_stack @ shifted.reshape(-1)
+        mass, stiffness, grad = self._form_stack @ shifted.reshape(-1)
+        return {MASS: mass, STIFFNESS: stiffness, GRAD: grad, GRAD_T: grad}
 
 
 def band_matmul(upper: np.ndarray, lower: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -281,10 +287,10 @@ def assemble(mesh: FactorMesh, weight: MaxwellianWeight, basis_degree: int = 2) 
     # grad[k,l] = int M phi_l' phi_k; its transpose's band takes the panel
     # values with k and l swapped
     grad = (vr[:, None] * dr[None, :]).sum(axis=-1)
-    bands = {"mass": band((vr[:, None] * vr[None, :]).sum(axis=-1)),
-             "stiffness": band((dr[:, None] * dr[None, :]).sum(axis=-1)),
-             "grad_coupling": band(grad),
-             "grad_coupling_t": band(grad.swapaxes(0, 1))}
+    bands = {MASS: band((vr[:, None] * vr[None, :]).sum(axis=-1)),
+             STIFFNESS: band((dr[:, None] * dr[None, :]).sum(axis=-1)),
+             GRAD: band(grad),
+             GRAD_T: band(grad.swapaxes(0, 1))}
     return FactorMatrices(bands=bands, mesh=mesh, degree=p, weight=weight)
 
 
@@ -298,8 +304,3 @@ def dof_coordinates(mats: FactorMatrices) -> np.ndarray:
     out[0::2] = nodes
     out[1::2] = mids
     return out
-
-
-def interpolate(mats: FactorMatrices, fn) -> np.ndarray:
-    """Nodal interpolation of a callable onto the factor basis."""
-    return np.asarray(fn(dof_coordinates(mats)), dtype=float)

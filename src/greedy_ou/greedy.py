@@ -6,15 +6,18 @@ an N-fold product domain is
     a(u, v) = sum_ij (A_ij / 4 wi) int M du/dq_j dv/dq_i + c int M u v
 
 with A the symmetric positive-definite coupling matrix.  The form is a short
-sum of Kronecker products of per-factor matrices; operator_terms is the one
-place it is expanded.  Separated functions and functionals share one CP form
-[[weights; U_1, ..., U_N]]: a weight vector and one ndof_k x R stack per
-factor.  A functional's stacks hold operator-applied columns op_{t,k} U_k,
-built once when it is made, so a greedy residual f - a(u_n, .) stays
-low-rank, and every pairing, slot vector and slot Hessian applies the
-terms and then takes one product over factors; a rank-one term is a CP form
-of rank 1 (rank_one).  assemble_dense expands the form by hand on purpose: it
-is the independent Kronecker oracle for small grids.
+sum of Kronecker products of the per-factor operators that fem names (MASS,
+STIFFNESS, GRAD, GRAD_T) and whose forms f . op f it computes by name;
+operator_terms is the one place the form is expanded, and this module only
+combines those operators.  Separated functions and functionals share one CP
+form [[weights; U_1, ..., U_N]]: a weight vector and one ndof_k x R stack
+per factor.  A functional's stacks hold operator-applied columns op_{t,k}
+U_k, built once when it is made, so a greedy residual f - a(u_n, .) stays
+low-rank, and every pairing, slot vector and slot Hessian applies the terms
+and then takes one product over factors; a greedy iteration applies its new
+term once.  A rank-one term is a CP form of rank 1 (rank_one).
+assemble_dense expands the form by hand on purpose: it is the independent
+Kronecker oracle for small grids.
 
 The rank-one subproblem min_u J_f(u) = 1/2 a(u,u) - f(u) is solved by
 alternating sweeps: freezing all factors but slot j leaves a small symmetric
@@ -36,7 +39,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, solve
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .fem import FactorMatrices
+from .fem import GRAD, GRAD_T, MASS, STIFFNESS, FactorMatrices
 
 logger = logging.getLogger(__name__)
 
@@ -46,12 +49,6 @@ _NULL_MASS_NORM = 1e-14
 _GRAM_COND_LIMIT = 1e12
 # largest total tensor-grid size for which exact_dual_norms assembles the dense form
 DENSE_MAX_DOF = 10_000
-
-# per-factor operators of an operator term, named by their FactorMatrices attribute
-MASS = "mass"
-STIFFNESS = "stiffness"
-GRAD = "grad_coupling"
-GRAD_T = "grad_coupling_t"
 
 
 class GreedyError(RuntimeError):
@@ -163,7 +160,7 @@ def _vectors(term: _CPForm) -> list:
 
 
 def mass_norm(mats_k: FactorMatrices, vec: np.ndarray) -> float:
-    return float(np.sqrt(max(mats_k.quad_forms(vec)[0], 0.0)))
+    return float(np.sqrt(max(mats_k.quad_forms(vec)[MASS], 0.0)))
 
 
 def _normalized(vectors, norms) -> list:
@@ -253,10 +250,6 @@ def energy_norm(form: EnergyForm, mats, f: SeparatedFunction) -> float:
     return float(np.sqrt(max(energy_pairing(form, mats, f, f), 0.0)))
 
 
-def mass_pairing(mats, f: SeparatedFunction, g: SeparatedFunction) -> float:
-    return float(g.weights @ Functional.from_source(mats, f).values(g))
-
-
 class Functional(_CPForm):
     """Bounded functional in CP form on the dual side: f(v) = sum_c w_c prod_k F_k[:, c] . v_k.
 
@@ -274,10 +267,6 @@ class Functional(_CPForm):
     def from_source(cls, mats, source: SeparatedFunction) -> "Functional":
         """f = (g, .)_{L2_M} for a separated source g: one mass term."""
         return _applied([(1.0, (MASS,) * len(mats))], mats, source)
-
-    def minus(self, form: EnergyForm, mats, approx: SeparatedFunction) -> "Functional":
-        """The residual functional f - a(approx, .)."""
-        return self - Functional.from_target(form, mats, approx)
 
     def _products(self, test, skip=None):
         """prod_{k != skip} F_k^T V_k, one row per dual column; V_k a vector or a stack."""
@@ -297,17 +286,11 @@ class Functional(_CPForm):
         return self.factors[j] @ (self.weights * self._products(frozen, skip=j))
 
 
-def _quad_forms(mats_k: FactorMatrices, f: np.ndarray) -> dict:
-    """f . op f for every factor operator, by name, from the bands (FactorMatrices.quad_forms)."""
-    mass, stiffness, grad = mats_k.quad_forms(f)
-    return {MASS: mass, STIFFNESS: stiffness, GRAD: grad, GRAD_T: grad}
-
-
 def _slot_hessian(form: EnergyForm, mats, quad, j: int) -> np.ndarray:
     """Upper band of the Hessian of u -> a(term with slot j -> u, same) over slot-j coefficients.
 
     Operator term t contributes coef_t prod_{k != j} (f_k . op_{t,k} f_k) op_{t,j};
-    quad[k] holds _quad_forms of the frozen factor f_k for every k != j.  The
+    quad[k] holds the quad_forms of the frozen factor f_k for every k != j.  The
     band is in the layout of FactorMatrices.bands, the LAPACK dpbtrf upper-band
     layout that _slot_solve takes.
     """
@@ -362,25 +345,21 @@ def als_rank1(form: EnergyForm, mats, rhs: Functional, init: SeparatedFunction,
         raise ValueError(f"init factor {norms.index(min(norms))} is zero")
     j_prev = np.inf
     j_val = np.inf
-    # quadratic forms of each factor, None until computed for the current r[k]
-    quad = [None] * n
     for sweep in range(max_sweeps):
+        # forms of the factors slot 0 freezes; each slot solve replaces its own
+        quad = [None] + [m.quad_forms(f) for m, f in zip(mats[1:], r[1:])]
         for j in range(n):
-            for k in range(n):
-                if k != j and quad[k] is None:
-                    quad[k] = _quad_forms(mats[k], r[k])
             u, j_val = _slot_solve(_slot_hessian(form, mats, quad, j),
                                    rhs.slot_vector(r, j), j)
             # the forms of u give its mass norm, the same number mass_norm gives,
             # and serve the next slots' Hessians
-            quad[j] = _quad_forms(mats[j], u)
+            quad[j] = mats[j].quad_forms(u)
             norms[j] = float(np.sqrt(max(quad[j][MASS], 0.0)))
             if norms[j] < _NULL_MASS_NORM:
                 raise NullTermError("residual orthogonal to rank-one set")
             r[j] = u
         # every factor was solved in this sweep, so norms are those of r
         r = _normalized(r, norms)
-        quad = [None] * n
         if j_val > j_prev + 1e-12 * (1.0 + abs(j_prev)):
             raise AlsError(f"J increased across sweep {sweep}: {j_prev!r} -> {j_val!r}")
         if abs(j_prev - j_val) <= tol * (1.0 + abs(j_val)):
@@ -477,7 +456,9 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
             return approx, trace
         except AlsError as exc:
             raise GreedyError(f"iteration {n}: {exc}") from exc
-        norm_n = float(np.sqrt(max(energy_rank1(form, mats, term, term), 0.0)))
+        # the term applied once: its energy norm and, for OGA, its Gram column
+        applied = Functional.from_target(form, mats, term)
+        norm_n = float(np.sqrt(max(applied.value(term), 0.0)))
         if r1_norm is None:
             r1_norm = norm_n
         surrogate = norm_n / r1_norm
@@ -488,7 +469,7 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
             return approx, trace
         captured = captured + term
         if orthogonal:
-            column = Functional.from_target(form, mats, term).values(captured)
+            column = applied.values(captured)
             gram = np.block([[gram, column[:-1, None]], [column]])
             fvec = np.append(fvec, rhs.value(term))
             alpha = _solve_galerkin(gram, fvec)
@@ -497,7 +478,7 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
         else:
             approx = captured
             alpha_out = None
-        residual = rhs.minus(form, mats, approx)
+        residual = rhs - Functional.from_target(form, mats, approx)
         ortho_defect = residual.value(term)
         trace.rows.append(TraceRow(
             n=n,

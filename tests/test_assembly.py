@@ -13,7 +13,6 @@ from greedy_ou.fem import (
     band_matmul,
     build_mesh,
     dof_coordinates,
-    interpolate,
 )
 from greedy_ou.springs import CPAIL, FENE, SpringModel, integrate_weighted, normalize
 
@@ -225,7 +224,7 @@ def test_constant_function_identities():
     # derivative acts on the trial slot only
     assert np.abs(mats.grad_coupling @ ones).max() < 1e-13
     # int M u' for u = q is int M = 1
-    u = interpolate(mats, lambda q: q)
+    u = dof_coordinates(mats)  # nodal interpolant of q
     assert ones @ mats.grad_coupling @ u == pytest.approx(1.0, abs=1e-12)
 
 
@@ -233,11 +232,11 @@ def test_polynomial_weight_is_integrated_exactly():
     # FENE b = 4 has a polynomial weight, so quadrature is exact:
     # int M q^2 = 4/7 and the q-interpolant is exact in the quadratic basis
     mats = make_mats(kind=FENE, b=4.0, n_el=12)
-    u = interpolate(mats, lambda q: q)
+    u = dof_coordinates(mats)
     assert u @ mats.mass @ u == pytest.approx(4.0 / 7.0, rel=1e-13)
     assert u @ mats.stiffness @ u == pytest.approx(1.0, rel=1e-13)
     # v = q^2: int M u' v = int M q^2
-    v = interpolate(mats, lambda q: q * q)
+    v = u * u
     assert v @ mats.grad_coupling @ u == pytest.approx(4.0 / 7.0, rel=1e-12)
 
 
@@ -249,7 +248,7 @@ def test_moments_match_quadrature_oracle(kind, b, grading):
     ones = np.ones(mats.ndof)
     assert ones @ mats.mass @ ones == pytest.approx(1.0, abs=1e-10)
     moment = weight.z_inv * integrate_weighted(model, lambda q: q * q)
-    u = interpolate(mats, lambda q: q)
+    u = dof_coordinates(mats)
     assert u @ mats.mass @ u == pytest.approx(moment, rel=1e-9)
     assert u @ mats.stiffness @ u == pytest.approx(1.0, rel=1e-10)
 
@@ -262,7 +261,7 @@ def test_smooth_function_convergence():
     errs = []
     for n_el in (10, 20, 40, 80, 160):
         mats = assemble(build_mesh(4.0, n_el), weight, 2)
-        u = interpolate(mats, np.sin)
+        u = np.sin(dof_coordinates(mats))
         errs.append(abs(u @ mats.mass @ u - exact))
     assert np.all(np.diff(errs) < 0)
     assert errs[-1] < 1e-8
@@ -273,7 +272,8 @@ def test_dof_coordinates_and_interpolation():
     coords = dof_coordinates(mats)
     assert len(coords) == 11
     assert np.all(np.diff(coords) > 0)
-    assert np.allclose(interpolate(mats, lambda q: q), coords)
+    # the P2 interpolant of q at these nodes is q itself: unit derivative
+    assert coords @ mats.stiffness @ coords == pytest.approx(1.0, rel=1e-13)
     p1 = make_mats(n_el=5, degree=1)
     assert np.allclose(dof_coordinates(p1), p1.mesh.nodes)
 

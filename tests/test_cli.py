@@ -7,10 +7,11 @@ import logging
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import greedy_ou
-from greedy_ou import cli, config, fem, greedy
+from greedy_ou import cli, config, eigen, fem, greedy
 from greedy_ou.config import ConfigError, build_problem, build_target, validate_config
 
 
@@ -69,7 +70,7 @@ def test_benchmark_hooks_resolve(monkeypatch):
     assert greedy.als_rank1 is original
     assert {"greedy.als_best", "greedy.als_rank1", "greedy.slot_vector",
             "greedy.energy_norm"} <= {s.name for s in tracer.spans}
-    residual = rhs.minus(form, mats, approx)
+    residual = rhs - greedy.Functional.from_target(form, mats, approx)
     assert len(residual.terms) == residual.rank
 
 
@@ -249,6 +250,35 @@ def test_equal_factor_models_share_one_basis(monkeypatch):
     assert mats[0] is not mats[1]
 
 
+def test_each_distinct_basis_is_resolved_once(tmp_path, monkeypatch):
+    # three equal factors share one basis: one coarse and one refined solve
+    solves = []
+    solve = eigen.solve_factor_eigens
+    monkeypatch.setattr(eigen, "solve_factor_eigens",
+                        lambda mats, k: solves.append(mats.ndof) or solve(mats, k))
+    raw = base_config(n_factors=3, eig={"k": 4}, box=[2, 2, 2],
+                      target={"kind": "eigen", "terms": [{"weight": 1.0, "index": [1, 2, 3]}]})
+    cfg = write_config(tmp_path, raw)
+    for command in ("eig", "regularity"):
+        solves.clear()
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        assert solves == [13, 25]
+
+
+def test_target_solves_each_distinct_basis_and_k_once(monkeypatch):
+    cfg = validate_config(base_config(
+        n_factors=3, target={"kind": "eigen", "terms": [{"weight": 1.0, "index": [2, 2, 3]}]}))
+    form, mats = build_problem(cfg)
+    ks = []
+    solve = config.solve_factor_eigens
+    monkeypatch.setattr(config, "solve_factor_eigens", lambda m, k: ks.append(k) or solve(m, k))
+    target = config.separated_target(cfg, form, mats)
+    assert ks == [2, 3]
+    second, third = solve(mats[0], 2).vectors[:, [1]], solve(mats[2], 3).vectors[:, [2]]
+    for got, want in zip(target.factors, (second, second, third)):
+        assert np.array_equal(got, want)
+
+
 def test_zero_seeds_accepted():
     cfg = validate_config(base_config(target={"seed": 0}, als={"seed": 0}))
     assert cfg.seed == 0 and cfg.target["seed"] == 0
@@ -312,6 +342,12 @@ def test_runrecord_roundtrip_full_precision(tmp_path):
     assert again == record
     for rec in record["rows"]:
         assert rec["err_energy"] == float(repr(rec["err_energy"]))
+
+
+def test_csv_writes_numpy_floats_as_plain_digits(tmp_path):
+    path = tmp_path / "rows.csv"
+    cli._write_csv(path, ["a", "b", "c"], [[np.float64(0.1), 0.1, 3]])
+    assert path.read_text() == "a,b,c\n0.1,0.1,3\n"
 
 
 def test_solve_runs_are_byte_identical(tmp_path):

@@ -13,7 +13,8 @@ from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_bande
 from scipy.optimize import minimize
 
 from greedy_ou import greedy
-from greedy_ou.fem import BANDED_MIN_NDOF, assemble, build_mesh
+from greedy_ou.fem import (BANDED_MIN_NDOF, GRAD, GRAD_T, MASS, STIFFNESS, FactorMatrices,
+                           assemble, build_mesh)
 from greedy_ou.greedy import (
     AlsError,
     EnergyForm,
@@ -31,7 +32,6 @@ from greedy_ou.greedy import (
     energy_pairing,
     energy_rank1,
     exact_dual_norms,
-    mass_pairing,
     normalize_term,
     random_unit_term,
     rank_one,
@@ -249,8 +249,8 @@ def test_als_cancelling_rhs_is_null():
     form = EnergyForm(ROUSE2, 1.0, 1.0)
     rng = np.random.default_rng(8)
     t = random_term(mats, rng)
-    rhs = Functional.from_target(form, mats, separated([(1.0, t)])).minus(
-        form, mats, separated([(1.0, t)]))
+    applied = Functional.from_target(form, mats, separated([(1.0, t)]))
+    rhs = applied - Functional.from_target(form, mats, separated([(1.0, t)]))
     with pytest.raises(NullTermError):
         als_best(form, mats, rhs, restarts=3, rng=rng)
 
@@ -308,7 +308,7 @@ def test_slot_solve_is_bitwise_scipy_banded_cholesky(degree):
     rng = np.random.default_rng(13)
     rhs = Functional.from_target(form, mats, random_target(mats, rng, 3))
     frozen = vectors(random_unit_term(mats, rng))
-    quad = [greedy._quad_forms(m, f) for m, f in zip(mats, frozen)]
+    quad = [m.quad_forms(f) for m, f in zip(mats, frozen)]
     for j in range(2):
         band = _slot_hessian(form, mats, quad, j)
         b = rhs.slot_vector(frozen, j)
@@ -326,11 +326,11 @@ def test_band_quad_forms_match_dense_oracle(degree, n_el):
     form = EnergyForm(ROUSE2, wi=1.0, c=1.0)  # every factor carries all four operators
     rng = np.random.default_rng(15)
     for f in (rng.standard_normal(n), np.ones(n), np.linspace(-1.0, 1.0, n)):
-        quad = greedy._quad_forms(m, f)
+        quad = m.quad_forms(f)
         want = dense_quad_forms(form, m, 0, f)
-        assert set(quad) == set(want)
-        assert quad[greedy.GRAD] == quad[greedy.GRAD_T]  # bitwise, one number for both
-        assert greedy.mass_norm(m, f) == np.sqrt(quad[greedy.MASS])
+        assert set(quad) == set(want) == {MASS, STIFFNESS, GRAD, GRAD_T}
+        assert quad[GRAD] == quad[GRAD_T]  # bitwise, one number for both
+        assert greedy.mass_norm(m, f) == np.sqrt(quad[MASS])
         for name, value in want.items():
             # dense: 2p + 1 then n terms deep; bands: one product, then (p + 1) n terms
             # deep, with the symmetric part of G rounded once
@@ -386,6 +386,25 @@ def test_als_allocates_no_dense_slot_matrix():
     finally:
         tracemalloc.stop()
     assert peak < dense_bytes / 4, (peak, dense_bytes)
+
+
+def test_als_sweep_computes_each_factors_forms_once(monkeypatch):
+    # N = 3: the mass norms of the init, then per sweep the forms of factors
+    # 1..N-1 at its start and of each slot solution, (N - 1) + N
+    one = assemble(build_mesh(4.0, 4), normalize(SpringModel(FENE, 4.0)), 2)
+    mats = [one] * 3
+    form = EnergyForm(np.eye(3) - 0.5 * (np.eye(3, k=1) + np.eye(3, k=-1)), 1.0, 1.0)
+    rng = np.random.default_rng(22)
+    rhs = Functional.from_target(form, mats, random_target(mats, rng, 2))
+    init = random_unit_term(mats, rng)
+    calls = []
+    quad_forms = FactorMatrices.quad_forms
+    monkeypatch.setattr(FactorMatrices, "quad_forms",
+                        lambda m, f: calls.append(1) or quad_forms(m, f))
+    for sweeps in (1, 2):  # tol=0 never stops before max_sweeps here
+        calls.clear()
+        als_rank1(form, mats, rhs, init, tol=0.0, max_sweeps=sweeps)
+        assert len(calls) == 3 + sweeps * (2 + 3)
 
 
 def test_als_output_is_normalized():
@@ -514,6 +533,23 @@ def test_oga_not_worse_than_pga_per_iteration():
         assert ro.err_energy <= rp.err_energy * (1 + 1e-8) + 1e-12
 
 
+@pytest.mark.parametrize("runner", [run_pga, run_oga], ids=["pga", "oga"])
+def test_greedy_applies_each_captured_term_once(monkeypatch, runner):
+    # per iteration: the new term once (its norm and, for OGA, its Gram
+    # column), the residual's approximation and the error's target - approx
+    mats = two_factor_mats(n_el=5, degree=2)
+    form = EnergyForm(ROUSE2, wi=1.0, c=1.0)
+    rng = np.random.default_rng(23)
+    target = random_target(mats, rng, 3)
+    rhs = Functional.from_target(form, mats, target)
+    calls = []
+    applied = greedy._applied
+    monkeypatch.setattr(greedy, "_applied", lambda *a: calls.append(1) or applied(*a))
+    _, trace = runner(form, mats, rhs, tol_stop=0.0, n_max=3, rng=rng, target=target)
+    assert len(trace.rows) == 3
+    assert len(calls) == 3 * len(trace.rows)
+
+
 def test_exact_dual_norm_riesz_identity(monkeypatch):
     # for f = a(tau, .) the Riesz representer is tau itself
     mats = two_factor_mats(n_el=4, degree=1)
@@ -534,8 +570,7 @@ def test_dense_source_vector_matches_mass_pairing():
     f = Functional.from_source(mats, g)
     vec = dense_functional_vector(f)
     probe = random_term(mats, rng)
-    assert kron_vec(probe) @ vec == pytest.approx(
-        mass_pairing(mats, g, separated([(1.0, probe)])), rel=1e-12)
+    assert kron_vec(probe) @ vec == pytest.approx(f.value(probe), rel=1e-12)
 
 
 def test_surrogate_within_dual_norm_bounds():
@@ -550,8 +585,8 @@ def test_surrogate_within_dual_norm_bounds():
                             rng=rng, target=target)
     bound = np.sqrt(form.continuity / form.coercivity)
     duals = exact_dual_norms(form, mats, [
-        rhs.minus(form, mats, SeparatedFunction(approx.weights[:k],
-                                                [f[:, :k] for f in approx.factors]))
+        rhs - Functional.from_target(form, mats, SeparatedFunction(
+            approx.weights[:k], [f[:, :k] for f in approx.factors]))
         for k in range(len(trace.rows))])
     for row, dual in zip(trace.rows, duals):
         assert row.term_norm_a <= dual * (1 + 1e-8)
@@ -699,8 +734,8 @@ def test_separated_operator_matches_dense_oracle(problem, ranks):
 
     # residual of a target-plus-source functional; the oracle applies the dense
     # form and the Kronecker mass to the primal stacks directly
-    rhs = (Functional.from_target(form, mats, f)
-           + Functional.from_source(mats, g)).minus(form, mats, h)
+    rhs = (Functional.from_target(form, mats, f) + Functional.from_source(mats, g)
+           - Functional.from_target(form, mats, h))
     f_full = (a_full @ (dense(f) - dense(h))
               + reduce(np.kron, [m.mass for m in mats]) @ dense(g))
     f_abs = (a_abs @ (dense(abs_function(f)) + dense(abs_function(h)))
