@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -114,9 +115,9 @@ def _resolved_system(cfg: ExperimentConfig, mats) -> tuple:
         if cfg.eig_k > m.ndof:
             logger.warning("factor %d: k=%d exceeds %d degrees of freedom, clamping",
                            i, cfg.eig_k, m.ndof)
-        if id(m) not in resolved:
-            resolved[id(m)] = resolved_factor_eigens(m, min(cfg.eig_k, m.ndof))
-    return tuple(resolved[id(m)] for m in mats)
+        if m not in resolved:
+            resolved[m] = resolved_factor_eigens(m, min(cfg.eig_k, m.ndof))
+    return tuple(resolved[m] for m in mats)
 
 
 def cmd_eig(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -249,6 +250,7 @@ def cmd_sweep(raw_sweep: dict, out_dir: Path, jobs: int) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="greedy-ou",

@@ -272,9 +272,9 @@ def separated_target(cfg: ExperimentConfig, form: EnergyForm, mats,
     if eigens is None or any(k > eig.k for k, eig in zip(k_needed, eigens)):
         solved = {}  # one solve per distinct (basis, k)
         for m, k in zip(mats, k_needed):
-            if (id(m), k) not in solved:
-                solved[id(m), k] = solve_factor_eigens(m, k)
-        eigens = [solved[id(m), k] for m, k in zip(mats, k_needed)]
+            if (m, k) not in solved:
+                solved[m, k] = solve_factor_eigens(m, k)
+        eigens = [solved[m, k] for m, k in zip(mats, k_needed)]
     return SeparatedFunction(
         [t["weight"] for t in spec["terms"]],
         [eig.vectors[:, [t["index"][i] - 1 for t in spec["terms"]]]

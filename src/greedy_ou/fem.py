@@ -14,7 +14,7 @@ contains the constants, and the weight itself supplies the boundary decay.
 The matrices have bandwidth equal to the element degree p, and their
 storage is four upper bands, named MASS, STIFFNESS, GRAD and GRAD_T (the
 transpose of GRAD) here and nowhere else, in the layout that LAPACK's
-banded routines take.  Quadratic forms f . op f come by name from one
+banded routines take.  Quadratic forms f . op f come in rows FORM_ROW of one
 product of a cached band stack with the shifted products f_i f_(i+d) at
 every size, and operator-applied stacks op X from 2p + 1 slice
 multiply-adds (band_matmul) on bases of at least BANDED_MIN_NDOF dofs.
@@ -54,12 +54,13 @@ _BOUNDARY_SPLIT = 12
 # and 508 us.
 BANDED_MIN_NDOF = 200
 
-# the per-factor operators of the energy form: the keys of FactorMatrices.bands
-# and of its quad_forms, and the names of its dense views
+# the per-factor operators of the energy form: the keys of FactorMatrices.bands,
+# the names of its dense views, and the row of each one's quad_forms
 MASS = "mass"
 STIFFNESS = "stiffness"
 GRAD = "grad_coupling"
 GRAD_T = "grad_coupling_t"
+FORM_ROW = {MASS: 0, STIFFNESS: 1, GRAD: 2, GRAD_T: 2}
 
 # the operator whose upper band is the lower band of each named operator
 _TRANSPOSE = {MASS: MASS, STIFFNESS: STIFFNESS, GRAD: GRAD_T, GRAD_T: GRAD}
@@ -98,17 +99,18 @@ def build_mesh(b: float, n_el: int, grading: float = 1.0) -> FactorMesh:
     return FactorMesh(nodes=x, grading=float(grading))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorMatrices:
     """Weighted mass/stiffness/gradient-coupling matrices for one factor.
 
     bands maps each operator name (MASS, STIFFNESS, GRAD, GRAD_T) to its
     upper band, (degree + 1) x ndof in the LAPACK dpbtrf upper-band layout:
     bands[name][degree - d, i + d] = op[i, i + d].  The lower band of an
-    operator is the upper band of its transpose.  quad_forms and apply
-    compute products from the bands; the dense attributes of the same
+    operator is the upper band of its transpose.  quad_forms, band_stack
+    and apply compute from the bands; the dense attributes of the same
     names are read-only views built on first read, which apply uses below
-    BANDED_MIN_NDOF dofs.  Derived arrays are cached on the instance.
+    BANDED_MIN_NDOF dofs.  Derived arrays are cached on the instance, which
+    compares and hashes by identity.
     """
 
     bands: dict
@@ -170,20 +172,30 @@ class FactorMatrices:
         stack[:, :p] *= 2.0
         return stack.reshape(3, -1)
 
-    def quad_forms(self, f: np.ndarray) -> dict:
-        """f . op f for each operator, by name, from one gemv.
+    def quad_forms(self, f: np.ndarray) -> np.ndarray:
+        """f . op f for each operator, in row FORM_ROW[name] of one gemv's result.
 
         The shifted products f_i f_(i+d) sit where op[i, i + d] sits in the
         bands, so each form is one row of _form_stack times them.  Only the
-        symmetric part of an operator enters its form, so the GRAD_T form is
-        the same number as the GRAD form.
+        symmetric part of an operator enters its form, so GRAD and GRAD_T
+        share a row.
         """
         p, n = self.degree, self.ndof
         shifted = np.zeros((p + 1, n))
         for d in range(p + 1):
             shifted[p - d, d:] = f[:n - d] * f[d:]
-        mass, stiffness, grad = self._form_stack @ shifted.reshape(-1)
-        return {MASS: mass, STIFFNESS: stiffness, GRAD: grad, GRAD_T: grad}
+        return self._form_stack @ shifted.reshape(-1)
+
+    @cached_property
+    def _band_stacks(self) -> dict:
+        return {}
+
+    def band_stack(self, names: tuple) -> np.ndarray:
+        """Read-only len(names) x (degree + 1) x ndof stack of the named upper bands, cached."""
+        if names not in self._band_stacks:
+            self._band_stacks[names] = np.stack([self.bands[name] for name in names])
+            self._band_stacks[names].setflags(write=False)
+        return self._band_stacks[names]
 
 
 def band_matmul(upper: np.ndarray, lower: np.ndarray, x: np.ndarray) -> np.ndarray:

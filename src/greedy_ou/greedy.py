@@ -7,7 +7,7 @@ an N-fold product domain is
 
 with A the symmetric positive-definite coupling matrix.  The form is a short
 sum of Kronecker products of the per-factor operators that fem names (MASS,
-STIFFNESS, GRAD, GRAD_T) and whose forms f . op f it computes by name;
+STIFFNESS, GRAD, GRAD_T), with forms f . op f in rows fem.FORM_ROW;
 operator_terms is the one place the form is expanded, and this module only
 combines those operators.  Separated functions and functionals share one CP
 form [[weights; U_1, ..., U_N]]: a weight vector and one ndof_k x R stack
@@ -21,11 +21,12 @@ Kronecker oracle for small grids.
 
 The rank-one subproblem min_u J_f(u) = 1/2 a(u,u) - f(u) is solved by
 alternating sweeps: freezing all factors but slot j leaves a small symmetric
-positive-definite system in the slot-j coefficients.  Stationary points
-satisfy a(r, .) = f(.) against all single-slot perturbations, which is what
-the orthogonality and energy-decrease identities of both greedy loops rely
-on; global minimality of a sweep limit is not certifiable and is everywhere
-treated as such.
+positive-definite system in the slot-j coefficients, whose matrix is one
+weighted sum of stacked bands, weighted from the form's term table and the
+frozen factors' forms.  Stationary points satisfy a(r, .) = f(.) against all
+single-slot perturbations, which is what the orthogonality and
+energy-decrease identities of both greedy loops rely on; global minimality
+of a sweep limit is not certifiable and is everywhere treated as such.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, solve
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .fem import GRAD, GRAD_T, MASS, STIFFNESS, FactorMatrices
+from .fem import FORM_ROW, GRAD, GRAD_T, MASS, STIFFNESS, FactorMatrices
 
 logger = logging.getLogger(__name__)
 
@@ -65,12 +66,19 @@ class NullTermError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnergyForm:
-    """Coupling matrix A, Weissenberg number wi, and reaction coefficient c."""
+    """Coupling matrix A, Weissenberg number wi, and reaction coefficient c.
+
+    Term table of terms (operator_terms): coefs[t] = coef_t, and slot_rows[j] the
+    T x (N - 1) flat indices 3 k + FORM_ROW[op_{t,k}], k != j, of the forms that
+    slot j's Hessian multiplies, in an N x 3 array holding factor k's in row k.
+    """
 
     coupling: np.ndarray
     wi: float
     c: float
-    terms: list = field(init=False, repr=False, compare=False)  # see operator_terms
+    terms: list = field(init=False, repr=False, compare=False)
+    coefs: np.ndarray = field(init=False, repr=False, compare=False)
+    slot_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.coupling, dtype=float)
@@ -88,7 +96,12 @@ class EnergyForm:
         if self.c <= 0:
             raise ValueError(f"c must be positive, got {self.c!r}")
         object.__setattr__(self, "_eig_range", (float(evals[0]), float(evals[-1])))
-        object.__setattr__(self, "terms", operator_terms(self))
+        terms = operator_terms(self)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "coefs", np.array([coef for coef, _ in terms]))
+        object.__setattr__(self, "slot_rows", tuple(np.array(
+            [[3 * k + FORM_ROW[op] for k, op in enumerate(ops) if k != j] for _, ops in terms],
+            dtype=int) for j in range(self.n_factors)))
 
     @property
     def n_factors(self) -> int:
@@ -160,13 +173,13 @@ def _vectors(term: _CPForm) -> list:
 
 
 def mass_norm(mats_k: FactorMatrices, vec: np.ndarray) -> float:
-    return float(np.sqrt(max(mats_k.quad_forms(vec)[MASS], 0.0)))
+    return float(np.sqrt(max(mats_k.quad_forms(vec)[FORM_ROW[MASS]], 0.0)))
 
 
 def _normalized(vectors, norms) -> list:
     """Factors 1..N-1 divided by their mass norms, the product folded into the last."""
     out = [f / nu for f, nu in zip(vectors[:-1], norms[:-1])]
-    out.append(vectors[-1] * float(np.prod(norms[:-1])))
+    out.append(vectors[-1] * math.prod(norms[:-1]))
     return out
 
 
@@ -286,18 +299,17 @@ class Functional(_CPForm):
         return self.factors[j] @ (self.weights * self._products(frozen, skip=j))
 
 
-def _slot_hessian(form: EnergyForm, mats, quad, j: int) -> np.ndarray:
+def _slot_hessian(form: EnergyForm, forms: np.ndarray, stack: np.ndarray, j: int) -> np.ndarray:
     """Upper band of the Hessian of u -> a(term with slot j -> u, same) over slot-j coefficients.
 
     Operator term t contributes coef_t prod_{k != j} (f_k . op_{t,k} f_k) op_{t,j};
-    quad[k] holds the quad_forms of the frozen factor f_k for every k != j.  The
-    band is in the layout of FactorMatrices.bands, the LAPACK dpbtrf upper-band
-    layout that _slot_solve takes.
+    row k of forms holds the quad_forms of the frozen f_k (row j is not read),
+    and stack is slot j's band_stack of op_{t,j} over t.  Products run over k
+    and the sum over t in order: the roundings of a Python loop over the terms.
+    The band is in the FactorMatrices.bands layout, which _slot_solve takes.
     """
-    others = [k for k in range(form.n_factors) if k != j]
-    bands = mats[j].bands
-    return sum(coef * math.prod(quad[k][ops[k]] for k in others) * bands[ops[j]]
-               for coef, ops in form.terms)
+    scale = form.coefs * np.multiply.reduce(forms.take(form.slot_rows[j]), axis=1)
+    return np.einsum("t,tij->ij", scale, stack)
 
 
 def _slot_solve(band: np.ndarray, b: np.ndarray, j: int):
@@ -343,18 +355,21 @@ def als_rank1(form: EnergyForm, mats, rhs: Functional, init: SeparatedFunction,
     norms = [mass_norm(m, f) for m, f in zip(mats, r)]
     if min(norms) < _NULL_MASS_NORM:
         raise ValueError(f"init factor {norms.index(min(norms))} is zero")
-    j_prev = np.inf
-    j_val = np.inf
+    # slot j's operators op_{t,j} over the terms, as one cached band stack per basis
+    stacks = [m.band_stack(names) for m, names in zip(mats, zip(*(ops for _, ops in form.terms)))]
+    forms = np.empty((n, 3))
+    j_prev = j_val = np.inf
     for sweep in range(max_sweeps):
         # forms of the factors slot 0 freezes; each slot solve replaces its own
-        quad = [None] + [m.quad_forms(f) for m, f in zip(mats[1:], r[1:])]
+        for k in range(1, n):
+            forms[k] = mats[k].quad_forms(r[k])
         for j in range(n):
-            u, j_val = _slot_solve(_slot_hessian(form, mats, quad, j),
+            u, j_val = _slot_solve(_slot_hessian(form, forms, stacks[j], j),
                                    rhs.slot_vector(r, j), j)
             # the forms of u give its mass norm, the same number mass_norm gives,
             # and serve the next slots' Hessians
-            quad[j] = mats[j].quad_forms(u)
-            norms[j] = float(np.sqrt(max(quad[j][MASS], 0.0)))
+            forms[j] = mats[j].quad_forms(u)
+            norms[j] = float(np.sqrt(max(forms[j, FORM_ROW[MASS]], 0.0)))
             if norms[j] < _NULL_MASS_NORM:
                 raise NullTermError("residual orthogonal to rank-one set")
             r[j] = u
@@ -539,14 +554,11 @@ def assemble_dense(form: EnergyForm, mats) -> np.ndarray:
     quarter = 1.0 / (4.0 * form.wi)
     masses = [m.mass for m in mats]
 
-    def kron_chain(slot_mats):
-        return reduce(np.kron, slot_mats)
-
-    total = form.c * kron_chain(masses)
+    total = form.c * reduce(np.kron, masses)
     for i in range(n):
         slots = list(masses)
         slots[i] = mats[i].stiffness
-        total = total + form.coupling[i, i] * quarter * kron_chain(slots)
+        total = total + form.coupling[i, i] * quarter * reduce(np.kron, slots)
     for i in range(n):
         for j in range(n):
             if i == j or form.coupling[i, j] == 0.0:
@@ -554,7 +566,7 @@ def assemble_dense(form: EnergyForm, mats) -> np.ndarray:
             slots = list(masses)
             slots[j] = mats[j].grad_coupling       # derivative on the trial slot
             slots[i] = mats[i].grad_coupling.T     # derivative on the test slot
-            total = total + form.coupling[i, j] * quarter * kron_chain(slots)
+            total = total + form.coupling[i, j] * quarter * reduce(np.kron, slots)
     return total
 
 

@@ -1,4 +1,4 @@
-"""Spring potentials, forces, and Maxwellian equilibrium weights on one factor interval.
+"""Spring laws and Maxwellian equilibrium weights on one factor interval.
 
 Two finitely extensible spring laws are supported, each parameterized by a
 dimensionless extensibility b:
@@ -56,32 +56,6 @@ class SpringModel:
     def q_max(self) -> float:
         """Half-width of the factor interval (-q_max, q_max)."""
         return math.sqrt(self.b)
-
-
-def potential_u(model: SpringModel, s):
-    """Spring potential U(s) for s in [0, b/2); diverges as s -> b/2."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0) or np.any(s >= model.b / 2):
-        raise ValueError(f"potential argument outside [0, b/2) for b = {model.b:g}")
-    core = -np.log1p(-2.0 * s / model.b)
-    if model.kind == FENE:
-        out = (model.b / 2.0) * core
-    else:
-        out = s / 3.0 + (model.b / 3.0) * core
-    return out if out.ndim else float(out)
-
-
-def force_f(model: SpringModel, q):
-    """Spring force F(q) = U'(q^2/2) * q; odd in q, defined for |q| < sqrt(b)."""
-    q = np.asarray(q, dtype=float)
-    if np.any(np.abs(q) >= model.q_max):
-        raise ValueError(f"extension outside (-sqrt(b), sqrt(b)) for b = {model.b:g}")
-    denom = 1.0 - q * q / model.b
-    if model.kind == FENE:
-        out = q / denom
-    else:
-        out = q * (1.0 - q * q / (3.0 * model.b)) / denom
-    return out if out.ndim else float(out)
 
 
 def maxwellian_unnormalized(model: SpringModel, q):

@@ -124,6 +124,15 @@ def test_storage_is_read_only():
     assert mats.mass is mats.mass
 
 
+def test_bases_compare_and_hash_by_identity():
+    # two assemblies of one basis hold equal bands; comparing them must not
+    # compare the arrays, and each one can key a dict of per-basis results
+    a, b = make_mats(n_el=8), make_mats(n_el=8)
+    assert all(np.array_equal(a.bands[name], b.bands[name]) for name in a.bands)
+    assert a != b and a == a
+    assert len({a: 0, b: 1}) == 2
+
+
 @pytest.mark.parametrize("grading", [1.0, 2.0])
 @pytest.mark.parametrize("kind,b", [(FENE, 4.0), (CPAIL, 6.0), (FENE, 2.5)])
 @pytest.mark.parametrize("degree", [1, 2])

@@ -234,6 +234,11 @@ def test_seed_flag_refused(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def test_parser_is_built_once():
+    # every cli.main call parses with the one parser the first call built
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_equal_factor_models_share_one_basis(monkeypatch):
     calls = []
     for name in ("assemble", "normalize"):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import math
 import tracemalloc
 from functools import lru_cache, reduce
 
@@ -13,8 +14,8 @@ from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_bande
 from scipy.optimize import minimize
 
 from greedy_ou import greedy
-from greedy_ou.fem import (BANDED_MIN_NDOF, GRAD, GRAD_T, MASS, STIFFNESS, FactorMatrices,
-                           assemble, build_mesh)
+from greedy_ou.fem import (BANDED_MIN_NDOF, FORM_ROW, GRAD, GRAD_T, MASS, STIFFNESS,
+                           FactorMatrices, assemble, build_mesh)
 from greedy_ou.greedy import (
     AlsError,
     EnergyForm,
@@ -71,17 +72,25 @@ def random_target(mats, rng, rank):
     return separated([(rng.uniform(0.5, 1.5), random_term(mats, rng)) for _ in range(rank)])
 
 
-def dense_quad_forms(form, mats_k, k, f):
-    """f . op f on the dense views, for each operator that factor k carries in some term."""
-    return {name: f @ (getattr(mats_k, name) @ f) for name in {ops[k] for _, ops in form.terms}}
+def dense_quad_forms(mats_k, f):
+    """f . op f on the dense views, every row of the quad_forms layout filled."""
+    forms = np.empty(3)
+    for name in (MASS, STIFFNESS, GRAD):
+        forms[FORM_ROW[name]] = f @ (getattr(mats_k, name) @ f)
+    return forms
+
+
+def slot_stack(form, mats, j):
+    """The band stack of slot j's operators over the terms, as als_rank1 takes it."""
+    return mats[j].band_stack(tuple(ops[j] for _, ops in form.terms))
 
 
 def dense_slot_hessian(form, mats, frozen, j):
     """Slot-j Hessian at frozen factor vectors as a dense matrix, expanded
     symmetrically from the upper band that _slot_hessian returns
     (LAPACK dpbtrf upper-band layout)."""
-    quad = [dense_quad_forms(form, m, k, f) for k, (m, f) in enumerate(zip(mats, frozen))]
-    band = _slot_hessian(form, mats, quad, j)
+    forms = np.array([dense_quad_forms(m, f) for m, f in zip(mats, frozen)])
+    band = _slot_hessian(form, forms, slot_stack(form, mats, j), j)
     p = band.shape[0] - 1
     upper = sum(np.diag(band[p - d, d:], d) for d in range(p + 1))
     return upper + np.triu(upper, 1).T
@@ -308,9 +317,9 @@ def test_slot_solve_is_bitwise_scipy_banded_cholesky(degree):
     rng = np.random.default_rng(13)
     rhs = Functional.from_target(form, mats, random_target(mats, rng, 3))
     frozen = vectors(random_unit_term(mats, rng))
-    quad = [m.quad_forms(f) for m, f in zip(mats, frozen)]
+    forms = np.array([m.quad_forms(f) for m, f in zip(mats, frozen)])
     for j in range(2):
-        band = _slot_hessian(form, mats, quad, j)
+        band = _slot_hessian(form, forms, slot_stack(form, mats, j), j)
         b = rhs.slot_vector(frozen, j)
         u, j_val = _slot_solve(band, b, j)
         expected = cho_solve_banded((cholesky_banded(band), False), b)
@@ -318,25 +327,51 @@ def test_slot_solve_is_bitwise_scipy_banded_cholesky(degree):
         assert j_val == -0.5 * float(b @ expected)
 
 
+@pytest.mark.parametrize("coupling", ["rouse", "full"])
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])  # N = 1: every product is empty
+def test_slot_hessian_is_bitwise_the_per_term_sum(n, degree, coupling):
+    # the term table and the einsum over the band stack round exactly as a
+    # Python loop over the terms does: products over k in order, terms in order
+    rng = np.random.default_rng(100 * n + 10 * degree + len(coupling))
+    bases = [assemble(build_mesh(4.0, 5), normalize(SpringModel(FENE, 4.0)), degree),
+             assemble(build_mesh(6.0, 7), normalize(SpringModel(CPAIL, 6.0)), degree)]
+    mats = [bases[k % 2] for k in range(n)]
+    if coupling == "rouse":
+        a = np.eye(n) - 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    else:  # every off-diagonal entry nonzero, diagonally dominant
+        off = np.triu(rng.uniform(0.05, 0.3, (n, n)) * rng.choice([-1.0, 1.0], (n, n)), 1)
+        a = np.eye(n) + off + off.T
+        assert np.all(a != 0.0)
+    form = EnergyForm(a, wi=0.7, c=1.3)
+    for _ in range(5):
+        frozen = [10.0 ** rng.uniform(-3, 3) * rng.standard_normal(m.ndof) for m in mats]
+        forms = np.array([m.quad_forms(f) for m, f in zip(mats, frozen)])
+        for j in range(n):
+            want = sum(coef * math.prod(forms[k, FORM_ROW[ops[k]]] for k in range(n) if k != j)
+                       * mats[j].bands[ops[j]] for coef, ops in form.terms)
+            got = _slot_hessian(form, forms, slot_stack(form, mats, j), j)
+            assert np.array_equal(got, want), (j, np.abs(got - want).max())
+
+
 @pytest.mark.parametrize("n_el", [60, 120], ids=["below-crossover", "above-crossover"])
 @pytest.mark.parametrize("degree", [1, 2])
 def test_band_quad_forms_match_dense_oracle(degree, n_el):
     mats = two_factor_mats(n_el=n_el // degree, degree=degree)
     m, n, p = mats[0], mats[0].ndof, degree
-    form = EnergyForm(ROUSE2, wi=1.0, c=1.0)  # every factor carries all four operators
     rng = np.random.default_rng(15)
+    assert FORM_ROW[GRAD] == FORM_ROW[GRAD_T]  # one form for G and its transpose
     for f in (rng.standard_normal(n), np.ones(n), np.linspace(-1.0, 1.0, n)):
-        quad = m.quad_forms(f)
-        want = dense_quad_forms(form, m, 0, f)
-        assert set(quad) == set(want) == {MASS, STIFFNESS, GRAD, GRAD_T}
-        assert quad[GRAD] == quad[GRAD_T]  # bitwise, one number for both
-        assert greedy.mass_norm(m, f) == np.sqrt(quad[MASS])
-        for name, value in want.items():
+        forms = m.quad_forms(f)
+        assert forms.shape == (3,)
+        assert greedy.mass_norm(m, f) == np.sqrt(forms[FORM_ROW[MASS]])
+        for name in (MASS, STIFFNESS, GRAD, GRAD_T):
+            value = f @ (getattr(m, name) @ f)
             # dense: 2p + 1 then n terms deep; bands: one product, then (p + 1) n terms
             # deep, with the symmetric part of G rounded once
             tol = ((p + 2) * n + 2 * p + 4) * EPS * (np.abs(f) @ np.abs(getattr(m, name))
                                                      @ np.abs(f))
-            assert abs(quad[name] - value) <= tol, name
+            assert abs(forms[FORM_ROW[name]] - value) <= tol, name
 
 
 def test_pga_above_the_crossover_builds_no_dense_view():
@@ -405,6 +440,13 @@ def test_als_sweep_computes_each_factors_forms_once(monkeypatch):
         calls.clear()
         als_rank1(form, mats, rhs, init, tol=0.0, max_sweeps=sweeps)
         assert len(calls) == 3 + sweeps * (2 + 3)
+    # the three slots' operator columns differ, and each band stack is built
+    # by the first call only
+    stacks = dict(one._band_stacks)
+    assert len(stacks) == 3
+    assert all(not stack.flags.writeable for stack in stacks.values())
+    assert all(stacks[names] is slot_stack(form, mats, j)
+               for j, names in enumerate(zip(*(ops for _, ops in form.terms))))
 
 
 def test_als_output_is_normalized():

@@ -12,11 +12,9 @@ from greedy_ou.springs import (
     FENE,
     SpringModel,
     boundary_limit_d2q,
-    force_f,
     integrate_weighted,
     maxwellian_unnormalized,
     normalize,
-    potential_u,
     q_theta,
 )
 
@@ -32,48 +30,12 @@ def test_model_validation():
         SpringModel("hookean", 4.0)
 
 
-def test_potential_hand_values():
-    fene = SpringModel(FENE, 4.0)
-    # -(4/2) ln(1 - 2*1/4) = 2 ln 2
-    assert potential_u(fene, 1.0) == pytest.approx(1.3862943611198906, abs=1e-15)
-    assert potential_u(fene, 0.0) == 0.0
-    cpail = SpringModel(CPAIL, 3.0 + 1e-9)
-    # s/3 - (b/3) ln(1 - 2s/b) at s=0
-    assert potential_u(cpail, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        potential_u(fene, 2.0)  # s = b/2 excluded
-
-
-def test_force_hand_values():
-    fene = SpringModel(FENE, 4.0)
-    # q/(1-q^2/b) at q=1: 1/(3/4) = 4/3
-    assert force_f(fene, 1.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
-    cpail = SpringModel(CPAIL, 3.0 + 1e-12)
-    # q(1 - q^2/(3b))/(1 - q^2/b) at q=1, b=3: (1 - 1/9)/(1 - 1/3) = 4/3
-    assert force_f(cpail, 1.0) == pytest.approx(4.0 / 3.0, rel=1e-6)
-    with pytest.raises(ValueError):
-        force_f(fene, 2.0)
-
-
-@given(q=st.floats(min_value=0.01, max_value=0.99))
-def test_force_is_odd(q):
-    for model in (SpringModel(FENE, 4.0), SpringModel(CPAIL, 6.0)):
-        x = q * model.q_max
-        assert force_f(model, -x) == pytest.approx(-force_f(model, x), rel=1e-12)
-
-
-@given(s=st.floats(min_value=0.0, max_value=0.9))
-def test_potential_convex_increasing(s):
-    # U' = F(sqrt(2s)) / sqrt(2s) >= 0 and U'' > 0 on [0, b/2); check discretely
-    for model in (SpringModel(FENE, 4.0), SpringModel(CPAIL, 3.5)):
-        smax = model.b / 2.0
-        s0 = s * smax
-        h = 1e-5 * smax
-        if s0 + 2 * h >= smax:
-            return
-        u0, u1, u2 = (potential_u(model, s0 + k * h) for k in range(3))
-        assert u1 - u0 >= -1e-12
-        assert u2 - 2 * u1 + u0 >= -1e-12
+def spring_force(model, q):
+    """The spring law's force F(q) = U'(q^2/2) q, in closed form."""
+    denom = 1.0 - q * q / model.b
+    if model.kind == FENE:
+        return q / denom
+    return q * (1.0 - q * q / (3.0 * model.b)) / denom
 
 
 def test_force_matches_log_derivative_of_maxwellian():
@@ -83,7 +45,8 @@ def test_force_matches_log_derivative_of_maxwellian():
         h = 1e-6
         for q in qs:
             lm = -np.log(maxwellian_unnormalized(model, np.array([q - h, q + h])))
-            assert (lm[1] - lm[0]) / (2 * h) == pytest.approx(force_f(model, q), rel=1e-6, abs=1e-8)
+            assert (lm[1] - lm[0]) / (2 * h) == pytest.approx(spring_force(model, q),
+                                                             rel=1e-6, abs=1e-8)
 
 
 def test_maxwellian_boundary_and_domain():
