@@ -439,12 +439,6 @@ class GreedyTrace:
     final_surrogate: float | None = None  # candidate value that triggered the stop
 
 
-def _err_energy(form, mats, target, approx):
-    if target is None:
-        return float("nan")
-    return energy_norm(form, mats, target - approx)
-
-
 def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
                  restarts, rng, target, orthogonal):
     if n_max < 1:
@@ -487,7 +481,9 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
             column = applied.values(captured)
             gram = np.block([[gram, column[:-1, None]], [column]])
             fvec = np.append(fvec, rhs.value(term))
-            alpha = _solve_galerkin(gram, fvec)
+            # solved for the unit-norm terms (Jacobi scaling), so no term is cut for its size
+            s = 1.0 / np.sqrt(np.diag(gram))
+            alpha = s * _solve_galerkin(s[:, None] * gram * s, s * fvec)
             approx = SeparatedFunction(alpha, captured.factors)
             alpha_out = tuple(float(a) for a in alpha)
         else:
@@ -497,7 +493,8 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
         ortho_defect = residual.value(term)
         trace.rows.append(TraceRow(
             n=n,
-            err_energy=_err_energy(form, mats, target, approx),
+            err_energy=(float("nan") if target is None
+                        else energy_norm(form, mats, target - approx)),
             term_norm_a=norm_n,
             ortho_defect=float(ortho_defect),
             surrogate=float(surrogate),

@@ -452,6 +452,22 @@ def test_exact_dual_column_matches_energy_error(tmp_path):
             assert dual == pytest.approx(err, rel=1e-6)
 
 
+def test_oga_keeps_terms_far_below_the_first(tmp_path):
+    # a rank-one target is captured to roundoff at row 1; every later term has
+    # about 4e-10 of its norm and, left out of the Galerkin update, would be
+    # captured again on every row up to n_max with the dual norm unchanged
+    out = tmp_path / "out"
+    raw = base_config(mesh={"n_el": 8, "degree": 1}, algorithm="oga", tol_stop=1e-14,
+                      n_max=15, als={"tol": 1e-15, "restarts": 4, "seed": 0},
+                      target={"kind": "manufactured", "coefficients": [1.0], "seed": 7})
+    code = cli.main(["solve", "--config", write_config(tmp_path, raw), "--out", str(out),
+                     "--exact-dual"])
+    _, rows = read_csv(out / "solve.csv")
+    assert code == 0 and len(rows) < 15
+    assert float(rows[-1][6]) < 1e-3 * float(rows[0][6])
+    assert min(json.loads(rows[1][5])) > 0.5
+
+
 def test_exact_dual_assembles_dense_form_once(tmp_path, monkeypatch):
     calls = []
     assemble_dense = greedy.assemble_dense

@@ -562,6 +562,25 @@ def test_oga_exact_on_orthogonal_rank_two():
     assert trace.rows[1].err_energy <= 1e-6 * energy_norm(form, mats, target)
 
 
+def test_oga_keeps_a_tiny_a_orthogonal_term():
+    # the second term is a-orthogonal to the first with 1e-7 of its norm: the
+    # raw Gram matrix has condition near 1e14 and its smaller eigenvalue lies
+    # under 1e-13 of the larger, while the Jacobi-scaled one is the identity
+    from scipy.linalg import eigh
+
+    one = assemble(build_mesh(4.0, 8), normalize(SpringModel(FENE, 4.0)), 1)
+    mats = [one, one]
+    form = EnergyForm(np.eye(2), wi=1.0, c=1.0)
+    _, evecs = eigh(one.stiffness + one.mass, one.mass)
+    e = [evecs[:, k] for k in range(2)]
+    target = separated([(1.0, rank_one([e[0], e[0]])), (1e-7, rank_one([e[1], e[1]]))])
+    _, trace = run_oga(form, mats, Functional.from_target(form, mats, target),
+                       tol_stop=1e-12, n_max=4, als_tol=1e-14, restarts=2,
+                       rng=np.random.default_rng(27), target=target)
+    assert trace.status != "n_max" and len(trace.rows) == 2
+    assert trace.rows[1].alpha == (pytest.approx(1.0, rel=1e-9), pytest.approx(1.0, rel=1e-6))
+
+
 def test_oga_not_worse_than_pga_per_iteration():
     mats = two_factor_mats(n_el=5, degree=2)
     form = EnergyForm(ROUSE2, wi=1.0, c=1.0)
