@@ -14,9 +14,10 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpbtrf
 
 from .eigen import solve_factor_eigens
-from .fem import assemble, build_mesh
+from .fem import MASS, assemble, build_mesh
 from .greedy import EnergyForm, SeparatedFunction, energy_rank1, random_unit_term
 from .springs import CPAIL, FENE, SpringModel, normalize
 
@@ -244,10 +245,24 @@ def load_raw(path):
 
 
 def build_problem(cfg: ExperimentConfig):
-    """Energy form and per-factor matrices; equal factor models share one basis."""
-    bases = {model: assemble(build_mesh(model.b, cfg.n_el, cfg.grading), normalize(model),
-                             cfg.degree)
-             for model in dict.fromkeys(cfg.factor_models)}
+    """Energy form and per-factor matrices; equal factor models share one basis.
+
+    A basis whose mass band has no banded Cholesky factor is refused under
+    the b of the first factor that uses it: at large b the weight underflows
+    on the boundary elements, and no solve or eigensolve can use that basis.
+    """
+    bases = {}
+    for i, model in enumerate(cfg.factor_models):
+        if model in bases:
+            continue
+        mats = assemble(build_mesh(model.b, cfg.n_el, cfg.grading), normalize(model), cfg.degree)
+        mass = mats.bands[MASS]
+        if dpbtrf(mass)[1] != 0:
+            raise ConfigError(
+                f"factors[{i}].b",
+                f"mass matrix not positive definite at mesh.n_el = {cfg.n_el}: the boundary "
+                f"mass M[0, 0] = {mass[-1, 0]:.3g} underflows")
+        bases[model] = mats
     return cfg.form, [bases[model] for model in cfg.factor_models]
 
 

@@ -64,21 +64,22 @@ class NullTermError(RuntimeError):
     """The rank-one minimizer is null: residual orthogonal to rank-one set."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyForm:
     """Coupling matrix A, Weissenberg number wi, and reaction coefficient c.
 
     Term table of terms (operator_terms): coefs[t] = coef_t, and slot_rows[j] the
     T x (N - 1) flat indices 3 k + FORM_ROW[op_{t,k}], k != j, of the forms that
     slot j's Hessian multiplies, in an N x 3 array holding factor k's in row k.
+    A form compares and hashes by identity.
     """
 
     coupling: np.ndarray
     wi: float
     c: float
-    terms: list = field(init=False, repr=False, compare=False)
-    coefs: np.ndarray = field(init=False, repr=False, compare=False)
-    slot_rows: tuple = field(init=False, repr=False, compare=False)
+    terms: list = field(init=False, repr=False)
+    coefs: np.ndarray = field(init=False, repr=False)
+    slot_rows: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.coupling, dtype=float)

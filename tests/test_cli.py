@@ -4,7 +4,10 @@ import csv
 import hashlib
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +256,20 @@ def test_equal_factor_models_share_one_basis(monkeypatch):
         factors=[{"kind": "fene", "b": 4.0}, {"kind": "cpail", "b": 6.0}])))
     assert sorted(calls) == ["assemble", "assemble", "normalize", "normalize"]
     assert mats[0] is not mats[1]
+
+
+@pytest.mark.parametrize("command", ["solve", "eig"])
+def test_basis_with_underflowing_mass_refused(tmp_path, capsys, command):
+    # at FENE b=1000 the weight underflows on the boundary elements of a
+    # 20-element mesh, so the mass band has no Cholesky factor
+    raw = base_config(factors=[{"kind": "fene", "b": 4.0}, {"kind": "fene", "b": 1000.0}],
+                      mesh={"n_el": 20})
+    code = cli.main([command, "--config", write_config(tmp_path, raw),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: factors[1].b: mass matrix not positive definite")
+    assert "mesh.n_el = 20" in err and "M[0, 0] = 0 underflows" in err
 
 
 def test_each_distinct_basis_is_resolved_once(tmp_path, monkeypatch):
@@ -726,6 +743,20 @@ def test_failing_sweep_run_is_recorded_and_later_runs_still_run(tmp_path, capsys
     assert (out / "c" / "solve.csv").exists()
     codes = json.loads((out / "sweep.json").read_text())["runs"]
     assert codes["b"] == 1 and codes["a"] == codes["c"] != 1
+
+
+def test_solve_leaves_scipy_sparse_unimported(tmp_path):
+    # eigen imports scipy.sparse.linalg on first use, which keeps it (about
+    # 4 MB) out of every solve; a fresh interpreter shows any eager import
+    src = Path(cli.__file__).resolve().parent.parent
+    code = ("import sys; from greedy_ou import cli; cli.main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    done = subprocess.run(
+        [sys.executable, "-c", code, "solve", "--config", write_config(tmp_path, base_config()),
+         "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
+    assert (tmp_path / "out" / "solve.csv").exists()
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_readme_library_example_runs():

@@ -100,6 +100,15 @@ def kron_vec(term):
     return reduce(np.kron, vectors(term))
 
 
+def test_energy_forms_compare_and_hash_by_identity():
+    # two equal forms hold equal arrays; comparing them must not compare the
+    # arrays, and each one can key a dict of per-form results
+    a, b = EnergyForm(ROUSE2, wi=1.0, c=1.0), EnergyForm(ROUSE2, wi=1.0, c=1.0)
+    assert np.array_equal(a.coupling, b.coupling)
+    assert a != b and a == a
+    assert len({a: 0, b: 1}) == 2
+
+
 def test_energy_form_validation():
     form = EnergyForm(ROUSE2, wi=1.0, c=1.0)
     assert form.lambda_min == pytest.approx(0.5)

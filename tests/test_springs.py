@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from greedy_ou import springs
 from greedy_ou.springs import (
     CPAIL,
     FENE,
@@ -63,17 +62,26 @@ def test_normalize_fene_b2_closed_form():
     assert weight.z_inv == pytest.approx(3.0 / (4.0 * np.sqrt(2.0)), rel=1e-9)
 
 
-@pytest.mark.parametrize("kind,b", [(FENE, 2.5), (FENE, 4.0), (FENE, 8.0),
-                                    (CPAIL, 3.5), (CPAIL, 6.0)])
+@pytest.mark.parametrize("kind,b", [(FENE, 2.5), (FENE, 4.0), (FENE, 8.0), (FENE, 30.0),
+                                    (FENE, 100.0), (FENE, 1000.0), (FENE, 1e4),
+                                    (CPAIL, 3.5), (CPAIL, 6.0), (CPAIL, 100.0),
+                                    (CPAIL, 1000.0), (CPAIL, 1e4)])
 def test_normalized_weight_integrates_to_one(kind, b):
     model = SpringModel(kind, b)
     weight = normalize(model)
-    # independent route: adaptive quadrature on the open interval
+    # independent route: adaptive quadrature on the open interval; the weight
+    # narrows toward q = 0 as b grows, which the Jacobi rule must still resolve
     z, _ = quad(lambda q: maxwellian_unnormalized(model, q), -model.q_max, model.q_max,
-                points=[0.0], limit=500, epsabs=1e-13, epsrel=1e-13)
-    assert weight.z_inv * z == pytest.approx(1.0, abs=1e-10)
+                points=[0.0], limit=500, epsabs=0.0, epsrel=1e-13)
+    assert weight.z_inv * z == pytest.approx(1.0, rel=1e-13, abs=0.0)
     total = integrate_weighted(model)
     assert weight.z_inv * total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_normalization_bits_are_pinned():
+    # every basis, and so every output, scales with these two constants
+    assert normalize(SpringModel(FENE, 4.0)).z_inv == 0.4687500000000001
+    assert normalize(SpringModel(CPAIL, 6.0)).z_inv == 0.43602459240255165
 
 
 def test_integrate_weighted_moment():
@@ -83,13 +91,6 @@ def test_integrate_weighted_moment():
     ref, _ = quad(lambda q: q * q * maxwellian_unnormalized(model, q),
                   -model.q_max, model.q_max, limit=200)
     assert mine == pytest.approx(ref, rel=1e-11)
-
-
-def test_integrate_weighted_refuses_unconverged(monkeypatch):
-    # no pair of successive values can meet a negative tolerance
-    monkeypatch.setattr(springs, "QUAD_REL_TOL", -1.0)
-    with pytest.raises(RuntimeError, match=r"within 60 grading levels \(cpail, b=6\)"):
-        normalize(SpringModel(CPAIL, 6.0))
 
 
 def test_q_theta_hand_values():
