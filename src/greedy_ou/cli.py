@@ -30,7 +30,7 @@ from .config import (SCHEMA_VERSION, ConfigError, ExperimentConfig, build_proble
 from .diagnostics import fourier_coeffs, rate_class_report
 from .eigen import EigenError, resolved_factor_eigens, weyl_fit
 from .fem import AssemblyError
-from .greedy import Functional, GreedyError, SeparatedFunction, exact_dual_norms, run_oga, run_pga
+from .greedy import Functional, GreedyError, run_oga, run_pga
 from .springs import normalize  # noqa: F401  (perfbench/spans.py patches cli.normalize)
 
 logger = logging.getLogger(__name__)
@@ -62,34 +62,20 @@ def _run_algorithm(cfg: ExperimentConfig, name: str, form, mats, rhs, target):
                           restarts=cfg.als_restarts, rng=rng, target=target)
 
 
-def _residual_at(form, mats, rhs, approx, row):
-    """Residual functional after the update recorded in a trace row."""
-    weights = approx.weights[:row.n] if row.alpha is None else row.alpha
-    used = SeparatedFunction(weights, [f[:, :row.n] for f in approx.factors])
-    return rhs - Functional.from_target(form, mats, used)
-
-
-def cmd_solve(cfg: ExperimentConfig, out_dir: Path, exact_dual: bool = False) -> int:
+def cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
     form, mats = build_problem(cfg)
     target, bound = build_target(cfg, form, mats)
     rhs = Functional.from_target(form, mats, target)
     started = time.perf_counter()
-    approx, trace = _run_algorithm(cfg, cfg.algorithm, form, mats, rhs, target)
+    _, trace = _run_algorithm(cfg, cfg.algorithm, form, mats, rhs, target)
     wall = time.perf_counter() - started
 
     header = ["n", "err_energy", "term_norm_a", "ortho_defect", "surrogate", "alpha_json"]
-    if exact_dual:
-        header.append("dual_norm")
     rows = []
     for row in trace.rows:
         alpha_json = json.dumps(list(row.alpha)) if row.alpha is not None else ""
         rows.append([row.n, row.err_energy, row.term_norm_a, row.ortho_defect,
                      row.surrogate, alpha_json])
-    if exact_dual:
-        duals = exact_dual_norms(form, mats, [_residual_at(form, mats, rhs, approx, row)
-                                              for row in trace.rows])
-        for values, dual in zip(rows, duals):
-            values.append(dual)
     _write_csv(out_dir / "solve.csv", header, rows)
 
     record = {
@@ -268,9 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=".", help="output directory (created if missing)")
-        if name == "solve":
-            p.add_argument("--exact-dual", action="store_true",
-                           help="add a dense residual dual-norm column, tiny grids only")
         if name == "sweep":
             p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
     return parser
@@ -289,7 +272,7 @@ def main(argv=None) -> int:
             return cmd_sweep(raw, out_dir, args.jobs)
         cfg = validate_config(raw)
         if args.command == "solve":
-            return cmd_solve(cfg, out_dir, args.exact_dual)
+            return cmd_solve(cfg, out_dir)
         if args.command == "eig":
             return cmd_eig(cfg, out_dir)
         if args.command == "rates":

@@ -247,15 +247,20 @@ def load_raw(path):
 def build_problem(cfg: ExperimentConfig):
     """Energy form and per-factor matrices; equal factor models share one basis.
 
-    A basis whose mass band has no banded Cholesky factor is refused under
-    the b of the first factor that uses it: at large b the weight underflows
-    on the boundary elements, and no solve or eigensolve can use that basis.
+    A basis is refused under the b of the first factor that uses it when its
+    weight's normalisation is not finite (the quadrature fails at very large b)
+    or its mass band has no banded Cholesky factor (at large b the weight
+    underflows on the boundary elements): no solve or eigensolve can use it.
     """
     bases = {}
     for i, model in enumerate(cfg.factor_models):
         if model in bases:
             continue
-        mats = assemble(build_mesh(model.b, cfg.n_el, cfg.grading), normalize(model), cfg.degree)
+        weight = normalize(model)
+        if not np.isfinite(weight.z_inv):
+            raise ConfigError(f"factors[{i}].b", f"weight normalisation {weight.z_inv} "
+                                                 "is not finite")
+        mats = assemble(build_mesh(model.b, cfg.n_el, cfg.grading), weight, cfg.degree)
         mass = mats.bands[MASS]
         if dpbtrf(mass)[1] != 0:
             raise ConfigError(

@@ -16,8 +16,8 @@ U_k, built once when it is made, so a greedy residual f - a(u_n, .) stays
 low-rank, and every pairing, slot vector and slot Hessian applies the terms
 and then takes one product over factors; a greedy iteration applies its new
 term once.  A rank-one term is a CP form of rank 1 (rank_one).
-assemble_dense expands the form by hand on purpose: it is the independent
-Kronecker oracle for small grids.
+energy_norm recompresses a CP form's columns into factor bases before it
+squares anything, so an error that cancels has no roundoff floor.
 
 The rank-one subproblem min_u J_f(u) = 1/2 a(u,u) - f(u) is solved by
 alternating sweeps: freezing all factors but slot j leaves a small symmetric
@@ -33,11 +33,12 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh, solve
+from scipy.linalg import eigh, solve
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .fem import FORM_ROW, GRAD, GRAD_T, MASS, STIFFNESS, FactorMatrices
@@ -48,8 +49,6 @@ logger = logging.getLogger(__name__)
 _NULL_MASS_NORM = 1e-14
 # Gram condition number beyond which the captured dictionary is re-orthogonalized
 _GRAM_COND_LIMIT = 1e12
-# largest total tensor-grid size for which exact_dual_norms assembles the dense form
-DENSE_MAX_DOF = 10_000
 
 
 class GreedyError(RuntimeError):
@@ -260,8 +259,70 @@ def energy_pairing(form: EnergyForm, mats, f: SeparatedFunction, g: SeparatedFun
     return float(g.weights @ Functional.from_target(form, mats, f).values(g))
 
 
+# mass-orthonormal basis Q of one factor's CP columns U = Q R: the stack of Q and
+# op Q over _OPS, and R
+_Basis = namedtuple("_Basis", "stack coefs")
+_OPS = (MASS, STIFFNESS, GRAD)
+
+
+def _with_column(mats_k: FactorMatrices, basis: _Basis, u: np.ndarray) -> _Basis:
+    """The basis of one more column u: two classical Gram-Schmidt passes in the mass inner
+    product, the remainder a new basis vector unless the second pass removed more than it
+    left, u then being in the span (Kahan; Parlett, The Symmetric Eigenvalue Problem, 6.9)."""
+    (q, mq), coefs = basis.stack[:2], basis.coefs
+    h1 = mq.T @ u
+    v1 = u - q @ h1
+    h2 = mq.T @ v1
+    v = v1 - q @ h2
+    mv = mats_k.apply(MASS, v)
+    nu = math.sqrt(max(float(v @ mv), 0.0))
+    r, keep = len(coefs), nu > math.sqrt(float(h2 @ h2))
+    grown = np.zeros((r + keep, coefs.shape[1] + 1))
+    grown[:r, :-1], grown[:r, -1] = coefs, h1 + h2
+    if not keep:
+        return basis._replace(coefs=grown)
+    grown[r, -1] = nu
+    new = np.array([v, mv] + [mats_k.apply(name, v) for name in _OPS[1:]]) / nu
+    return _Basis(np.concatenate([basis.stack, new[:, :, None]], axis=2), grown)
+
+
+def _extended(mats, factors, bases=None) -> list:
+    """Factor bases (empty by default) extended by the columns they do not hold yet."""
+    bases = bases or [_Basis(np.zeros((4, m.ndof, 0)), np.zeros((0, 0))) for m in mats]
+    for columns in zip(*(np.array(f[:, bases[0].coefs.shape[1]:].T) for f in factors)):
+        bases = [_with_column(m, b, u) for m, b, u in zip(mats, bases, columns)]
+    return bases
+
+
+def _mode_product(core: np.ndarray, k: int, mat: np.ndarray) -> np.ndarray:
+    """core x_k mat: mode k contracted with the columns of mat, one matrix product."""
+    a, r, b = math.prod(core.shape[:k]), core.shape[k], math.prod(core.shape[k + 1:])
+    out = core.reshape(a, r) @ mat.T if b == 1 else mat @ core.reshape(a, r, b)
+    return out.reshape(core.shape)
+
+
 def energy_norm(form: EnergyForm, mats, f: SeparatedFunction) -> float:
-    return float(np.sqrt(max(energy_pairing(form, mats, f, f), 0.0)))
+    """||f||_a with no floor: the columns, recompressed into mass-orthonormal factor bases
+    (_with_column), cancel in the Tucker core C = sum_r w_r (x)_k R_k[:, r] before anything
+    is squared (De Lathauwer, De Moor, Vandewalle, SIAM J. Matrix Anal. Appl. 21, 2000).
+    Mass slots are identities there, so term t is <C x_i Q'GQ over its GRAD_T slots i,
+    C x_j Q'op Q over its other slots j>.  A form's _bases (the loops' error) are used."""
+    _check_sizes(form, mats, f)
+    bases = vars(f).get("_bases") or _extended(mats, f.factors)
+    first, *rest = [b.coefs for b in bases]
+    columns = reduce(lambda a, c: (a[:, None] * c).reshape(len(a) * len(c), f.rank), rest[1:],
+                     rest[0] if rest else np.ones((1, f.rank)))
+    core = ((first * f.weights) @ columns.T).reshape([len(b.coefs) for b in bases])
+    products = {(k, name): _mode_product(core, k, proj) for k, b in enumerate(bases)
+                for name, proj in zip(_OPS[1:], b.stack[0].T @ b.stack[2:])}
+    total = 0.0
+    for coef, ops in form.terms:
+        sides = [core, core]  # test, trial
+        for k, op in enumerate(ops):
+            if op != MASS:
+                sides[op != GRAD_T] = products[k, GRAD if op == GRAD_T else op]
+        total += coef * float(np.vdot(*sides))
+    return math.sqrt(max(total, 0.0))
 
 
 class Functional(_CPForm):
@@ -456,6 +517,7 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
     gram = np.zeros((0, 0))
     fvec = np.zeros(0)
     r1_norm = None
+    bases = None  # of the error's columns: the target's, then one captured column per row
     for n in range(1, n_max + 1):
         try:
             term, j_val = als_best(form, mats, residual, tol=als_tol,
@@ -491,16 +553,14 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
             approx = captured
             alpha_out = None
         residual = rhs - Functional.from_target(form, mats, approx)
-        ortho_defect = residual.value(term)
-        trace.rows.append(TraceRow(
-            n=n,
-            err_energy=(float("nan") if target is None
-                        else energy_norm(form, mats, target - approx)),
-            term_norm_a=norm_n,
-            ortho_defect=float(ortho_defect),
-            surrogate=float(surrogate),
-            alpha=alpha_out,
-        ))
+        if target is not None:
+            error = target - approx
+            bases = _extended(mats, error.factors, bases)
+            object.__setattr__(error, "_bases", bases)
+        trace.rows.append(TraceRow(n=n, err_energy=float("nan") if target is None
+                                   else energy_norm(form, mats, error), term_norm_a=norm_n,
+                                   ortho_defect=float(residual.value(term)),
+                                   surrogate=float(surrogate), alpha=alpha_out))
     return approx, trace
 
 
@@ -544,52 +604,3 @@ def run_oga(form: EnergyForm, mats, rhs: Functional, tol_stop: float = 1e-6,
     return _greedy_loop(form, mats, rhs, tol_stop, n_max, als_tol=als_tol,
                         max_sweeps=max_sweeps, restarts=restarts, rng=rng,
                         target=target, orthogonal=True)
-
-
-def assemble_dense(form: EnergyForm, mats) -> np.ndarray:
-    """Full Kronecker assembly of the energy form; small grids only."""
-    n = form.n_factors
-    quarter = 1.0 / (4.0 * form.wi)
-    masses = [m.mass for m in mats]
-
-    total = form.c * reduce(np.kron, masses)
-    for i in range(n):
-        slots = list(masses)
-        slots[i] = mats[i].stiffness
-        total = total + form.coupling[i, i] * quarter * reduce(np.kron, slots)
-    for i in range(n):
-        for j in range(n):
-            if i == j or form.coupling[i, j] == 0.0:
-                continue
-            slots = list(masses)
-            slots[j] = mats[j].grad_coupling       # derivative on the trial slot
-            slots[i] = mats[i].grad_coupling.T     # derivative on the test slot
-            total = total + form.coupling[i, j] * quarter * reduce(np.kron, slots)
-    return total
-
-
-def dense_functional_vector(functional: Functional) -> np.ndarray:
-    """Functional applied to every tensor-product basis function: sum_c w_c kron_k F_k[:, c]."""
-    columns = reduce(lambda a, f: (a[:, None, :] * f[None, :, :]).reshape(-1, f.shape[1]),
-                     functional.factors)
-    return columns @ functional.weights
-
-
-def exact_dual_norms(form: EnergyForm, mats, functionals) -> list:
-    """Dual norms of functionals via their dense Riesz representers.
-
-    Solves a(zeta, .) = f(.) on the full tensor grid for each functional,
-    assembling and factoring the form once; refused above DENSE_MAX_DOF total
-    degrees of freedom.
-    """
-    total_dof = int(np.prod([m.ndof for m in mats]))
-    if total_dof > DENSE_MAX_DOF:
-        raise ValueError(f"dense dual norm needs {total_dof} dof, budget is {DENSE_MAX_DOF}")
-    a_full = assemble_dense(form, mats)
-    factor = cho_factor(a_full)
-    norms = []
-    for functional in functionals:
-        fvec = dense_functional_vector(functional)
-        zeta = cho_solve(factor, fvec)
-        norms.append(float(np.sqrt(max(zeta @ fvec, 0.0))))
-    return norms

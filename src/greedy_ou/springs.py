@@ -100,9 +100,10 @@ def integrate_weighted(model: SpringModel, fn=None):
 
     One QUAD_POINTS-point Gauss-Jacobi rule with exponent e at both ends, so
     only fn times the smooth factor is sampled.  fn=None integrates the bare
-    weight.
+    weight.  From FENE b = 1e9 and CPAIL b = 3e9 on it is NaN, silently.
     """
-    x, w = roots_jacobi(QUAD_POINTS, model.e, model.e)
+    with np.errstate(all="ignore"):
+        x, w = roots_jacobi(QUAD_POINTS, model.e, model.e)
     q = model.q_max * x
     vals = model.smooth(q)
     if fn is not None:

@@ -227,13 +227,18 @@ def test_index_beyond_basis_refused_at_validation(degree, size):
         validate_config(raw)
 
 
-@pytest.mark.parametrize("command", ["solve", "sweep"])
-def test_seed_flag_refused(tmp_path, capsys, command):
+@pytest.mark.parametrize("command,flags", [
+    pytest.param("solve", ["--seed", "7"], id="solve"),
+    pytest.param("sweep", ["--seed", "7"], id="sweep"),
+    # the error column is exact at every size, so no dense check is left to ask for
+    pytest.param("solve", ["--exact-dual"], id="exact-dual"),
+])
+def test_seed_flag_refused(tmp_path, capsys, command, flags):
     with pytest.raises(SystemExit) as exc:
         cli.main([command, "--config", write_config(tmp_path, base_config()),
-                  "--out", str(tmp_path / "out"), "--seed", "7"])
+                  "--out", str(tmp_path / "out"), *flags])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -270,6 +275,30 @@ def test_basis_with_underflowing_mass_refused(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: factors[1].b: mass matrix not positive definite")
     assert "mesh.n_el = 20" in err and "M[0, 0] = 0 underflows" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["solve", "eig"])
+@pytest.mark.parametrize("kind,b", [("cpail", 1e12), ("fene", 1e9)])
+def test_weight_without_finite_normalisation_refused(tmp_path, capsys, command, kind, b):
+    # the Gauss-Jacobi rule gives NaN nodes at these exponents, so z_inv is
+    # NaN; scipy's RuntimeWarnings on the way are silenced, here raised
+    raw = base_config(factors=[{"kind": kind, "b": b}])
+    code = cli.main([command, "--config", write_config(tmp_path, raw),
+                     "--out", str(tmp_path / "out")])
+    # one line on stderr, so no traceback
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: factors[0].b: weight normalisation nan is not finite\n"
+
+
+def test_finite_normalisation_at_fene_b_3e8_is_not_refused():
+    # z_inv is still finite there, so the refusal that follows at a 6-element
+    # mesh is the underflowing mass band's, not the normalisation's
+    cfg = validate_config(base_config(factors=[{"kind": "fene", "b": 3e8}]))
+    assert config.normalize(cfg.factor_models[0]).z_inv == pytest.approx(0.3989422813987884)
+    with pytest.raises(ConfigError, match=r"^factors\[0\]\.b: mass matrix not positive"):
+        build_problem(cfg)
 
 
 def test_each_distinct_basis_is_resolved_once(tmp_path, monkeypatch):
@@ -455,52 +484,19 @@ def test_oga_alpha_column_and_error_vs_pga(tmp_path):
         assert oga_err <= pga_err * (1 + 1e-8)
 
 
-def test_exact_dual_column_matches_energy_error(tmp_path):
-    out = tmp_path / "out"
-    raw = base_config(n_max=4, tol_stop=1e-10)
-    code = cli.main(["solve", "--config", write_config(tmp_path, raw),
-                     "--out", str(out), "--exact-dual"])
-    assert code in (0, 2)
-    header, rows = read_csv(out / "solve.csv")
-    assert header[-1] == "dual_norm"
-    for row in rows:
-        err, dual = float(row[1]), float(row[6])
-        if err > 1e-6:
-            assert dual == pytest.approx(err, rel=1e-6)
-
-
 def test_oga_keeps_terms_far_below_the_first(tmp_path):
     # a rank-one target is captured to roundoff at row 1; every later term has
     # about 4e-10 of its norm and, left out of the Galerkin update, would be
-    # captured again on every row up to n_max with the dual norm unchanged
+    # captured again on every row up to n_max with the error unchanged
     out = tmp_path / "out"
     raw = base_config(mesh={"n_el": 8, "degree": 1}, algorithm="oga", tol_stop=1e-14,
                       n_max=15, als={"tol": 1e-15, "restarts": 4, "seed": 0},
                       target={"kind": "manufactured", "coefficients": [1.0], "seed": 7})
-    code = cli.main(["solve", "--config", write_config(tmp_path, raw), "--out", str(out),
-                     "--exact-dual"])
+    code = cli.main(["solve", "--config", write_config(tmp_path, raw), "--out", str(out)])
     _, rows = read_csv(out / "solve.csv")
     assert code == 0 and len(rows) < 15
-    assert float(rows[-1][6]) < 1e-3 * float(rows[0][6])
+    assert float(rows[-1][1]) < 1e-3 * float(rows[0][1])
     assert min(json.loads(rows[1][5])) > 0.5
-
-
-def test_exact_dual_assembles_dense_form_once(tmp_path, monkeypatch):
-    calls = []
-    assemble_dense = greedy.assemble_dense
-
-    def counted(*args):
-        calls.append(args)
-        return assemble_dense(*args)
-
-    monkeypatch.setattr(greedy, "assemble_dense", counted)
-    out = tmp_path / "out"
-    raw = base_config(n_max=4, tol_stop=1e-10)
-    cli.main(["solve", "--config", write_config(tmp_path, raw), "--out", str(out),
-              "--exact-dual"])
-    _, rows = read_csv(out / "solve.csv")
-    assert len(rows) >= 2
-    assert len(calls) == 1
 
 
 # --- eig ---
@@ -728,10 +724,10 @@ def test_sweep_asks_for_no_more_workers_than_runs(tmp_path, monkeypatch):
 def test_failing_sweep_run_is_recorded_and_later_runs_still_run(tmp_path, capsys, monkeypatch):
     solve = cli.cmd_solve
 
-    def cmd_solve_stub(cfg, out_dir, exact_dual=False):
+    def cmd_solve_stub(cfg, out_dir):
         if out_dir.name == "b":
             raise greedy.GreedyError("iteration 1: stub failure")
-        return solve(cfg, out_dir, exact_dual)
+        return solve(cfg, out_dir)
 
     monkeypatch.setattr(cli, "cmd_solve", cmd_solve_stub)
     sweep = {"schema_version": 1, "base": base_config(n_max=2),
