@@ -38,7 +38,8 @@ from greedy_ou.greedy import (
 )
 from greedy_ou.springs import CPAIL, FENE, SpringModel, normalize
 
-from dense_oracle import assemble_dense, dense_dual_norms, dense_functional_vector
+from dense_oracle import (assemble_dense, dense_dual_norms, dense_functional_vector,
+                          dense_vector)
 
 ROUSE2 = np.array([[1.0, -0.5], [-0.5, 1.0]])
 EPS = np.finfo(float).eps
@@ -793,20 +794,17 @@ def test_separated_operator_matches_dense_oracle(problem, ranks):
     f, g, h = (separated([(rng.uniform(-1.5, 1.5), random_term(mats, rng, normalized=False))
                           for _ in range(rank)]) for rank in ranks + (2,))
 
-    def dense(sep):
-        return sum(w * kron_vec(t) for w, t in sep.terms)
-
-    assert_close(energy_pairing(form, mats, f, g), dense(g) @ a_full @ dense(f),
-                 dense(abs_function(g)) @ a_abs @ dense(abs_function(f)))
+    assert_close(energy_pairing(form, mats, f, g), dense_vector(g) @ a_full @ dense_vector(f),
+                 dense_vector(abs_function(g)) @ a_abs @ dense_vector(abs_function(f)))
 
     # residual of a target-plus-source functional; the oracle applies the dense
     # form and the Kronecker mass to the primal stacks directly
     rhs = (Functional.from_target(form, mats, f) + Functional.from_source(mats, g)
            - Functional.from_target(form, mats, h))
-    f_full = (a_full @ (dense(f) - dense(h))
-              + reduce(np.kron, [m.mass for m in mats]) @ dense(g))
-    f_abs = (a_abs @ (dense(abs_function(f)) + dense(abs_function(h)))
-             + reduce(np.kron, [m.mass for m in abs_mats]) @ dense(abs_function(g)))
+    f_full = (a_full @ (dense_vector(f) - dense_vector(h))
+              + reduce(np.kron, [m.mass for m in mats]) @ dense_vector(g))
+    f_abs = (a_abs @ (dense_vector(abs_function(f)) + dense_vector(abs_function(h)))
+             + reduce(np.kron, [m.mass for m in abs_mats]) @ dense_vector(abs_function(g)))
     assert_close(dense_functional_vector(rhs), f_full, f_abs)
     assert_close(rhs.value(v), kron_vec(v) @ f_full, kron_vec(abs_term(v)) @ f_abs)
     for j in range(n):
