@@ -15,7 +15,8 @@ per factor.  A functional's stacks hold operator-applied columns op_{t,k}
 U_k, built once when it is made, so a greedy residual f - a(u_n, .) stays
 low-rank, and every pairing, slot vector and slot Hessian applies the terms
 and then takes one product over factors; a greedy iteration applies its new
-term once.  A rank-one term is a CP form of rank 1 (rank_one).
+term once, and its residual re-weights the columns of f and of the terms
+applied before.  A rank-one term is a CP form of rank 1 (rank_one).
 energy_norm recompresses a CP form's columns into factor bases before it
 squares anything, so an error that cancels has no roundoff floor.
 
@@ -414,17 +415,15 @@ def als_rank1(form: EnergyForm, mats, rhs: Functional, init: SeparatedFunction,
     _check_sizes(form, mats, init)
     n = form.n_factors
     r = _vectors(init)
-    norms = [mass_norm(m, f) for m, f in zip(mats, r)]
-    if min(norms) < _NULL_MASS_NORM:
-        raise ValueError(f"init factor {norms.index(min(norms))} is zero")
+    # the forms of the iterate's factors: each slot solve replaces its own row
+    forms = np.array([m.quad_forms(f) for m, f in zip(mats, r)])
+    norms = np.sqrt(np.maximum(forms[:, FORM_ROW[MASS]], 0.0))
+    if norms.min() < _NULL_MASS_NORM:
+        raise ValueError(f"init factor {norms.argmin()} is zero")
     # slot j's operators op_{t,j} over the terms, as one cached band stack per basis
     stacks = [m.band_stack(names) for m, names in zip(mats, zip(*(ops for _, ops in form.terms)))]
-    forms = np.empty((n, 3))
     j_prev = j_val = np.inf
     for sweep in range(max_sweeps):
-        # forms of the factors slot 0 freezes; each slot solve replaces its own
-        for k in range(1, n):
-            forms[k] = mats[k].quad_forms(r[k])
         for j in range(n):
             u, j_val = _slot_solve(_slot_hessian(form, forms, stacks[j], j),
                                    rhs.slot_vector(r, j), j)
@@ -435,8 +434,13 @@ def als_rank1(form: EnergyForm, mats, rhs: Functional, init: SeparatedFunction,
             if norms[j] < _NULL_MASS_NORM:
                 raise NullTermError("residual orthogonal to rank-one set")
             r[j] = u
-        # every factor was solved in this sweep, so norms are those of r
+        # every factor was solved in this sweep, so norms are those of r; the
+        # forms are quadratic, so each row scales by the square of the factor
+        # _normalized applies to its factor
         r = _normalized(r, norms)
+        squares = np.square(norms[:-1])
+        forms[:-1] /= squares[:, None]
+        forms[-1] *= math.prod(squares)
         if j_val > j_prev + 1e-12 * (1.0 + abs(j_prev)):
             raise AlsError(f"J increased across sweep {sweep}: {j_prev!r} -> {j_val!r}")
         if abs(j_prev - j_val) <= tol * (1.0 + abs(j_val)):
@@ -513,7 +517,9 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
     captured = SeparatedFunction(np.zeros(0), [np.zeros((m.ndof, 0)) for m in mats])
     approx = captured
     trace = GreedyTrace()
-    residual = rhs
+    # rhs's columns, then each captured term's applied columns (weights coef_t):
+    # the residual f - a(u_n, .) re-weights them, so no term is applied twice
+    dictionary = residual = rhs
     gram = np.zeros((0, 0))
     fvec = np.zeros(0)
     r1_norm = None
@@ -540,6 +546,7 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
             trace.final_surrogate = surrogate
             return approx, trace
         captured = captured + term
+        dictionary = dictionary + applied
         if orthogonal:
             column = applied.values(captured)
             gram = np.block([[gram, column[:-1, None]], [column]])
@@ -552,7 +559,8 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
         else:
             approx = captured
             alpha_out = None
-        residual = rhs - Functional.from_target(form, mats, approx)
+        residual = Functional(np.concatenate(
+            [rhs.weights, -np.outer(approx.weights, form.coefs).ravel()]), dictionary.factors)
         if target is not None:
             error = target - approx
             bases = _extended(mats, error.factors, bases)
@@ -600,7 +608,8 @@ def run_oga(form: EnergyForm, mats, rhs: Functional, tol_stop: float = 1e-6,
             n_max: int = 50, *, als_tol: float = 1e-10, max_sweeps: int = 60,
             restarts: int = 1, rng=None, target: SeparatedFunction | None = None):
     """Orthogonal greedy loop: after each capture, re-solve the Galerkin
-    system over the captured span and rebuild the residual from scratch."""
+    system over the captured span and re-weight every captured term's
+    columns in the residual by its new coefficient."""
     return _greedy_loop(form, mats, rhs, tol_stop, n_max, als_tol=als_tol,
                         max_sweeps=max_sweeps, restarts=restarts, rng=rng,
                         target=target, orthogonal=True)

@@ -3,7 +3,9 @@
 err_energy recompresses tau - u_n into factor bases before it squares
 anything, so it carries no sqrt(eps) floor: on every row it must match the
 dense error e' A e, with e formed entry by entry on the tensor grid, to
-1e-13 of ||tau||_a, however far the error has fallen.
+1e-13 of ||tau||_a, however far the error has fallen.  The loops' residuals,
+kept as re-weighted applied columns, are checked against residuals applied
+from scratch the same way.
 """
 
 from functools import reduce
@@ -17,8 +19,8 @@ from hypothesis import strategies as st
 from greedy_ou import cli
 from greedy_ou.config import build_problem, build_target, validate_config
 from greedy_ou.fem import assemble, build_mesh
-from greedy_ou.greedy import (EnergyForm, Functional, SeparatedFunction, energy_norm, run_oga,
-                              run_pga)
+from greedy_ou.greedy import (EnergyForm, Functional, SeparatedFunction, energy_norm, rank_one,
+                              run_oga, run_pga)
 from greedy_ou.springs import CPAIL, FENE, SpringModel, normalize
 
 from dense_oracle import assemble_dense, dense_energy_norm
@@ -103,6 +105,32 @@ def test_loop_error_is_a_fresh_energy_norm(runner):
     for row in trace.rows:
         fresh = energy_norm(form, mats, target - approximation_at(approx, row))
         assert abs(row.err_energy - fresh) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("runner", [run_pga, run_oga], ids=["pga", "oga"])
+def test_loop_residual_matches_a_fresh_residual(runner):
+    # the loop's residual re-weights the applied columns it keeps; applying
+    # the approximation from scratch gives the same orthogonality defect, and
+    # the next term, a slot-wise stationary point of the residual J, pairs
+    # with it to its own squared norm
+    mats = [small_factor(FENE, 2), small_factor(CPAIL, 2)]
+    form = EnergyForm(np.array([[1.0, -0.5], [-0.5, 1.0]]), wi=1.0, c=1.0)
+    rng = np.random.default_rng(37)
+    target = SeparatedFunction(rng.uniform(0.5, 1.5, 3), [rng.standard_normal((m.ndof, 3))
+                                                          for m in mats])
+    rhs = Functional.from_target(form, mats, target)
+    approx, trace = runner(form, mats, rhs, tol_stop=1e-14, n_max=8, restarts=2, rng=rng,
+                           target=target)
+    assert len(trace.rows) == 8
+    scale = energy_norm(form, mats, target)
+    terms = [rank_one([f[:, n] for f in approx.factors]) for n in range(approx.rank)]
+    for row, following in zip(trace.rows, trace.rows[1:] + [None]):
+        fresh = rhs - Functional.from_target(form, mats, approximation_at(approx, row))
+        defect = fresh.value(terms[row.n - 1])
+        assert abs(row.ortho_defect - defect) <= 1e-12 * scale * row.term_norm_a
+        if following is not None:
+            norm = following.term_norm_a
+            assert abs(fresh.value(terms[row.n]) - norm**2) <= 1e-12 * scale * norm
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])

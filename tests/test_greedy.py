@@ -433,22 +433,26 @@ def test_als_allocates_no_dense_slot_matrix():
 
 
 def test_als_sweep_computes_each_factors_forms_once(monkeypatch):
-    # N = 3: the mass norms of the init, then per sweep the forms of factors
-    # 1..N-1 at its start and of each slot solution, (N - 1) + N
+    # N = 3: the forms of the init's N factors, which also give its mass
+    # norms, then one per slot solve; a sweep rescales the forms of the
+    # factors it normalises instead of computing them again
     one = assemble(build_mesh(4.0, 4), normalize(SpringModel(FENE, 4.0)), 2)
     mats = [one] * 3
     form = EnergyForm(np.eye(3) - 0.5 * (np.eye(3, k=1) + np.eye(3, k=-1)), 1.0, 1.0)
     rng = np.random.default_rng(22)
     rhs = Functional.from_target(form, mats, random_target(mats, rng, 2))
     init = random_unit_term(mats, rng)
-    calls = []
+    calls, norms = [], []
     quad_forms = FactorMatrices.quad_forms
     monkeypatch.setattr(FactorMatrices, "quad_forms",
                         lambda m, f: calls.append(1) or quad_forms(m, f))
-    for sweeps in (1, 2):  # tol=0 never stops before max_sweeps here
+    mass_norm = greedy.mass_norm
+    monkeypatch.setattr(greedy, "mass_norm", lambda m, f: norms.append(1) or mass_norm(m, f))
+    for sweeps in (1, 2, 3):  # tol=0 never stops before max_sweeps here
         calls.clear()
         als_rank1(form, mats, rhs, init, tol=0.0, max_sweeps=sweeps)
-        assert len(calls) == 3 + sweeps * (2 + 3)
+        assert len(calls) == 3 + 3 * sweeps
+    assert norms == []
     # the three slots' operator columns differ, and each band stack is built
     # by the first call only
     stacks = dict(one._band_stacks)
@@ -605,20 +609,22 @@ def test_oga_not_worse_than_pga_per_iteration():
 
 @pytest.mark.parametrize("runner", [run_pga, run_oga], ids=["pga", "oga"])
 def test_greedy_applies_each_captured_term_once(monkeypatch, runner):
-    # per iteration: the new term once (its norm and, for OGA, its Gram
-    # column) and the residual's approximation; the error applies nothing,
-    # it extends its factor bases by the new term's columns
+    # O(R) work: each iteration applies its new term's one column (its norm,
+    # the OGA Gram column and the residual's new columns), never an earlier
+    # term's; re-applying the approximation would pass 1 + n columns at row n
     mats = two_factor_mats(n_el=5, degree=2)
     form = EnergyForm(ROUSE2, wi=1.0, c=1.0)
     rng = np.random.default_rng(23)
     target = random_target(mats, rng, 3)
     rhs = Functional.from_target(form, mats, target)
-    calls = []
+    columns = []
     applied = greedy._applied
-    monkeypatch.setattr(greedy, "_applied", lambda *a: calls.append(1) or applied(*a))
-    _, trace = runner(form, mats, rhs, tol_stop=0.0, n_max=3, rng=rng, target=target)
-    assert len(trace.rows) == 3
-    assert len(calls) == 2 * len(trace.rows)
+    monkeypatch.setattr(greedy, "_applied",
+                        lambda op_terms, mats, f: columns.append(f.rank)
+                        or applied(op_terms, mats, f))
+    _, trace = runner(form, mats, rhs, tol_stop=0.0, n_max=6, rng=rng, target=target)
+    assert len(trace.rows) == 6
+    assert sum(columns) == len(trace.rows)
 
 
 def test_exact_dual_norm_riesz_identity():
