@@ -172,18 +172,22 @@ class FactorMatrices:
         stack[:, :p] *= 2.0
         return stack.reshape(3, -1)
 
+    @cached_property
+    def _windows(self) -> np.ndarray:
+        """(degree + 1) x ndof gather index: entry (p - d, i) is i - d + p, where
+        f_(i-d) sits in f padded by p zeros in front (a zero for i < d)."""
+        return np.arange(self.degree + 1)[:, None] + np.arange(self.ndof)
+
     def quad_forms(self, f: np.ndarray) -> np.ndarray:
         """f . op f for each operator, in row FORM_ROW[name] of one gemv's result.
 
         The shifted products f_i f_(i+d) sit where op[i, i + d] sits in the
-        bands, so each form is one row of _form_stack times them.  Only the
+        bands, so each form is one row of _form_stack times them; one gather
+        from the zero-padded f (_windows) reads them all.  Only the
         symmetric part of an operator enters its form, so GRAD and GRAD_T
         share a row.
         """
-        p, n = self.degree, self.ndof
-        shifted = np.zeros((p + 1, n))
-        for d in range(p + 1):
-            shifted[p - d, d:] = f[:n - d] * f[d:]
+        shifted = np.concatenate((np.zeros(self.degree), f))[self._windows] * f
         return self._form_stack @ shifted.reshape(-1)
 
     @cached_property

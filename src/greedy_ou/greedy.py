@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
-from scipy.linalg import eigh, solve
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .fem import FORM_ROW, GRAD, GRAD_T, MASS, STIFFNESS, FactorMatrices
@@ -496,6 +495,7 @@ class TraceRow:
     ortho_defect: float
     surrogate: float
     alpha: tuple | None  # Galerkin coefficients, orthogonal algorithm only
+    gram_cond: float | None  # Jacobi-scaled Gram condition number, orthogonal algorithm only
 
 
 @dataclass
@@ -548,17 +548,24 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
         captured = captured + term
         dictionary = dictionary + applied
         if orthogonal:
+            # the Gram matrix bordered by the new term's column
             column = applied.values(captured)
-            gram = np.block([[gram, column[:-1, None]], [column]])
+            grown = np.empty((len(column), len(column)))
+            grown[:-1, :-1], grown[-1], grown[:-1, -1] = gram, column, column[:-1]
+            gram = grown
             fvec = np.append(fvec, rhs.value(term))
             # solved for the unit-norm terms (Jacobi scaling), so no term is cut for its size
             s = 1.0 / np.sqrt(np.diag(gram))
-            alpha = s * _solve_galerkin(s[:, None] * gram * s, s * fvec)
+            scaled, scaled_f = s[:, None] * gram * s, s * fvec
+            if not (np.isfinite(scaled).all() and np.isfinite(scaled_f).all()):
+                raise GreedyError(f"iteration {n}: Galerkin system is not finite")
+            alpha, gram_cond = _galerkin(scaled, scaled_f)
+            alpha *= s
             approx = SeparatedFunction(alpha, captured.factors)
             alpha_out = tuple(float(a) for a in alpha)
         else:
             approx = captured
-            alpha_out = None
+            alpha_out = gram_cond = None
         residual = Functional(np.concatenate(
             [rhs.weights, -np.outer(approx.weights, form.coefs).ravel()]), dictionary.factors)
         if target is not None:
@@ -568,26 +575,35 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
         trace.rows.append(TraceRow(n=n, err_energy=float("nan") if target is None
                                    else energy_norm(form, mats, error), term_norm_a=norm_n,
                                    ortho_defect=float(residual.value(term)),
-                                   surrogate=float(surrogate), alpha=alpha_out))
+                                   surrogate=float(surrogate), alpha=alpha_out,
+                                   gram_cond=gram_cond))
     return approx, trace
 
 
-def _solve_galerkin(gram: np.ndarray, fvec: np.ndarray) -> np.ndarray:
-    """Galerkin solve with symmetric pivoting; re-orthogonalize when degenerate.
+def _galerkin(gram: np.ndarray, fvec: np.ndarray) -> tuple:
+    """Galerkin coefficients and the condition number of gram, from one eigendecomposition.
 
-    Condition above 1e12 means captured terms have become nearly dependent;
-    the eigendecomposition restricts the solve to the well-conditioned span,
+    alpha = V (V^T fvec / lambda) over the eigenpairs kept: all of them when
+    the condition lambda_max / lambda_min is at most 1e12 (inf when
+    lambda_min <= 0).  Above that the captured terms have become nearly
+    dependent, and only the eigenvalues above 1e-13 lambda_max are kept,
     which is an orthogonalization of the dictionary in the a-inner product.
+    gram and fvec must be finite: eigh does not check.
     """
-    evals, evecs = eigh(gram)
+    evals, evecs = np.linalg.eigh(gram)
     emax = evals[-1]
-    cond = np.inf if evals[0] <= 0 else emax / evals[0]
-    if cond <= _GRAM_COND_LIMIT:
-        return solve(gram, fvec, assume_a="sym")
-    logger.info("Gram matrix condition %.3e, re-orthogonalizing dictionary", cond)
-    keep = evals > emax * 1e-13
+    cond = np.inf if evals[0] <= 0 else float(emax / evals[0])
+    keep = slice(None)
+    if cond > _GRAM_COND_LIMIT:
+        logger.info("Gram matrix condition %.3e, re-orthogonalizing dictionary", cond)
+        keep = evals > emax * 1e-13
     proj = evecs[:, keep].T @ fvec
-    return evecs[:, keep] @ (proj / evals[keep])
+    return evecs[:, keep] @ (proj / evals[keep]), cond
+
+
+def _solve_galerkin(gram: np.ndarray, fvec: np.ndarray) -> np.ndarray:
+    """The Galerkin coefficients of _galerkin alone."""
+    return _galerkin(gram, fvec)[0]
 
 
 def run_pga(form: EnergyForm, mats, rhs: Functional, tol_stop: float = 1e-6,

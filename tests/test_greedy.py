@@ -383,6 +383,37 @@ def test_band_quad_forms_match_dense_oracle(degree, n_el):
             assert abs(forms[FORM_ROW[name]] - value) <= tol, name
 
 
+def slice_loop_quad_forms(m, f):
+    """quad_forms with its shifted products f_i f_(i+d) written one diagonal at a time."""
+    p, n = m.degree, m.ndof
+    shifted = np.zeros((p + 1, n))
+    for d in range(p + 1):
+        shifted[p - d, d:] = f[:n - d] * f[d:]
+    return m._form_stack @ shifted.reshape(-1)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_quad_forms_gather_is_bitwise_the_slice_loop(degree):
+    # the gather reads the same products into the same layout, so the gemv
+    # sees the same operands; bands with the unused corner zeroed, as assemble
+    # leaves them, from the smallest basis of one element up
+    p = degree
+    rng = np.random.default_rng(33)
+    for n in list(range(p + 1, p + 10)) + [41, 201]:
+        bands = {}
+        for name in (MASS, STIFFNESS, GRAD, GRAD_T):
+            bands[name] = rng.standard_normal((p + 1, n))
+            for d in range(1, p + 1):
+                bands[name][p - d, :d] = 0.0
+        m = FactorMatrices(bands=bands, mesh=None, degree=p, weight=None)
+        for _ in range(5):
+            f = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-150, 150, n)
+            assert m.quad_forms(f).tobytes() == slice_loop_quad_forms(m, f).tobytes()
+    mats = two_factor_mats(n_el=8, degree=degree)[0]
+    f = rng.standard_normal(mats.ndof)
+    assert mats.quad_forms(f).tobytes() == slice_loop_quad_forms(mats, f).tobytes()
+
+
 def test_pga_above_the_crossover_builds_no_dense_view():
     mats = two_factor_mats(n_el=100, degree=2)  # one basis of 201 dofs for both factors
     assert mats[0].ndof >= BANDED_MIN_NDOF
@@ -724,6 +755,69 @@ def test_galerkin_solve_drops_a_nearly_dependent_direction(caplog):
     kept = q[:, 1:]
     np.testing.assert_allclose(alpha, kept @ ((kept.T @ fvec) / evals[1:]), rtol=1e-10)
     assert abs(q[:, 0] @ alpha) <= 1e-10 * np.linalg.norm(alpha)
+
+
+def test_galerkin_condition_is_inf_without_a_positive_eigenvalue_floor():
+    # eigenvalues -1 and 3: condition inf, so the solve keeps only the
+    # eigenvector (1, 1) / sqrt(2) of eigenvalue 3
+    gram = np.array([[1.0, 2.0], [2.0, 1.0]])
+    alpha, cond = greedy._galerkin(gram, np.array([1.0, 0.0]))
+    assert cond == np.inf
+    np.testing.assert_allclose(alpha, [1.0 / 6.0, 1.0 / 6.0], rtol=1e-14)
+
+
+def test_nan_term_is_a_greedy_error_not_a_nan_alpha(monkeypatch):
+    # numpy's eigh passes a NaN through, so the loop checks the system itself
+    calls = []
+    real_als_best = greedy.als_best
+
+    def als_best_stub(form, mats, rhs, **kwargs):
+        calls.append(None)
+        term, j_val = real_als_best(form, mats, rhs, **kwargs)
+        if len(calls) == 2:
+            return rank_one([np.full(m.ndof, np.nan) for m in mats]), j_val
+        return term, j_val
+
+    monkeypatch.setattr(greedy, "als_best", als_best_stub)
+    mats = two_factor_mats()
+    form = EnergyForm(ROUSE2, wi=1.0, c=1.0)
+    rhs = Functional.from_target(form, mats, random_target(mats, np.random.default_rng(28), 3))
+    with pytest.raises(GreedyError, match=r"^iteration 2: Galerkin system is not finite$"):
+        run_oga(form, mats, rhs, tol_stop=1e-13, n_max=4)
+
+
+def test_gram_cond_is_the_scaled_gram_condition_number():
+    mats = two_factor_mats(n_el=5, degree=2)
+    form = EnergyForm(ROUSE2, wi=1.0, c=1.0)
+    target = random_target(mats, np.random.default_rng(29), 4)
+    rhs = Functional.from_target(form, mats, target)
+    runs = [run_oga(form, mats, rhs, tol_stop=0.0, n_max=4, rng=np.random.default_rng(30))
+            for _ in range(2)]
+    (approx, trace), (_, again) = runs
+    assert len(trace.rows) == 4
+    for row in trace.rows:
+        # the first n captured terms, each of weight 1
+        terms = SeparatedFunction(np.ones(row.n), [f[:, :row.n] for f in approx.factors]).terms
+        gram = np.array([[energy_rank1(form, mats, u, v) for _, v in terms] for _, u in terms])
+        s = 1.0 / np.sqrt(np.diag(gram))
+        assert row.gram_cond == pytest.approx(np.linalg.cond(s[:, None] * gram * s), rel=1e-8)
+    assert [row.gram_cond for row in again.rows] == [row.gram_cond for row in trace.rows]
+    _, pga = run_pga(form, mats, rhs, tol_stop=0.0, n_max=2, rng=np.random.default_rng(30))
+    assert [row.gram_cond for row in pga.rows] == [None, None]
+
+
+@pytest.mark.parametrize("runner, per_row", [(run_pga, 0), (run_oga, 1)], ids=["pga", "oga"])
+def test_one_eigendecomposition_per_oga_row(monkeypatch, runner, per_row):
+    mats = two_factor_mats(n_el=5, degree=2)
+    form = EnergyForm(ROUSE2, wi=1.0, c=1.0)
+    rng = np.random.default_rng(31)
+    rhs = Functional.from_target(form, mats, random_target(mats, rng, 3))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    _, trace = runner(form, mats, rhs, tol_stop=0.0, n_max=5, rng=rng)
+    assert len(trace.rows) == 5
+    assert len(calls) == per_row * len(trace.rows)
 
 
 @lru_cache(maxsize=None)
