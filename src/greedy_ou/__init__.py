@@ -8,8 +8,7 @@ from .eigen import (EigenError, FactorEigens, WeylFit, resolved_factor_eigens,
 from .fem import AssemblyError, FactorMatrices, FactorMesh, assemble, build_mesh, dof_coordinates
 from .greedy import (AlsError, EnergyForm, Functional, GreedyError, GreedyTrace,
                      NullTermError, SeparatedFunction, TraceRow, als_best,
-                     als_rank1, energy_norm, energy_pairing, energy_rank1, normalize_term,
-                     rank_one, run_oga, run_pga)
+                     als_rank1, energy_norm, energy_rank1, rank_one, run_oga, run_pga)
 from .springs import (MaxwellianWeight, SpringModel, boundary_limit_d2q,
                       integrate_weighted, normalize, q_theta)
 
@@ -23,8 +22,7 @@ __all__ = [
     "SpringModel", "TraceRow", "WeightFamily", "WeylFit", "__version__", "als_best",
     "als_rank1", "assemble", "b1_bound", "boundary_limit_d2q",
     "build_mesh", "build_problem", "build_target", "dof_coordinates", "energy_norm",
-    "energy_pairing", "energy_rank1", "fourier_coeffs",
-    "integrate_weighted", "normalize", "normalize_term",
+    "energy_rank1", "fourier_coeffs", "integrate_weighted", "normalize",
     "q_theta", "rank_one", "rate_class_report", "resolved_factor_eigens", "run_oga", "run_pga",
     "sigma_norm", "solve_factor_eigens", "tensor_eigenvalue", "weyl_fit",
 ]

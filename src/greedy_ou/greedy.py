@@ -14,11 +14,15 @@ form [[weights; U_1, ..., U_N]]: a weight vector and one ndof_k x R stack
 per factor.  A functional's stacks hold operator-applied columns op_{t,k}
 U_k, built once when it is made, so a greedy residual f - a(u_n, .) stays
 low-rank, and every pairing, slot vector and slot Hessian applies the terms
-and then takes one product over factors; a greedy iteration applies its new
-term once, and its residual re-weights the columns of f and of the terms
-applied before.  A rank-one term is a CP form of rank 1 (rank_one).
-energy_norm recompresses a CP form's columns into factor bases before it
-squares anything, so an error that cancels has no roundoff floor.
+and then takes one product over factors.  A rank-one term is a CP form of
+rank 1 (rank_one).  A greedy loop keeps two column stacks per factor: the
+primal one holds the target's columns and then each captured term's, the
+dual one f's columns and then each captured term's applied columns, so the
+error tau - u_n and the residual f - a(u_n, .) are re-weightings of them
+and each term is applied once.  energy_norm recompresses a CP form's
+columns into factor bases before it squares anything, so an error that
+cancels has no roundoff floor; the loops pass the bases of their primal
+stack, extended by one column per row.
 
 The rank-one subproblem min_u J_f(u) = 1/2 a(u,u) - f(u) is solved by
 alternating sweeps: freezing all factors but slot j leaves a small symmetric
@@ -172,24 +176,11 @@ def _vectors(term: _CPForm) -> list:
     return [f[:, 0] for f in term.factors[:-1]] + [term.weights[0] * term.factors[-1][:, 0]]
 
 
-def mass_norm(mats_k: FactorMatrices, vec: np.ndarray) -> float:
-    return float(np.sqrt(max(mats_k.quad_forms(vec)[FORM_ROW[MASS]], 0.0)))
-
-
 def _normalized(vectors, norms) -> list:
     """Factors 1..N-1 divided by their mass norms, the product folded into the last."""
     out = [f / nu for f, nu in zip(vectors[:-1], norms[:-1])]
     out.append(vectors[-1] * math.prod(norms[:-1]))
     return out
-
-
-def normalize_term(mats, term: SeparatedFunction) -> SeparatedFunction:
-    """Scale factors 1..N-1 to unit mass norm, folding magnitudes into the last."""
-    vectors = _vectors(term)
-    norms = [mass_norm(m, f) for m, f in zip(mats, vectors)]
-    if min(norms) == 0.0:
-        raise ValueError(f"factor {norms.index(0.0)} is zero")
-    return rank_one(_normalized(vectors, norms))
 
 
 def _check_sizes(form: EnergyForm, mats, *items):
@@ -254,11 +245,6 @@ def energy_rank1(form: EnergyForm, mats, u: SeparatedFunction, v: SeparatedFunct
     return _applied(form.terms, mats, u).value(v)
 
 
-def energy_pairing(form: EnergyForm, mats, f: SeparatedFunction, g: SeparatedFunction) -> float:
-    _check_sizes(form, mats, g)
-    return float(g.weights @ Functional.from_target(form, mats, f).values(g))
-
-
 # mass-orthonormal basis Q of one factor's CP columns U = Q R: the stack of Q and
 # op Q over _OPS, and R
 _Basis = namedtuple("_Basis", "stack coefs")
@@ -301,14 +287,15 @@ def _mode_product(core: np.ndarray, k: int, mat: np.ndarray) -> np.ndarray:
     return out.reshape(core.shape)
 
 
-def energy_norm(form: EnergyForm, mats, f: SeparatedFunction) -> float:
+def energy_norm(form: EnergyForm, mats, f: SeparatedFunction, bases=None) -> float:
     """||f||_a with no floor: the columns, recompressed into mass-orthonormal factor bases
     (_with_column), cancel in the Tucker core C = sum_r w_r (x)_k R_k[:, r] before anything
     is squared (De Lathauwer, De Moor, Vandewalle, SIAM J. Matrix Anal. Appl. 21, 2000).
     Mass slots are identities there, so term t is <C x_i Q'GQ over its GRAD_T slots i,
-    C x_j Q'op Q over its other slots j>.  A form's _bases (the loops' error) are used."""
+    C x_j Q'op Q over its other slots j>.  bases (the greedy loops' own, _extended) may
+    hold a prefix of f's columns already; the rest are added."""
     _check_sizes(form, mats, f)
-    bases = vars(f).get("_bases") or _extended(mats, f.factors)
+    bases = _extended(mats, f.factors, bases)
     first, *rest = [b.coefs for b in bases]
     columns = reduce(lambda a, c: (a[:, None] * c).reshape(len(a) * len(c), f.rank), rest[1:],
                      rest[0] if rest else np.ones((1, f.rank)))
@@ -426,8 +413,7 @@ def als_rank1(form: EnergyForm, mats, rhs: Functional, init: SeparatedFunction,
         for j in range(n):
             u, j_val = _slot_solve(_slot_hessian(form, forms, stacks[j], j),
                                    rhs.slot_vector(r, j), j)
-            # the forms of u give its mass norm, the same number mass_norm gives,
-            # and serve the next slots' Hessians
+            # the forms of u give its mass norm and serve the next slots' Hessians
             forms[j] = mats[j].quad_forms(u)
             norms[j] = float(np.sqrt(max(forms[j, FORM_ROW[MASS]], 0.0)))
             if norms[j] < _NULL_MASS_NORM:
@@ -451,7 +437,8 @@ def als_rank1(form: EnergyForm, mats, rhs: Functional, init: SeparatedFunction,
 def random_unit_term(mats, rng) -> SeparatedFunction:
     """Random start: factor-wise standard normals, unit mass norm each."""
     draws = [rng.standard_normal(m.ndof) for m in mats]
-    return rank_one([v / mass_norm(m, v) for m, v in zip(mats, draws)])
+    return rank_one([v / np.sqrt(max(m.quad_forms(v)[FORM_ROW[MASS]], 0.0))
+                     for m, v in zip(mats, draws)])
 
 
 def als_best(form: EnergyForm, mats, rhs: Functional, *, tol: float = 1e-10,
@@ -513,17 +500,19 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
         raise ValueError(f"tol_stop must be at most 1, got {tol_stop}")
     if rng is None:
         rng = np.random.default_rng(0)
-    # normalized dictionary terms, one column each
-    captured = SeparatedFunction(np.zeros(0), [np.zeros((m.ndof, 0)) for m in mats])
-    approx = captured
     trace = GreedyTrace()
-    # rhs's columns, then each captured term's applied columns (weights coef_t):
-    # the residual f - a(u_n, .) re-weights them, so no term is applied twice
-    dictionary = residual = rhs
+    # u_n = sum_i weights[i] z_i, so the error and the residual re-weight fixed
+    # columns: primal, the target's then one per captured term z_i; dual, rhs's
+    # then z_i's applied columns (weights coef_t), so no term is applied twice
+    n_target = 0 if target is None else target.rank
+    primal = [np.zeros((m.ndof, 0)) for m in mats] if target is None else list(target.factors)
+    dual = list(rhs.factors)
+    weights = np.zeros(0)  # ones in PGA, the Galerkin alpha in OGA
+    residual = rhs
     gram = np.zeros((0, 0))
     fvec = np.zeros(0)
     r1_norm = None
-    bases = None  # of the error's columns: the target's, then one captured column per row
+    bases = None  # of the primal columns
     for n in range(1, n_max + 1):
         try:
             term, j_val = als_best(form, mats, residual, tol=als_tol,
@@ -531,7 +520,7 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
         except NullTermError:
             logger.info("iteration %d: residual orthogonal to rank-one set, stopping", n)
             trace.status = "null_term"
-            return approx, trace
+            break
         except AlsError as exc:
             raise GreedyError(f"iteration {n}: {exc}") from exc
         # the term applied once: its energy norm and, for OGA, its Gram column
@@ -544,12 +533,12 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
             # negligible candidate, not recorded; never the first, whose surrogate is 1.0
             trace.status = "converged"
             trace.final_surrogate = surrogate
-            return approx, trace
-        captured = captured + term
-        dictionary = dictionary + applied
+            break
+        primal = [np.concatenate(p, axis=1) for p in zip(primal, term.factors)]
+        dual = [np.concatenate(p, axis=1) for p in zip(dual, applied.factors)]
         if orthogonal:
             # the Gram matrix bordered by the new term's column
-            column = applied.values(captured)
+            column = applied.weights @ applied._products([u[:, n_target:] for u in primal])
             grown = np.empty((len(column), len(column)))
             grown[:-1, :-1], grown[-1], grown[:-1, -1] = gram, column, column[:-1]
             gram = grown
@@ -559,25 +548,24 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
             scaled, scaled_f = s[:, None] * gram * s, s * fvec
             if not (np.isfinite(scaled).all() and np.isfinite(scaled_f).all()):
                 raise GreedyError(f"iteration {n}: Galerkin system is not finite")
-            alpha, gram_cond = _galerkin(scaled, scaled_f)
-            alpha *= s
-            approx = SeparatedFunction(alpha, captured.factors)
-            alpha_out = tuple(float(a) for a in alpha)
+            weights, gram_cond = _galerkin(scaled, scaled_f)
+            weights *= s
+            alpha_out = tuple(float(a) for a in weights)
         else:
-            approx = captured
+            weights = np.ones(n)
             alpha_out = gram_cond = None
         residual = Functional(np.concatenate(
-            [rhs.weights, -np.outer(approx.weights, form.coefs).ravel()]), dictionary.factors)
+            [rhs.weights, -np.outer(weights, form.coefs).ravel()]), dual)
+        err = float("nan")
         if target is not None:
-            error = target - approx
-            bases = _extended(mats, error.factors, bases)
-            object.__setattr__(error, "_bases", bases)
-        trace.rows.append(TraceRow(n=n, err_energy=float("nan") if target is None
-                                   else energy_norm(form, mats, error), term_norm_a=norm_n,
+            bases = _extended(mats, primal, bases)
+            err = energy_norm(form, mats, SeparatedFunction(
+                np.concatenate([target.weights, -weights]), primal), bases)
+        trace.rows.append(TraceRow(n=n, err_energy=err, term_norm_a=norm_n,
                                    ortho_defect=float(residual.value(term)),
                                    surrogate=float(surrogate), alpha=alpha_out,
                                    gram_cond=gram_cond))
-    return approx, trace
+    return SeparatedFunction(weights, [u[:, n_target:] for u in primal]), trace
 
 
 def _galerkin(gram: np.ndarray, fvec: np.ndarray) -> tuple:
@@ -599,11 +587,6 @@ def _galerkin(gram: np.ndarray, fvec: np.ndarray) -> tuple:
         keep = evals > emax * 1e-13
     proj = evecs[:, keep].T @ fvec
     return evecs[:, keep] @ (proj / evals[keep]), cond
-
-
-def _solve_galerkin(gram: np.ndarray, fvec: np.ndarray) -> np.ndarray:
-    """The Galerkin coefficients of _galerkin alone."""
-    return _galerkin(gram, fvec)[0]
 
 
 def run_pga(form: EnergyForm, mats, rhs: Functional, tol_stop: float = 1e-6,

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from greedy_ou import cli
+from greedy_ou import cli, greedy
 from greedy_ou.config import build_problem, build_target, validate_config
 from greedy_ou.fem import assemble, build_mesh
 from greedy_ou.greedy import (EnergyForm, Functional, SeparatedFunction, energy_norm, rank_one,
@@ -161,3 +161,25 @@ def test_planted_cancellation_matches_the_dense_oracle(n, data, exponent, seed):
     want = dense_energy_norm(form, mats, f - moved, a_full)
     assert want == pytest.approx(10.0 ** -exponent * norm_f, rel=1e-2)
     assert abs(energy_norm(form, mats, f - moved) - want) <= TOL * norm_f
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_energy_norm_extends_given_bases(n):
+    # the loops pass bases that hold a prefix of f's columns already: every
+    # prefix gives the number a fresh recompression gives, on a form whose
+    # columns cancel and on one whose columns do not.  Not bit for bit: a
+    # lone column reaches _with_column contiguous and a column of a batch
+    # strided, and BLAS rounds the two apart (1.4e-16 of ||g||_a here)
+    mats = [small_factor(kind, 2) for kind in (FENE, CPAIL, FENE)[:n]]
+    form = EnergyForm(np.eye(n) - 0.4 * (np.eye(n, k=1) + np.eye(n, k=-1)), wi=0.8, c=1.2)
+    rng = np.random.default_rng(43)
+    g = SeparatedFunction(rng.uniform(-1.5, 1.5, 3), [rng.standard_normal((m.ndof, 3))
+                                                      for m in mats])
+    near = SeparatedFunction(g.weights, [u + 1e-6 * rng.standard_normal(u.shape)
+                                         for u in g.factors])
+    scale = energy_norm(form, mats, g)
+    for f in (g, g - near):
+        fresh = energy_norm(form, mats, f)
+        for k in range(f.rank + 1):
+            prefix = greedy._extended(mats, [u[:, :k] for u in f.factors])
+            assert abs(energy_norm(form, mats, f, prefix) - fresh) <= 1e-15 * scale, k

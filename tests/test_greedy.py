@@ -28,9 +28,7 @@ from greedy_ou.greedy import (
     als_best,
     als_rank1,
     energy_norm,
-    energy_pairing,
     energy_rank1,
-    normalize_term,
     random_unit_term,
     rank_one,
     run_oga,
@@ -49,6 +47,20 @@ def two_factor_mats(n_el=5, degree=1, b=4.0):
     weight = normalize(SpringModel(FENE, b))
     mats = assemble(build_mesh(b, n_el), weight, degree)
     return [mats, mats]
+
+
+def normalize_term(mats, term):
+    """Scale factors 1..N-1 to unit mass norm, folding magnitudes into the last."""
+    vectors = greedy._vectors(term)
+    norms = [float(np.sqrt(max(m.quad_forms(f)[FORM_ROW[MASS]], 0.0)))
+             for m, f in zip(mats, vectors)]
+    return rank_one(greedy._normalized(vectors, norms))
+
+
+def energy_pairing(form, mats, f, g):
+    """a(f, g) for separated f (trial) and g (test)."""
+    greedy._check_sizes(form, mats, g)
+    return float(g.weights @ Functional.from_target(form, mats, f).values(g))
 
 
 def random_term(mats, rng, normalized=True):
@@ -256,12 +268,6 @@ def test_rank_one_terms_have_unit_weight():
         assert [f.shape for f in t.factors] == [(m.ndof, 1) for m in mats]
 
 
-def test_normalize_term_refuses_zero_factor():
-    mats = two_factor_mats()
-    with pytest.raises(ValueError, match="factor 1 is zero"):
-        normalize_term(mats, rank_one([np.ones(mats[0].ndof), np.zeros(mats[1].ndof)]))
-
-
 def test_als_cancelling_rhs_is_null():
     mats = two_factor_mats()
     form = EnergyForm(ROUSE2, 1.0, 1.0)
@@ -373,7 +379,6 @@ def test_band_quad_forms_match_dense_oracle(degree, n_el):
     for f in (rng.standard_normal(n), np.ones(n), np.linspace(-1.0, 1.0, n)):
         forms = m.quad_forms(f)
         assert forms.shape == (3,)
-        assert greedy.mass_norm(m, f) == np.sqrt(forms[FORM_ROW[MASS]])
         for name in (MASS, STIFFNESS, GRAD, GRAD_T):
             value = f @ (getattr(m, name) @ f)
             # dense: 2p + 1 then n terms deep; bands: one product, then (p + 1) n terms
@@ -473,17 +478,14 @@ def test_als_sweep_computes_each_factors_forms_once(monkeypatch):
     rng = np.random.default_rng(22)
     rhs = Functional.from_target(form, mats, random_target(mats, rng, 2))
     init = random_unit_term(mats, rng)
-    calls, norms = [], []
+    calls = []
     quad_forms = FactorMatrices.quad_forms
     monkeypatch.setattr(FactorMatrices, "quad_forms",
                         lambda m, f: calls.append(1) or quad_forms(m, f))
-    mass_norm = greedy.mass_norm
-    monkeypatch.setattr(greedy, "mass_norm", lambda m, f: norms.append(1) or mass_norm(m, f))
     for sweeps in (1, 2, 3):  # tol=0 never stops before max_sweeps here
         calls.clear()
         als_rank1(form, mats, rhs, init, tol=0.0, max_sweeps=sweeps)
         assert len(calls) == 3 + 3 * sweeps
-    assert norms == []
     # the three slots' operator columns differ, and each band stack is built
     # by the first call only
     stacks = dict(one._band_stacks)
@@ -555,6 +557,25 @@ def test_pga_identities_and_orthogonality():
         assert pair == pytest.approx(trace.rows[k].term_norm_a ** 2, rel=1e-8)
     # monotone energy error
     assert all(errs[k + 1] <= errs[k] * (1 + 1e-12) for k in range(len(trace.rows)))
+
+
+@pytest.mark.parametrize("runner", [run_pga, run_oga], ids=["pga", "oga"])
+def test_loop_without_target_matches_loop_with_it(runner):
+    # the target's columns lead the loop's primal stack; without a target the
+    # approximation and every row but err_energy come out the same
+    mats = two_factor_mats(n_el=6, degree=2)
+    form = EnergyForm(ROUSE2, wi=1.0, c=1.0)
+    target = random_target(mats, np.random.default_rng(41), 3)
+    rhs = Functional.from_target(form, mats, target)
+    runs = [runner(form, mats, rhs, tol_stop=1e-12, n_max=6, restarts=2,
+                   rng=np.random.default_rng(42), target=t) for t in (target, None)]
+    (approx, trace), (blind, blind_trace) = runs
+    assert len(trace.rows) == 6 and blind_trace.status == trace.status
+    assert np.array_equal(blind.weights, approx.weights)
+    assert all(np.array_equal(u, v) for u, v in zip(blind.factors, approx.factors))
+    for row, blind_row in zip(trace.rows, blind_trace.rows, strict=True):
+        assert math.isfinite(row.err_energy) and math.isnan(blind_row.err_energy)
+        assert dataclasses.replace(blind_row, err_energy=row.err_energy) == row
 
 
 def test_pga_rank_one_target_single_row():
@@ -737,7 +758,7 @@ def test_galerkin_solve_matches_scipy_when_well_conditioned():
     a = rng.standard_normal((4, 4))
     gram = a @ a.T + 4.0 * np.eye(4)
     fvec = rng.standard_normal(4)
-    np.testing.assert_allclose(greedy._solve_galerkin(gram, fvec), solve(gram, fvec),
+    np.testing.assert_allclose(greedy._galerkin(gram, fvec)[0], solve(gram, fvec),
                                rtol=1e-12)
 
 
@@ -750,7 +771,7 @@ def test_galerkin_solve_drops_a_nearly_dependent_direction(caplog):
     gram = (q * evals) @ q.T
     fvec = rng.standard_normal(3)
     with caplog.at_level(logging.INFO, logger="greedy_ou.greedy"):
-        alpha = greedy._solve_galerkin(gram, fvec)
+        alpha = greedy._galerkin(gram, fvec)[0]
     assert "re-orthogonalizing dictionary" in caplog.text
     kept = q[:, 1:]
     np.testing.assert_allclose(alpha, kept @ ((kept.T @ fvec) / evals[1:]), rtol=1e-10)
