@@ -106,9 +106,9 @@ class FactorMatrices:
     bands maps each operator name (MASS, STIFFNESS, GRAD, GRAD_T) to its
     upper band, (degree + 1) x ndof in the LAPACK dpbtrf upper-band layout:
     bands[name][degree - d, i + d] = op[i, i + d].  The lower band of an
-    operator is the upper band of its transpose.  quad_forms, band_stack
-    and apply compute from the bands; the dense attributes of the same
-    names are read-only views built on first read, which apply uses below
+    operator is the upper band of its transpose.  quad_forms and apply
+    compute from the bands; the dense attributes of the same names are
+    read-only views built on first read, which apply uses below
     BANDED_MIN_NDOF dofs.  Derived arrays are cached on the instance, which
     compares and hashes by identity.
     """
@@ -189,17 +189,6 @@ class FactorMatrices:
         """
         shifted = np.concatenate((np.zeros(self.degree), f))[self._windows] * f
         return self._form_stack @ shifted.reshape(-1)
-
-    @cached_property
-    def _band_stacks(self) -> dict:
-        return {}
-
-    def band_stack(self, names: tuple) -> np.ndarray:
-        """Read-only len(names) x (degree + 1) x ndof stack of the named upper bands, cached."""
-        if names not in self._band_stacks:
-            self._band_stacks[names] = np.stack([self.bands[name] for name in names])
-            self._band_stacks[names].setflags(write=False)
-        return self._band_stacks[names]
 
 
 def band_matmul(upper: np.ndarray, lower: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -273,9 +273,10 @@ def _with_column(mats_k: FactorMatrices, basis: _Basis, u: np.ndarray) -> _Basis
 
 
 def _extended(mats, factors, bases=None) -> list:
-    """Factor bases (empty by default) extended by the columns they do not hold yet."""
+    """Factor bases (empty by default) extended by the columns they do not hold yet, each
+    copied contiguous so that it rounds the same alone as in a batch."""
     bases = bases or [_Basis(np.zeros((4, m.ndof, 0)), np.zeros((0, 0))) for m in mats]
-    for columns in zip(*(np.array(f[:, bases[0].coefs.shape[1]:].T) for f in factors)):
+    for columns in zip(*(np.array(f[:, bases[0].coefs.shape[1]:].T, order="C") for f in factors)):
         bases = [_with_column(m, b, u) for m, b, u in zip(mats, bases, columns)]
     return bases
 
@@ -353,7 +354,7 @@ def _slot_hessian(form: EnergyForm, forms: np.ndarray, stack: np.ndarray, j: int
 
     Operator term t contributes coef_t prod_{k != j} (f_k . op_{t,k} f_k) op_{t,j};
     row k of forms holds the quad_forms of the frozen f_k (row j is not read),
-    and stack is slot j's band_stack of op_{t,j} over t.  Products run over k
+    and stack holds slot j's upper bands of op_{t,j} over t.  Products run over k
     and the sum over t in order: the roundings of a Python loop over the terms.
     The band is in the FactorMatrices.bands layout, which _slot_solve takes.
     """
@@ -406,8 +407,9 @@ def als_rank1(form: EnergyForm, mats, rhs: Functional, init: SeparatedFunction,
     norms = np.sqrt(np.maximum(forms[:, FORM_ROW[MASS]], 0.0))
     if norms.min() < _NULL_MASS_NORM:
         raise ValueError(f"init factor {norms.argmin()} is zero")
-    # slot j's operators op_{t,j} over the terms, as one cached band stack per basis
-    stacks = [m.band_stack(names) for m, names in zip(mats, zip(*(ops for _, ops in form.terms)))]
+    # slot j's operators op_{t,j} over the terms, as one stack of their upper bands
+    stacks = [np.array([m.bands[name] for name in names])
+              for m, names in zip(mats, zip(*(ops for _, ops in form.terms)))]
     j_prev = j_val = np.inf
     for sweep in range(max_sweeps):
         for j in range(n):

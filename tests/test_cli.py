@@ -17,6 +17,8 @@ import greedy_ou
 from greedy_ou import cli, config, eigen, fem, greedy
 from greedy_ou.config import ConfigError, build_problem, build_target, validate_config
 
+from dense_oracle import assemble_dense, dense_energy_norm
+
 
 def base_config(**overrides):
     raw = {
@@ -160,6 +162,56 @@ def test_non_finite_numbers_refused(tmp_path, capsys, field, value):
     code = cli.main(["solve", "--config", write_config(tmp_path, raw), "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err == f"error: {field}: must be a finite number\n"
+    assert list(out.iterdir()) == []
+
+
+_REFUSALS = {
+    "missing field": ({"factors": [{"b": 4.0}]}, "factors[0].kind: missing required field"),
+    "mistyped field": ({"coupling": "rouse"}, "coupling: expected dict, got str"),
+    "mistyped integer": ({"mesh": {"n_el": 6.0}}, "mesh.n_el: expected int, got float"),
+    "non-number": ({"wi": "1"}, "wi: expected a number"),
+    "boolean number": ({"c": True}, "c: expected a number"),
+    "not above minimum": ({"c": 0}, "c: must be greater than 0"),
+    "below minimum": ({"mesh": {"grading": 0.5}}, "mesh.grading: must be at least 1.0"),
+    "factor count": ({"factors": [{"kind": "fene", "b": 4.0}] * 3},
+                     "factors: expected 2 entries, got 3"),
+    "factor not an object": ({"factors": ["fene"]},
+                             "factors[0]: expected an object with kind and b"),
+    "unknown spring kind": ({"factors": [{"kind": "hooke", "b": 4.0}]},
+                            "factors[0].kind: unknown spring kind 'hooke'"),
+    "matrix shape": ({"coupling": {"kind": "explicit", "matrix": [[1.0, 0.0, 0.0]]}},
+                     "coupling.matrix: expected shape (2, 2), got (1, 3)"),
+    "empty eigen terms": ({"target": {"kind": "eigen", "terms": []}},
+                          "target.terms: must be a nonempty list"),
+    "eigen term not an object": ({"target": {"kind": "eigen", "terms": [3]}},
+                                 "target.terms[0]: expected an object with weight and index"),
+    "zero eigen index": ({"target": {"kind": "eigen", "terms": [{"weight": 1.0,
+                                                                 "index": [0, 1]}]}},
+                         "target.terms[0].index: expected a list of positive integers"),
+    "empty eigen index": ({"target": {"kind": "eigen", "terms": [{"weight": 1.0,
+                                                                  "index": []}]}},
+                          "target.terms[0].index: expected a list of positive integers"),
+    "boolean eigen index": ({"target": {"kind": "eigen", "terms": [{"weight": 1.0,
+                                                                    "index": [True, 1]}]}},
+                            "target.terms[0].index: expected a list of positive integers"),
+    "n_el below 4": ({"mesh": {"n_el": 3}}, "mesh.n_el: must be at least 4"),
+    "unknown algorithm": ({"algorithm": "cg"}, "algorithm: must be 'pga' or 'oga', got 'cg'"),
+    "als not an object": ({"als": []}, "als: expected an object"),
+    "eig not an object": ({"eig": 5}, "eig: expected an object"),
+    "box length": ({"box": [3]}, "box: expected a list of 2 positive integers"),
+    "box entry": ({"box": [3, 0]}, "box: expected a list of 2 positive integers"),
+    "box not a list": ({"box": "3"}, "box: expected a list of 2 positive integers"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_config_refusals_name_their_field(tmp_path, capsys, case):
+    overrides, line = _REFUSALS[case]
+    out = tmp_path / "out"
+    code = cli.main(["solve", "--config", write_config(tmp_path, base_config(**overrides)),
+                     "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
     assert list(out.iterdir()) == []
 
 
@@ -554,6 +606,30 @@ def test_rates_compares_both_algorithms(tmp_path):
     slopes = json.loads((out / "rates.json").read_text())
     assert slopes["pga"]["envelope_exponent"] == pytest.approx(-1 / 6)
     assert slopes["oga"]["envelope_exponent"] == pytest.approx(-0.5)
+
+
+def test_eigen_target_bound_is_the_sum_of_dense_term_norms(tmp_path):
+    # the bound of an eigen target is sum_k |w_k| ||e_(n_k)||_a, each norm
+    # here the dense e' A e of the Kronecker product of the factor eigenvectors
+    terms = [{"weight": 1.0, "index": [1, 1]}, {"weight": -0.5, "index": [2, 3]},
+             {"weight": 0.25, "index": [4, 1]}]
+    raw = base_config(factors=[{"kind": "fene", "b": 4.0}, {"kind": "cpail", "b": 6.0}],
+                      target={"kind": "eigen", "terms": terms}, n_max=3)
+    path = write_config(tmp_path, raw)
+    assert cli.main(["solve", "--config", path, "--out", str(tmp_path / "solve")]) in (0, 2)
+    bound = json.loads((tmp_path / "solve" / "runrecord.json").read_text())["target_norm_bound"]
+
+    form, mats = build_problem(validate_config(raw))
+    vectors = [eigen.solve_factor_eigens(m, 4).vectors for m in mats]
+    a_full = assemble_dense(form, mats)
+    want = sum(abs(t["weight"]) * dense_energy_norm(
+        form, mats, greedy.rank_one([v[:, n - 1] for v, n in zip(vectors, t["index"])]), a_full)
+        for t in terms)
+    assert bound == pytest.approx(want, rel=1e-12)
+
+    assert cli.main(["rates", "--config", path, "--out", str(tmp_path / "rates")]) == 0
+    slopes = json.loads((tmp_path / "rates" / "rates.json").read_text())
+    assert slopes["pga"]["envelope_constant"] == slopes["oga"]["envelope_constant"] == bound
 
 
 # --- regularity ---

@@ -93,7 +93,8 @@ def test_three_factor_oga_matches_the_dense_oracle():
 @pytest.mark.parametrize("runner", [run_pga, run_oga], ids=["pga", "oga"])
 def test_loop_error_is_a_fresh_energy_norm(runner):
     # the loop extends its bases by one column per row; recompressing the
-    # same form from scratch appends the same columns in the same order
+    # same form from scratch appends the same columns in the same order and
+    # rounds each the same, so the two agree bit for bit
     mats = [small_factor(FENE, 2), small_factor(CPAIL, 2)]
     form = EnergyForm(np.array([[1.0, -0.5], [-0.5, 1.0]]), wi=1.0, c=1.0)
     rng = np.random.default_rng(31)
@@ -101,10 +102,8 @@ def test_loop_error_is_a_fresh_energy_norm(runner):
                                                           for m in mats])
     approx, trace = runner(form, mats, Functional.from_target(form, mats, target),
                            tol_stop=1e-14, n_max=8, restarts=2, rng=rng, target=target)
-    scale = energy_norm(form, mats, target)
     for row in trace.rows:
-        fresh = energy_norm(form, mats, target - approximation_at(approx, row))
-        assert abs(row.err_energy - fresh) <= 1e-15 * scale
+        assert row.err_energy == energy_norm(form, mats, target - approximation_at(approx, row))
 
 
 @pytest.mark.parametrize("runner", [run_pga, run_oga], ids=["pga", "oga"])
@@ -166,10 +165,9 @@ def test_planted_cancellation_matches_the_dense_oracle(n, data, exponent, seed):
 @pytest.mark.parametrize("n", [2, 3])
 def test_energy_norm_extends_given_bases(n):
     # the loops pass bases that hold a prefix of f's columns already: every
-    # prefix gives the number a fresh recompression gives, on a form whose
-    # columns cancel and on one whose columns do not.  Not bit for bit: a
-    # lone column reaches _with_column contiguous and a column of a batch
-    # strided, and BLAS rounds the two apart (1.4e-16 of ||g||_a here)
+    # prefix gives the number a fresh recompression gives, bit for bit, on a
+    # form whose columns cancel and on one whose columns do not: a column
+    # rounds the same whether it reaches _with_column alone or in a batch
     mats = [small_factor(kind, 2) for kind in (FENE, CPAIL, FENE)[:n]]
     form = EnergyForm(np.eye(n) - 0.4 * (np.eye(n, k=1) + np.eye(n, k=-1)), wi=0.8, c=1.2)
     rng = np.random.default_rng(43)
@@ -177,9 +175,8 @@ def test_energy_norm_extends_given_bases(n):
                                                       for m in mats])
     near = SeparatedFunction(g.weights, [u + 1e-6 * rng.standard_normal(u.shape)
                                          for u in g.factors])
-    scale = energy_norm(form, mats, g)
     for f in (g, g - near):
         fresh = energy_norm(form, mats, f)
         for k in range(f.rank + 1):
             prefix = greedy._extended(mats, [u[:, :k] for u in f.factors])
-            assert abs(energy_norm(form, mats, f, prefix) - fresh) <= 1e-15 * scale, k
+            assert energy_norm(form, mats, f, prefix) == fresh, k

@@ -93,8 +93,8 @@ def dense_quad_forms(mats_k, f):
 
 
 def slot_stack(form, mats, j):
-    """The band stack of slot j's operators over the terms, as als_rank1 takes it."""
-    return mats[j].band_stack(tuple(ops[j] for _, ops in form.terms))
+    """The stack of slot j's operator bands over the terms, as als_rank1 builds it."""
+    return np.stack([mats[j].bands[ops[j]] for _, ops in form.terms])
 
 
 def dense_slot_hessian(form, mats, frozen, j):
@@ -324,6 +324,31 @@ def test_indefinite_slot_system_is_an_als_error():
         als_best(form, mats, rhs, restarts=2, rng=rng)
 
 
+def test_rising_j_is_an_als_error(monkeypatch):
+    # each slot solve reports its J raised by 10 per solve so far, so J rises
+    # across every sweep; the first sweep only sets the reference J, and the
+    # second one trips the check
+    mats = two_factor_mats()
+    form = EnergyForm(ROUSE2, 1.0, 1.0)
+    rng = np.random.default_rng(13)
+    rhs = Functional.from_target(form, mats, random_target(mats, rng, 2))
+    slot_solve, calls = greedy._slot_solve, []
+
+    def rising(band, b, j):
+        u, j_val = slot_solve(band, b, j)
+        calls.append(j)
+        return u, j_val + 10.0 * len(calls)
+
+    monkeypatch.setattr(greedy, "_slot_solve", rising)
+    with pytest.raises(AlsError, match=r"^J increased across sweep 1: "):
+        als_rank1(form, mats, rhs, random_unit_term(mats, rng))
+    assert calls == [0, 1, 0, 1]
+    with pytest.raises(AlsError, match=r"^all ALS starts failed: J increased across sweep 1: "
+                                       r".*; J increased across sweep 1: .*; J increased "
+                                       r"across sweep 1: [^;]*$"):
+        als_best(form, mats, rhs, restarts=3, rng=rng)
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 def test_slot_solve_is_bitwise_scipy_banded_cholesky(degree):
     # the same LAPACK routines on the same band that scipy's wrappers call
@@ -486,13 +511,6 @@ def test_als_sweep_computes_each_factors_forms_once(monkeypatch):
         calls.clear()
         als_rank1(form, mats, rhs, init, tol=0.0, max_sweeps=sweeps)
         assert len(calls) == 3 + 3 * sweeps
-    # the three slots' operator columns differ, and each band stack is built
-    # by the first call only
-    stacks = dict(one._band_stacks)
-    assert len(stacks) == 3
-    assert all(not stack.flags.writeable for stack in stacks.values())
-    assert all(stacks[names] is slot_stack(form, mats, j)
-               for j, names in enumerate(zip(*(ops for _, ops in form.terms))))
 
 
 def test_als_output_is_normalized():
