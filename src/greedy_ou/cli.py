@@ -94,21 +94,24 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
     return _EXIT_BY_STATUS[trace.status]
 
 
-def _resolved_system(cfg: ExperimentConfig, mats) -> tuple:
-    """Resolved eigens per factor; factors sharing one basis share its solve."""
+def _resolved_system(cfg: ExperimentConfig, mats, vectors: bool = True) -> tuple:
+    """Resolved eigens per factor; factors sharing one basis share its solve.
+
+    With vectors=False the eigens carry no vectors (see resolved_factor_eigens).
+    """
     resolved = {}
     for i, m in enumerate(mats):
         if cfg.eig_k > m.ndof:
             logger.warning("factor %d: k=%d exceeds %d degrees of freedom, clamping",
                            i, cfg.eig_k, m.ndof)
         if m not in resolved:
-            resolved[m] = resolved_factor_eigens(m, min(cfg.eig_k, m.ndof))
+            resolved[m] = resolved_factor_eigens(m, min(cfg.eig_k, m.ndof), vectors)
     return tuple(resolved[m] for m in mats)
 
 
 def cmd_eig(cfg: ExperimentConfig, out_dir: Path) -> int:
     _, mats = build_problem(cfg)
-    system = _resolved_system(cfg, mats)
+    system = _resolved_system(cfg, mats, vectors=False)
     rows = []
     summary = {}
     for i, (model, eig) in enumerate(zip(cfg.factor_models, system)):

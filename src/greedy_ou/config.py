@@ -134,6 +134,9 @@ def _parse_coupling(raw, n_factors):
             a = np.asarray(matrix, dtype=float)
         except OverflowError as exc:  # an integer past the float range
             raise ConfigError("coupling.matrix", "must be a finite number") from exc
+        except (ValueError, TypeError) as exc:  # ragged rows or a non-numeric entry
+            raise ConfigError("coupling.matrix",
+                              "expected a list of equal-length rows of numbers") from exc
         if a.shape != (n_factors, n_factors):
             raise ConfigError("coupling.matrix",
                               f"expected shape ({n_factors}, {n_factors}), got {a.shape}")
@@ -295,6 +298,9 @@ def separated_target(cfg: ExperimentConfig, form: EnergyForm, mats,
             if (m, k) not in solved:
                 solved[m, k] = solve_factor_eigens(m, k)
         eigens = [solved[m, k] for m, k in zip(mats, k_needed)]
+    if any(eig.vectors is None for eig in eigens):
+        raise ValueError("an eigen target needs factor eigenvectors; "
+                         "these eigens were solved without them")
     return SeparatedFunction(
         [t["weight"] for t in spec["terms"]],
         [eig.vectors[:, [t["index"][i] - 1 for t in spec["terms"]]]

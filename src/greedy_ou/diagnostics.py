@@ -116,6 +116,9 @@ def _check_box(eigens, box) -> tuple:
 def fourier_coeffs(tau: SeparatedFunction, eigens, box) -> CoeffTensor:
     """Coefficients <tau, e_n>_{L2_M} over the truncation box, factor-wise."""
     box = _check_box(eigens, box)
+    if any(eig.vectors is None for eig in eigens):
+        raise ValueError("fourier coefficients need factor eigenvectors; "
+                         "these eigens were solved without them")
     mats = [eig.mats for eig in eigens]
     vectors = [eig.vectors[:, :b] for eig, b in zip(eigens, box)]
     # the functional (tau, .)_{L2_M} has the columns M_k U_k; the coefficients

@@ -22,6 +22,13 @@ Krylov space is the one of shift-invert at shift 0.  Dense eigh still runs
 on smaller bases, where it is faster, and whenever 2k + 1 >= ndof, where
 ARPACK has no room for its Lanczos basis.  The choice depends only on ndof
 and k; the crossover and its measurements are in fem.py.
+
+Vectors are built only where a caller reads them: solve_factor_eigens with
+vectors=False returns the same eigenvalues without Ritz vectors, back-solve
+or sign fixing.  resolved_factor_eigens always solves its refined basis that
+way, since the gate reads only its eigenvalues; the eig command solves its
+coarse bases that way too, and regularity keeps vectors on the coarse bases
+for the eigen target and the Fourier coefficients.
 """
 
 from __future__ import annotations
@@ -56,10 +63,10 @@ class EigenError(RuntimeError):
 
 @dataclass(frozen=True)
 class FactorEigens:
-    """Ascending eigenvalues with mass-orthonormal vectors for one factor."""
+    """Ascending eigenvalues with mass-orthonormal vectors (None when not built) for one factor."""
 
     values: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
     mats: FactorMatrices
     resolved: np.ndarray | None = None
 
@@ -85,15 +92,16 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def _cholesky_lanczos_eigens(upper_m: np.ndarray, upper_h: np.ndarray, k: int):
+def _cholesky_lanczos_eigens(upper_m: np.ndarray, upper_h: np.ndarray, k: int,
+                             vectors: bool):
     """k smallest pairs of the pencil by ARPACK Lanczos on U^-T mass U^-1.
 
     upper_m and upper_h are the upper bands of mass and of
     H = stiffness + mass.  With H = U^T U (LAPACK dpbtrf), the eigenpairs
     (theta, y) of the symmetric U^-T mass U^-1 give lambda = 1 / theta and
     the mass-orthonormal e = sqrt(lambda) U^-1 y, so the k largest theta
-    give the k smallest lambda.  Raises EigenError when H is not positive
-    definite or ARPACK fails.
+    give the k smallest lambda.  Without vectors the second item is None.
+    Raises EigenError when H is not positive definite or ARPACK fails.
     """
     # imported on first use: scipy.sparse.linalg adds about 4 MB to every
     # process, and solves with manufactured targets never get here
@@ -115,18 +123,25 @@ def _cholesky_lanczos_eigens(upper_m: np.ndarray, upper_h: np.ndarray, k: int):
     # eigenvector is missing from the start vector
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        theta, y = eigsh(LinearOperator((n, n), matvec=matvec, dtype=float), k,
-                         which="LA", v0=v0, tol=0)
+        result = eigsh(LinearOperator((n, n), matvec=matvec, dtype=float), k,
+                       which="LA", v0=v0, tol=0, return_eigenvectors=vectors)
     except ArpackError as exc:  # ArpackNoConvergence included
         raise EigenError(f"factor eigensolve failed: {exc}") from exc
+    theta, y = result if vectors else (result, None)
     order = np.argsort(theta)[::-1]
     values = 1.0 / theta[order]
-    vectors, _ = dtbtrs(factor, y[:, order])
-    return values, vectors * np.sqrt(values)
+    if not vectors:
+        return values, None
+    e, _ = dtbtrs(factor, y[:, order])
+    return values, e * np.sqrt(values)
 
 
-def solve_factor_eigens(mats: FactorMatrices, k: int) -> FactorEigens:
-    """k smallest eigenpairs of (stiffness + mass) e = lambda mass e."""
+def solve_factor_eigens(mats: FactorMatrices, k: int, vectors: bool = True) -> FactorEigens:
+    """k smallest eigenpairs of (stiffness + mass) e = lambda mass e.
+
+    With vectors=False only the eigenvalues are computed; the result's
+    vectors is None.
+    """
     if not 1 <= k <= mats.ndof:
         raise ValueError(f"k must be in [1, {mats.ndof}], got {k}")
     upper_m = mats.bands[MASS]
@@ -138,27 +153,30 @@ def solve_factor_eigens(mats: FactorMatrices, k: int) -> FactorEigens:
         raise EigenError("factor eigensolve failed: stiffness + mass has non-finite entries")
     try:
         if mats.ndof >= BANDED_MIN_NDOF and 2 * k + 1 < mats.ndof:
-            values, vectors = _cholesky_lanczos_eigens(upper_m, upper_h, k)
+            values, vecs = _cholesky_lanczos_eigens(upper_m, upper_h, k, vectors)
         else:
-            values, vectors = eigh(mats.stiffness + mats.mass, mats.mass,
-                                   subset_by_index=[0, k - 1])
+            result = eigh(mats.stiffness + mats.mass, mats.mass,
+                          eigvals_only=not vectors, subset_by_index=[0, k - 1])
+            values, vecs = result if vectors else (result, None)
     except np.linalg.LinAlgError as exc:
         raise EigenError(f"factor eigensolve failed: {exc}") from exc
-    return FactorEigens(values=values, vectors=_fix_signs(vectors), mats=mats)
+    return FactorEigens(values=values, vectors=None if vecs is None else _fix_signs(vecs),
+                        mats=mats)
 
 
-def resolved_factor_eigens(mats: FactorMatrices, k: int) -> FactorEigens:
+def resolved_factor_eigens(mats: FactorMatrices, k: int, vectors: bool = True) -> FactorEigens:
     """Eigens of the given basis, gated against its once-refined mesh.
 
     Only the refined basis is assembled here: same weight, grading and
     degree, twice the elements.  Eigenvalue n is resolved when that doubling
-    changes it by at most RESOLVED_REL_TOL relatively.  Vectors and mats
-    stay those of the given basis so they remain usable against it.
+    changes it by at most RESOLVED_REL_TOL relatively, so the refined basis
+    is solved for eigenvalues only.  Vectors (None with vectors=False) and
+    mats stay those of the given basis so they remain usable against it.
     """
-    eig_c = solve_factor_eigens(mats, k)
+    eig_c = solve_factor_eigens(mats, k, vectors=vectors)
     fine = assemble(build_mesh(mats.weight.model.b, 2 * mats.mesh.n_el, mats.mesh.grading),
                     mats.weight, mats.degree)
-    eig_f = solve_factor_eigens(fine, k)
+    eig_f = solve_factor_eigens(fine, k, vectors=False)
     rel = np.abs(eig_f.values - eig_c.values) / eig_c.values
     return FactorEigens(values=eig_c.values, vectors=eig_c.vectors,
                         mats=mats, resolved=rel <= RESOLVED_REL_TOL)

@@ -124,6 +124,19 @@ def test_storage_is_read_only():
     assert mats.mass is mats.mass
 
 
+def test_assembly_reuses_one_gauss_rule_per_degree(monkeypatch):
+    # the rules are built at import; an assembly computes none and gets the same bands
+    before = {p: make_mats(n_el=8, degree=p) for p in (1, 2)}
+
+    def refused(n):
+        raise AssertionError(f"leggauss({n}) called during assembly")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refused)
+    for p, mats in before.items():
+        again = make_mats(n_el=8, degree=p)
+        assert all(np.array_equal(again.bands[k], mats.bands[k]) for k in mats.bands)
+
+
 def test_bases_compare_and_hash_by_identity():
     # two assemblies of one basis hold equal bands; comparing them must not
     # compare the arrays, and each one can key a dict of per-basis results

@@ -181,6 +181,12 @@ _REFUSALS = {
                             "factors[0].kind: unknown spring kind 'hooke'"),
     "matrix shape": ({"coupling": {"kind": "explicit", "matrix": [[1.0, 0.0, 0.0]]}},
                      "coupling.matrix: expected shape (2, 2), got (1, 3)"),
+    "ragged matrix": ({"coupling": {"kind": "explicit", "matrix": [[1.0], [1.0, 2.0]]}},
+                      "coupling.matrix: expected a list of equal-length rows of numbers"),
+    "non-numeric matrix entry": ({"coupling": {"kind": "explicit",
+                                               "matrix": [["a", 0.0], [0.0, 1.0]]}},
+                                 "coupling.matrix: expected a list of equal-length rows of "
+                                 "numbers"),
     "empty eigen terms": ({"target": {"kind": "eigen", "terms": []}},
                           "target.terms: must be a nonempty list"),
     "eigen term not an object": ({"target": {"kind": "eigen", "terms": [3]}},
@@ -358,7 +364,7 @@ def test_each_distinct_basis_is_resolved_once(tmp_path, monkeypatch):
     solves = []
     solve = eigen.solve_factor_eigens
     monkeypatch.setattr(eigen, "solve_factor_eigens",
-                        lambda mats, k: solves.append(mats.ndof) or solve(mats, k))
+                        lambda mats, k, **kw: solves.append(mats.ndof) or solve(mats, k, **kw))
     raw = base_config(n_factors=3, eig={"k": 4}, box=[2, 2, 2],
                       target={"kind": "eigen", "terms": [{"weight": 1.0, "index": [1, 2, 3]}]})
     cfg = write_config(tmp_path, raw)
@@ -366,6 +372,31 @@ def test_each_distinct_basis_is_resolved_once(tmp_path, monkeypatch):
         solves.clear()
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
         assert solves == [13, 25]
+
+
+@pytest.mark.parametrize("n_el", [6, 120], ids=["dense", "banded"])
+def test_only_regularity_builds_vectors_on_its_coarse_bases(tmp_path, monkeypatch, n_el):
+    # eig and the refinement gate read eigenvalues only; regularity's eigen
+    # target and Fourier coefficients read the coarse bases' vectors
+    solves = []
+    solve = eigen.solve_factor_eigens
+
+    def recording(mats, k, vectors=True):
+        solves.append((mats.ndof, vectors))
+        return solve(mats, k, vectors=vectors)
+
+    monkeypatch.setattr(eigen, "solve_factor_eigens", recording)
+    raw = base_config(factors=[{"kind": "fene", "b": 4.0}, {"kind": "cpail", "b": 6.0}],
+                      mesh={"n_el": n_el}, eig={"k": 4}, box=[2, 2],
+                      target={"kind": "eigen", "terms": [{"weight": 1.0, "index": [1, 2]}]})
+    cfg = write_config(tmp_path, raw)
+    coarse, fine = 2 * n_el + 1, 4 * n_el + 1
+    assert (coarse >= fem.BANDED_MIN_NDOF) == (n_el == 120)
+    assert cli.main(["eig", "--config", cfg, "--out", str(tmp_path / "eig")]) == 0
+    assert solves == [(coarse, False), (fine, False)] * 2
+    solves.clear()
+    assert cli.main(["regularity", "--config", cfg, "--out", str(tmp_path / "reg")]) == 0
+    assert solves == [(coarse, True), (fine, False)] * 2
 
 
 def test_target_solves_each_distinct_basis_and_k_once(monkeypatch):

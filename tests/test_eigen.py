@@ -10,6 +10,8 @@ import scipy.sparse.linalg
 from scipy.linalg import eigh
 
 from greedy_ou import cli, eigen
+from greedy_ou.config import build_problem, separated_target, validate_config
+from greedy_ou.diagnostics import fourier_coeffs
 from greedy_ou.eigen import (
     EigenError,
     FactorEigens,
@@ -116,6 +118,37 @@ def test_banded_path_is_repeatable(fine_mats):
     again = solve_factor_eigens(fine_mats, 40)
     assert np.array_equal(first.values, again.values)
     assert np.array_equal(first.vectors, again.vectors)
+
+
+@pytest.mark.parametrize("n_el", [40, 160, 320], ids=["dense-81", "banded-321", "banded-641"])
+@pytest.mark.parametrize("kind,b", [(FENE, 4.0), (CPAIL, 6.0)], ids=["fene", "cpail"])
+def test_value_only_solve_matches_the_vector_solve(kind, b, n_el):
+    mats = factor_mats(kind, b, n_el=n_el)
+    assert (mats.ndof >= eigen.BANDED_MIN_NDOF) == (n_el > 40)
+    pairs = solve_factor_eigens(mats, 40)
+    values = solve_factor_eigens(mats, 40, vectors=False)
+    assert values.vectors is None and values.mats is mats
+    assert np.all(np.abs(values.values - pairs.values) <= 1e-13 * pairs.values)
+    assert np.array_equal(solve_factor_eigens(mats, 40, vectors=False).values, values.values)
+    gate = resolved_factor_eigens(mats, 40)
+    gate_values = resolved_factor_eigens(mats, 40, vectors=False)
+    assert gate_values.vectors is None
+    assert np.array_equal(gate_values.resolved, gate.resolved)
+
+
+def test_eigens_without_vectors_are_refused_where_vectors_are_read():
+    cfg = validate_config({
+        "schema_version": 1, "n_factors": 2, "factors": [{"kind": "fene", "b": 4.0}],
+        "coupling": {"kind": "identity"}, "wi": 1.0, "c": 1.0,
+        "mesh": {"n_el": 20, "degree": 2}, "eig": {"k": 6},
+        "target": {"kind": "eigen", "terms": [{"weight": 1.0, "index": [1, 2]}]}})
+    form, mats = build_problem(cfg)
+    system = [resolved_factor_eigens(m, 6, vectors=False) for m in mats]
+    with pytest.raises(ValueError, match="solved without them"):
+        separated_target(cfg, form, mats, system)
+    tau = separated_target(cfg, form, mats)
+    with pytest.raises(ValueError, match="solved without them"):
+        fourier_coeffs(tau, system, (2, 2))
 
 
 def test_solver_choice_depends_on_ndof_and_k(fine_mats, monkeypatch):
