@@ -214,7 +214,7 @@ def cmd_sweep(raw_sweep: dict, out_dir: Path, jobs: int) -> int:
         if not isinstance(run, dict) or not isinstance(run.get("name"), str) or not run["name"]:
             raise ConfigError(path, "expected an object with a nonempty string name")
         name = run["name"]
-        if name in names or os.sep in name or name in (".", ".."):
+        if name in names or os.sep in name or name in (".", "..", "sweep.json"):
             raise ConfigError(f"{path}.name", f"duplicate or unsafe run name {name!r}")
         names.add(name)
         overrides = run.get("overrides", {})
@@ -264,8 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    level = os.environ.get("GREEDY_OU_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    level = logging.getLevelName(os.environ.get("GREEDY_OU_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     out_dir = Path(args.out)
     try:

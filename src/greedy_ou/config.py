@@ -3,7 +3,8 @@
 Configs are JSON trees with a schema_version field.  Validation reports the
 path of the offending field.  Builders turn a validated config into the
 assembled factor matrices, the energy form, and the target in separated
-form, so every command works from one description of the problem.
+form, so every command works from one description of the problem.  A basis
+that normalize or assemble refuses is refused under its factor's b.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf
 
 from .eigen import solve_factor_eigens
-from .fem import MASS, assemble, build_mesh
+from .fem import AssemblyError, assemble, build_mesh
 from .greedy import EnergyForm, SeparatedFunction, energy_rank1, random_unit_term
 from .springs import CPAIL, FENE, SpringModel, normalize
 
@@ -250,27 +250,16 @@ def load_raw(path):
 def build_problem(cfg: ExperimentConfig):
     """Energy form and per-factor matrices; equal factor models share one basis.
 
-    A basis is refused under the b of the first factor that uses it when its
-    weight's normalisation is not finite (the quadrature fails at very large b)
-    or its mass band has no banded Cholesky factor (at large b the weight
-    underflows on the boundary elements): no solve or eigensolve can use it.
+    A basis refused by normalize or assemble is refused under its first factor's b.
     """
     bases = {}
     for i, model in enumerate(cfg.factor_models):
-        if model in bases:
-            continue
-        weight = normalize(model)
-        if not np.isfinite(weight.z_inv):
-            raise ConfigError(f"factors[{i}].b", f"weight normalisation {weight.z_inv} "
-                                                 "is not finite")
-        mats = assemble(build_mesh(model.b, cfg.n_el, cfg.grading), weight, cfg.degree)
-        mass = mats.bands[MASS]
-        if dpbtrf(mass)[1] != 0:
-            raise ConfigError(
-                f"factors[{i}].b",
-                f"mass matrix not positive definite at mesh.n_el = {cfg.n_el}: the boundary "
-                f"mass M[0, 0] = {mass[-1, 0]:.3g} underflows")
-        bases[model] = mats
+        if model not in bases:
+            try:
+                bases[model] = assemble(build_mesh(model.b, cfg.n_el, cfg.grading),
+                                        normalize(model), cfg.degree)
+            except (ValueError, AssemblyError) as exc:
+                raise ConfigError(f"factors[{i}].b", str(exc)) from exc
     return cfg.form, [bases[model] for model in cfg.factor_models]
 
 

@@ -10,6 +10,8 @@ every weighted pairing in this package reduces to:
 
 No essential boundary conditions are imposed: the natural weighted space
 contains the constants, and the weight itself supplies the boundary decay.
+At large b it underflows there, and assembly refuses a mass band left
+without a banded Cholesky factor, on every mesh it is asked for.
 
 The matrices have bandwidth equal to the element degree p, and their
 storage is four upper bands, named MASS, STIFFNESS, GRAD and GRAD_T (the
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dpbtrf
 
 from .springs import MaxwellianWeight
 
@@ -260,7 +263,8 @@ def assemble(mesh: FactorMesh, weight: MaxwellianWeight, basis_degree: int = 2) 
     Quadrature per panel is Gauss-Legendre with basis_degree + 4 points,
     exact beyond degree 2*basis_degree + 6 against the smooth part of the
     weight.  All panels are evaluated in one batch and scattered straight
-    into the upper bands.
+    into the upper bands.  A mass band without a banded Cholesky factor is an
+    AssemblyError naming the element count and the boundary mass.
     """
     if basis_degree not in (1, 2):
         raise ValueError(f"basis_degree must be 1 or 2, got {basis_degree}")
@@ -309,6 +313,9 @@ def assemble(mesh: FactorMesh, weight: MaxwellianWeight, basis_degree: int = 2) 
              STIFFNESS: band((dr[:, None] * dr[None, :]).sum(axis=-1)),
              GRAD: band(grad),
              GRAD_T: band(grad.swapaxes(0, 1))}
+    if dpbtrf(bands[MASS])[1] != 0:
+        raise AssemblyError(f"mass matrix not positive definite on {mesh.n_el} elements: the "
+                            f"boundary mass M[0, 0] = {bands[MASS][-1, 0]:.3g} underflows")
     return FactorMatrices(bands=bands, mesh=mesh, degree=p, weight=weight)
 
 

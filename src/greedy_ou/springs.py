@@ -14,7 +14,8 @@ symmetric Jacobi weight in q/sqrt(b) with exponent e, times a smooth factor:
     fene    M(q) propto (1 - q^2/b)^e,                e = b/2
     cpail   M(q) propto exp(-q^2/6) * (1 - q^2/b)^e,  e = b/3
 
-so weighted integrals are taken with one Gauss-Jacobi rule.
+so weighted integrals are taken with one Gauss-Jacobi rule.  From FENE
+b = 1e9 and CPAIL b = 3e9 on, the rule fails and normalize refuses the weight.
 
 Also provided: the Liouville-transform potential Q_Theta of the weight and
 the closed-form boundary limit of dist^2 * Q_1, which classifies how strongly
@@ -112,9 +113,11 @@ def integrate_weighted(model: SpringModel, fn=None):
 
 
 def normalize(model: SpringModel) -> MaxwellianWeight:
-    """Compute Z^{-1} so the Maxwellian integrates to one."""
-    z = integrate_weighted(model)
-    return MaxwellianWeight(model, 1.0 / z)
+    """Compute Z^{-1} so the Maxwellian integrates to one; ValueError if it is not finite."""
+    z_inv = 1.0 / integrate_weighted(model)
+    if not np.isfinite(z_inv):
+        raise ValueError(f"weight normalisation {z_inv} is not finite")
+    return MaxwellianWeight(model, z_inv)
 
 
 def q_theta(model: SpringModel, theta: float, q, d: int = 1):

@@ -330,3 +330,11 @@ def test_nonfinite_weight_names_first_bad_element():
 
     with pytest.raises(AssemblyError, match="element 5$"):
         assemble(mesh, Bad(), 1)
+
+
+def test_mass_band_without_cholesky_factor_refused():
+    # at FENE b=1000 the weight underflows on the boundary elements of a
+    # 20-element mesh, so the mass band has no banded Cholesky factor
+    with pytest.raises(AssemblyError, match=r"^mass matrix not positive definite on 20 "
+                                            r"elements: the boundary mass M\[0, 0\] = 0 "):
+        make_mats(b=1000.0, n_el=20)

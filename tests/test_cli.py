@@ -332,7 +332,23 @@ def test_basis_with_underflowing_mass_refused(tmp_path, capsys, command):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: factors[1].b: mass matrix not positive definite")
-    assert "mesh.n_el = 20" in err and "M[0, 0] = 0 underflows" in err
+    assert "on 20 elements" in err and "M[0, 0] = 0 underflows" in err
+
+
+@pytest.mark.parametrize("command", ["eig", "regularity"])
+def test_refined_basis_with_underflowing_mass_refused(tmp_path, capsys, command):
+    # at FENE b=700 the configured 20-element mass band keeps a Cholesky
+    # factor (M[0, 0] = 1.6e-260), but the 40-element basis of the resolution
+    # gate underflows; solve builds only the configured basis
+    raw = base_config(factors=[{"kind": "fene", "b": 700.0}], coupling={"kind": "identity"},
+                      mesh={"n_el": 20},
+                      target={"kind": "eigen", "terms": [{"weight": 1.0, "index": [1, 1]}]})
+    path, out = write_config(tmp_path, raw), str(tmp_path / "out")
+    assert cli.main([command, "--config", path, "--out", out]) == 1
+    # one line on stderr, so no traceback
+    assert capsys.readouterr().err == ("error: mass matrix not positive definite on 40 elements: "
+                                       "the boundary mass M[0, 0] = 0 underflows\n")
+    assert cli.main(["solve", "--config", path, "--out", out]) == 0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -790,7 +806,10 @@ def test_sweep_rejects_duplicate_names(tmp_path, capsys):
     ({"runs": []}, "runs"),
     ({"runs": [{"overrides": {}}]}, "runs[0]"),
     ({"runs": [{"name": "a", "overrides": [1]}]}, "runs[0].overrides"),
-], ids=["schema-version", "missing-base", "empty-runs", "unnamed-run", "list-overrides"])
+    # the run's directory would take the name of the sweep's summary file
+    ({"runs": [{"name": "sweep.json", "overrides": {}}]}, "runs[0].name"),
+], ids=["schema-version", "missing-base", "empty-runs", "unnamed-run", "list-overrides",
+        "summary-name"])
 def test_bad_sweep_file_refused_before_any_run(tmp_path, capsys, sweep, field):
     raw = {"schema_version": 1, "base": base_config(),
            "runs": [{"name": "a", "overrides": {}}], **sweep}
@@ -860,6 +879,21 @@ def test_solve_leaves_scipy_sparse_unimported(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
     assert (tmp_path / "out" / "solve.csv").exists()
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_log_variable_takes_level_names_only(tmp_path):
+    # BASIC_FORMAT is an attribute of logging but no level; a fresh
+    # interpreter, since basicConfig is a no-op once the root logger has handlers
+    src = Path(cli.__file__).resolve().parent.parent
+    code = "import sys; from greedy_ou import cli; sys.exit(cli.main(sys.argv[1:]))"
+    raw = base_config(n_factors=0)
+    done = subprocess.run(
+        [sys.executable, "-c", code, "solve", "--config", write_config(tmp_path, raw),
+         "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(src), "GREEDY_OU_LOG": "BASIC_FORMAT"},
+        capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr == "error: n_factors: expected a positive integer\n"
 
 
 def test_readme_library_example_runs():

@@ -84,6 +84,16 @@ def test_normalization_bits_are_pinned():
     assert normalize(SpringModel(CPAIL, 6.0)).z_inv == 0.43602459240255165
 
 
+@pytest.mark.parametrize("kind,b", [(FENE, 1e9), (CPAIL, 1e12)])
+def test_normalize_refuses_a_normalisation_that_is_not_finite(kind, b):
+    # the Gauss-Jacobi rule gives NaN nodes at these exponents; integrate_weighted,
+    # a test oracle, returns the NaN and normalize refuses it
+    model = SpringModel(kind, b)
+    assert np.isnan(integrate_weighted(model))
+    with pytest.raises(ValueError, match="^weight normalisation nan is not finite$"):
+        normalize(model)
+
+
 def test_integrate_weighted_moment():
     # second moment against scipy for a mid-range parameter
     model = SpringModel(FENE, 4.0)
