@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import logging
@@ -51,8 +50,7 @@ def _write_csv(path, header, rows):
 
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _run_algorithm(cfg: ExperimentConfig, name: str, form, mats, rhs, target):
@@ -88,7 +86,9 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
         "final_err_energy": trace.rows[-1].err_energy if trace.rows else None,
         "target_norm_bound": bound,
         "wall_clock_s": wall,
-        "rows": [dataclasses.asdict(r) for r in trace.rows],
+        # each row's own field dict: json.dump reads it as asdict would give
+        # it, without asdict's deep copy of every float and alpha tuple
+        "rows": [vars(r) for r in trace.rows],
     }
     _write_json(out_dir / "runrecord.json", record)
     return _EXIT_BY_STATUS[trace.status]
@@ -98,6 +98,8 @@ def _resolved_system(cfg: ExperimentConfig, mats, vectors: bool = True) -> tuple
     """Resolved eigens per factor; factors sharing one basis share its solve.
 
     With vectors=False the eigens carry no vectors (see resolved_factor_eigens).
+    A refined basis that assemble refuses is refused under its first factor's
+    b, as build_problem refuses the configured one.
     """
     resolved = {}
     for i, m in enumerate(mats):
@@ -105,7 +107,10 @@ def _resolved_system(cfg: ExperimentConfig, mats, vectors: bool = True) -> tuple
             logger.warning("factor %d: k=%d exceeds %d degrees of freedom, clamping",
                            i, cfg.eig_k, m.ndof)
         if m not in resolved:
-            resolved[m] = resolved_factor_eigens(m, min(cfg.eig_k, m.ndof), vectors)
+            try:
+                resolved[m] = resolved_factor_eigens(m, min(cfg.eig_k, m.ndof), vectors)
+            except AssemblyError as exc:
+                raise ConfigError(f"factors[{i}].b", str(exc)) from exc
     return tuple(resolved[m] for m in mats)
 
 

@@ -182,18 +182,6 @@ def resolved_factor_eigens(mats: FactorMatrices, k: int, vectors: bool = True) -
                         mats=mats, resolved=rel <= RESOLVED_REL_TOL)
 
 
-def tensor_eigenvalue(eigens, idx) -> float:
-    """Eigenvalue of the tensorized pair at 1-based multi-index idx over per-factor eigens."""
-    if len(idx) != len(eigens):
-        raise ValueError(f"index has {len(idx)} components, expected {len(eigens)}")
-    total = 1.0
-    for i, (n, eig) in enumerate(zip(idx, eigens)):
-        if not 1 <= n <= eig.k:
-            raise IndexError(f"component {i} index {n} outside [1, {eig.k}]")
-        total += eig.values[n - 1] - 1.0
-    return float(total)
-
-
 @dataclass(frozen=True)
 class WeylFit:
     c1: float

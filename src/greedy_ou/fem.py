@@ -18,11 +18,12 @@ storage is four upper bands, named MASS, STIFFNESS, GRAD and GRAD_T (the
 transpose of GRAD) here and nowhere else, in the layout that LAPACK's
 banded routines take.  Quadratic forms f . op f come in rows FORM_ROW of one
 product of a cached band stack with the shifted products f_i f_(i+d) at
-every size, and operator-applied stacks op X from 2p + 1 slice
-multiply-adds (band_matmul) on bases of at least BANDED_MIN_NDOF dofs.
-Below that size the stacks use dense BLAS, which is
-faster there, on dense matrices that are views built from the bands on
-first use; the dense eigensolve and the Kronecker oracle read them too.
+every size, gathered from f behind a cached read-only zero pad, so a call
+allocates no pad of its own.  Operator-applied stacks op X come from 2p + 1
+slice multiply-adds (band_matmul) on bases of at least BANDED_MIN_NDOF
+dofs.  Below that size the stacks use dense BLAS, which is faster there, on
+dense matrices that are views built from the bands on first use; the dense
+eigensolve and the Kronecker oracle read them too.
 Bands and views are read-only, so the two can never disagree.
 """
 
@@ -181,16 +182,23 @@ class FactorMatrices:
         f_(i-d) sits in f padded by p zeros in front (a zero for i < d)."""
         return np.arange(self.degree + 1)[:, None] + np.arange(self.ndof)
 
+    @cached_property
+    def _pad(self) -> np.ndarray:
+        """The degree zeros quad_forms puts in front of f, read-only."""
+        pad = np.zeros(self.degree)
+        pad.setflags(write=False)
+        return pad
+
     def quad_forms(self, f: np.ndarray) -> np.ndarray:
         """f . op f for each operator, in row FORM_ROW[name] of one gemv's result.
 
         The shifted products f_i f_(i+d) sit where op[i, i + d] sits in the
         bands, so each form is one row of _form_stack times them; one gather
-        from the zero-padded f (_windows) reads them all.  Only the
-        symmetric part of an operator enters its form, so GRAD and GRAD_T
+        from f behind the cached zeros _pad (_windows) reads them all.  Only
+        the symmetric part of an operator enters its form, so GRAD and GRAD_T
         share a row.
         """
-        shifted = np.concatenate((np.zeros(self.degree), f))[self._windows] * f
+        shifted = np.concatenate((self._pad, f))[self._windows] * f
         return self._form_stack @ shifted.reshape(-1)
 
 
@@ -317,15 +325,3 @@ def assemble(mesh: FactorMesh, weight: MaxwellianWeight, basis_degree: int = 2) 
         raise AssemblyError(f"mass matrix not positive definite on {mesh.n_el} elements: the "
                             f"boundary mass M[0, 0] = {bands[MASS][-1, 0]:.3g} underflows")
     return FactorMatrices(bands=bands, mesh=mesh, degree=p, weight=weight)
-
-
-def dof_coordinates(mats: FactorMatrices) -> np.ndarray:
-    """Physical coordinates of the Lagrange degrees of freedom."""
-    nodes = mats.mesh.nodes
-    if mats.degree == 1:
-        return nodes.copy()
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    out = np.empty(mats.ndof)
-    out[0::2] = nodes
-    out[1::2] = mids
-    return out

@@ -332,9 +332,12 @@ class Functional(_CPForm):
         return _applied([(1.0, (MASS,) * len(mats))], mats, source)
 
     def _products(self, test, skip=None):
-        """prod_{k != skip} F_k^T V_k, one row per dual column; V_k a vector or a stack."""
-        return reduce(np.multiply, [f.T @ v for k, (f, v) in enumerate(zip(self.factors, test))
-                                    if k != skip], 1.0)
+        """prod_{k != skip} F_k^T V_k, one row per dual column; V_k a vector or a stack.
+
+        The product starts at the first factor, not at 1.0 (1.0 x is exact),
+        and is 1.0 when no factor is left."""
+        rows = [f.T @ v for k, (f, v) in enumerate(zip(self.factors, test)) if k != skip]
+        return reduce(np.multiply, rows) if rows else 1.0
 
     def values(self, test: SeparatedFunction) -> np.ndarray:
         """f at each column of a separated test function."""
@@ -407,17 +410,18 @@ def als_rank1(form: EnergyForm, mats, rhs: Functional, init: SeparatedFunction,
     norms = np.sqrt(np.maximum(forms[:, FORM_ROW[MASS]], 0.0))
     if norms.min() < _NULL_MASS_NORM:
         raise ValueError(f"init factor {norms.argmin()} is zero")
+    norms = norms.tolist()  # Python floats: the sweeps read them one at a time
     # slot j's operators op_{t,j} over the terms, as one stack of their upper bands
     stacks = [np.array([m.bands[name] for name in names])
               for m, names in zip(mats, zip(*(ops for _, ops in form.terms)))]
-    j_prev = j_val = np.inf
+    j_prev = j_val = math.inf
     for sweep in range(max_sweeps):
         for j in range(n):
             u, j_val = _slot_solve(_slot_hessian(form, forms, stacks[j], j),
                                    rhs.slot_vector(r, j), j)
             # the forms of u give its mass norm and serve the next slots' Hessians
-            forms[j] = mats[j].quad_forms(u)
-            norms[j] = float(np.sqrt(max(forms[j, FORM_ROW[MASS]], 0.0)))
+            q = forms[j] = mats[j].quad_forms(u)
+            norms[j] = math.sqrt(max(float(q[FORM_ROW[MASS]]), 0.0))
             if norms[j] < _NULL_MASS_NORM:
                 raise NullTermError("residual orthogonal to rank-one set")
             r[j] = u
@@ -425,8 +429,8 @@ def als_rank1(form: EnergyForm, mats, rhs: Functional, init: SeparatedFunction,
         # forms are quadratic, so each row scales by the square of the factor
         # _normalized applies to its factor
         r = _normalized(r, norms)
-        squares = np.square(norms[:-1])
-        forms[:-1] /= squares[:, None]
+        squares = [nu * nu for nu in norms[:-1]]
+        forms[:-1] /= np.array(squares)[:, None]
         forms[-1] *= math.prod(squares)
         if j_val > j_prev + 1e-12 * (1.0 + abs(j_prev)):
             raise AlsError(f"J increased across sweep {sweep}: {j_prev!r} -> {j_val!r}")

@@ -16,10 +16,6 @@ symmetric Jacobi weight in q/sqrt(b) with exponent e, times a smooth factor:
 
 so weighted integrals are taken with one Gauss-Jacobi rule.  From FENE
 b = 1e9 and CPAIL b = 3e9 on, the rule fails and normalize refuses the weight.
-
-Also provided: the Liouville-transform potential Q_Theta of the weight and
-the closed-form boundary limit of dist^2 * Q_1, which classifies how strongly
-the weight degenerates at the endpoints.
 """
 
 from __future__ import annotations
@@ -118,39 +114,3 @@ def normalize(model: SpringModel) -> MaxwellianWeight:
     if not np.isfinite(z_inv):
         raise ValueError(f"weight normalisation {z_inv} is not finite")
     return MaxwellianWeight(model, z_inv)
-
-
-def q_theta(model: SpringModel, theta: float, q, d: int = 1):
-    """Liouville-transform potential Q_Theta(q) of the Maxwellian, closed form.
-
-    Q_Theta = Theta - w^{-1/2} div(w grad w^{-1/2}) with w = M; d is the
-    factor dimension (1 here, kept explicit because the closed forms carry
-    it).
-    """
-    if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta!r}")
-    q = np.asarray(q, dtype=float)
-    if np.any(np.abs(q) >= model.q_max):
-        raise ValueError(f"extension outside (-sqrt(b), sqrt(b)) for b = {model.b:g}")
-    b = model.b
-    q2 = q * q
-    inv = 1.0 / (1.0 - q2 / b)
-    if model.kind == FENE:
-        out = theta + (0.25 - 1.0 / b) * q2 * inv * inv - (d / 2.0) * inv
-    else:
-        out = (theta - d / 6.0 + q2 / 36.0
-               + (1.0 / 9.0 - 2.0 / (3.0 * b)) * q2 * inv * inv
-               - (d / 3.0 - q2 / 9.0) * inv)
-    return out if out.ndim else float(out)
-
-
-def boundary_limit_d2q(model: SpringModel):
-    """Limit of dist(q)^2 * Q_1(q) as |q| -> sqrt(b), in the weak-degeneracy range.
-
-    Returns the closed-form limit e(e - 2)/4 for e <= 2 (fene b in (2, 4],
-    cpail b in (3, 6]); returns None above, where Q_1 is bounded below and
-    the limit criterion is not the relevant condition.  The limit does not
-    depend on the factor dimension.  Callers check membership in (-1/4, 0].
-    """
-    e = model.e
-    return e * (e - 2.0) / 4.0 if e <= 2.0 else None

@@ -17,13 +17,13 @@ from scipy.optimize import minimize
 from greedy_ou import cli
 from greedy_ou.diagnostics import (MIX, UNIF, CoeffTensor, WeightFamily, b1_bound,
                                    fourier_coeffs, sigma_norm)
-from greedy_ou.eigen import (resolved_factor_eigens, solve_factor_eigens, tensor_eigenvalue,
-                             weyl_fit)
+from greedy_ou.eigen import resolved_factor_eigens, solve_factor_eigens, weyl_fit
 from greedy_ou.fem import assemble, build_mesh
 from greedy_ou.greedy import (EnergyForm, Functional, SeparatedFunction, als_best,
                               energy_norm, energy_rank1, rank_one, run_oga, run_pga)
-from greedy_ou.springs import (CPAIL, FENE, SpringModel, boundary_limit_d2q, normalize,
-                               q_theta)
+from greedy_ou.springs import CPAIL, FENE, SpringModel, normalize
+
+from closed_forms import boundary_limit_d2q, q_theta, tensor_eigenvalue
 from test_greedy import dense_slot_hessian
 
 ROUSE2 = np.array([[1.0, -0.5], [-0.5, 1.0]])

@@ -12,9 +12,10 @@ from greedy_ou.fem import (
     assemble,
     band_matmul,
     build_mesh,
-    dof_coordinates,
 )
 from greedy_ou.springs import CPAIL, FENE, SpringModel, integrate_weighted, normalize
+
+from closed_forms import dof_coordinates
 
 EPS = np.finfo(float).eps
 

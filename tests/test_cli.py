@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end and config validation."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import logging
@@ -346,9 +347,23 @@ def test_refined_basis_with_underflowing_mass_refused(tmp_path, capsys, command)
     path, out = write_config(tmp_path, raw), str(tmp_path / "out")
     assert cli.main([command, "--config", path, "--out", out]) == 1
     # one line on stderr, so no traceback
-    assert capsys.readouterr().err == ("error: mass matrix not positive definite on 40 elements: "
-                                       "the boundary mass M[0, 0] = 0 underflows\n")
+    assert capsys.readouterr().err == ("error: factors[0].b: mass matrix not positive definite "
+                                       "on 40 elements: the boundary mass M[0, 0] = 0 underflows\n")
     assert cli.main(["solve", "--config", path, "--out", out]) == 0
+
+
+@pytest.mark.parametrize("command", ["eig", "regularity"])
+def test_refined_basis_refusal_names_its_factor(tmp_path, capsys, command):
+    # two spring models: only the b=700 basis fails at the gate's 40 elements,
+    # so the refusal names the second factor's b
+    raw = base_config(factors=[{"kind": "fene", "b": 4.0}, {"kind": "fene", "b": 700.0}],
+                      coupling={"kind": "identity"}, mesh={"n_el": 20},
+                      target={"kind": "eigen", "terms": [{"weight": 1.0, "index": [1, 1]}]})
+    code = cli.main([command, "--config", write_config(tmp_path, raw),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: factors[1].b: mass matrix not positive definite "
+                                       "on 40 elements: the boundary mass M[0, 0] = 0 underflows\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -492,6 +507,22 @@ def test_runrecord_roundtrip_full_precision(tmp_path):
     assert again == record
     for rec in record["rows"]:
         assert rec["err_energy"] == float(repr(rec["err_energy"]))
+
+
+@pytest.mark.parametrize("algorithm", ["pga", "oga"])
+def test_runrecord_rows_are_the_trace_rows_as_dicts(tmp_path, monkeypatch, algorithm):
+    # rows are written from each row's own field dict, which reads as
+    # dataclasses.asdict does only while no field nests a dataclass or a list
+    runs = []
+    run = cli._run_algorithm
+    monkeypatch.setattr(cli, "_run_algorithm", lambda *args: runs.append(run(*args)) or runs[-1])
+    out = tmp_path / "out"
+    cli.main(["solve", "--config", write_config(tmp_path, base_config(algorithm=algorithm)),
+              "--out", str(out)])
+    (_, trace), = runs
+    record = json.loads((out / "runrecord.json").read_text())
+    assert record["rows"] == [json.loads(json.dumps(dataclasses.asdict(row)))
+                              for row in trace.rows]
 
 
 def test_csv_writes_numpy_floats_as_plain_digits(tmp_path):

@@ -13,11 +13,13 @@ from greedy_ou.diagnostics import (
     rate_class_report,
     sigma_norm,
 )
-from greedy_ou.eigen import resolved_factor_eigens, solve_factor_eigens, tensor_eigenvalue
+from greedy_ou.eigen import resolved_factor_eigens, solve_factor_eigens
 from greedy_ou.fem import assemble, build_mesh
 from greedy_ou.greedy import Functional, SeparatedFunction, energy_norm, run_oga
 from greedy_ou.greedy import EnergyForm
 from greedy_ou.springs import FENE, SpringModel, normalize
+
+from closed_forms import tensor_eigenvalue
 
 
 def eigen_system(n_el=40, k=20, n_factors=2):

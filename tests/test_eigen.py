@@ -18,11 +18,12 @@ from greedy_ou.eigen import (
     WeylFit,
     resolved_factor_eigens,
     solve_factor_eigens,
-    tensor_eigenvalue,
     weyl_fit,
 )
 from greedy_ou.fem import assemble, build_mesh
 from greedy_ou.springs import CPAIL, FENE, SpringModel, normalize
+
+from closed_forms import tensor_eigenvalue
 
 
 def factor_mats(kind=FENE, b=4.0, n_el=60, degree=2, grading=1.0):

@@ -367,6 +367,21 @@ def test_slot_solve_is_bitwise_scipy_banded_cholesky(degree):
         assert j_val == -0.5 * float(b @ expected)
 
 
+def alternating_problem(n, degree, coupling, rng):
+    """Energy form and N factors alternating FENE b=4 and CPAIL b=6 bases, with a
+    Rouse coupling or a full one (every off-diagonal entry nonzero, drawn from rng)."""
+    bases = [assemble(build_mesh(4.0, 5), normalize(SpringModel(FENE, 4.0)), degree),
+             assemble(build_mesh(6.0, 7), normalize(SpringModel(CPAIL, 6.0)), degree)]
+    mats = [bases[k % 2] for k in range(n)]
+    if coupling == "rouse":
+        a = np.eye(n) - 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    else:  # diagonally dominant
+        off = np.triu(rng.uniform(0.05, 0.3, (n, n)) * rng.choice([-1.0, 1.0], (n, n)), 1)
+        a = np.eye(n) + off + off.T
+        assert np.all(a != 0.0)
+    return EnergyForm(a, wi=0.7, c=1.3), mats
+
+
 @pytest.mark.parametrize("coupling", ["rouse", "full"])
 @pytest.mark.parametrize("degree", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])  # N = 1: every product is empty
@@ -374,16 +389,7 @@ def test_slot_hessian_is_bitwise_the_per_term_sum(n, degree, coupling):
     # the term table and the einsum over the band stack round exactly as a
     # Python loop over the terms does: products over k in order, terms in order
     rng = np.random.default_rng(100 * n + 10 * degree + len(coupling))
-    bases = [assemble(build_mesh(4.0, 5), normalize(SpringModel(FENE, 4.0)), degree),
-             assemble(build_mesh(6.0, 7), normalize(SpringModel(CPAIL, 6.0)), degree)]
-    mats = [bases[k % 2] for k in range(n)]
-    if coupling == "rouse":
-        a = np.eye(n) - 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
-    else:  # every off-diagonal entry nonzero, diagonally dominant
-        off = np.triu(rng.uniform(0.05, 0.3, (n, n)) * rng.choice([-1.0, 1.0], (n, n)), 1)
-        a = np.eye(n) + off + off.T
-        assert np.all(a != 0.0)
-    form = EnergyForm(a, wi=0.7, c=1.3)
+    form, mats = alternating_problem(n, degree, coupling, rng)
     for _ in range(5):
         frozen = [10.0 ** rng.uniform(-3, 3) * rng.standard_normal(m.ndof) for m in mats]
         forms = np.array([m.quad_forms(f) for m, f in zip(mats, frozen)])
@@ -392,6 +398,61 @@ def test_slot_hessian_is_bitwise_the_per_term_sum(n, degree, coupling):
                        * mats[j].bands[ops[j]] for coef, ops in form.terms)
             got = _slot_hessian(form, forms, slot_stack(form, mats, j), j)
             assert np.array_equal(got, want), (j, np.abs(got - want).max())
+
+
+def reference_als_rank1(form, mats, rhs, init, tol=1e-10, max_sweeps=60):
+    """als_rank1 with its norms as numpy scalars and arrays, and the slot
+    vector's product over factors started at 1.0: the arithmetic als_rank1
+    must keep bit for bit."""
+    def slot_vector(frozen, j):
+        rows = [f.T @ v for k, (f, v) in enumerate(zip(rhs.factors, frozen)) if k != j]
+        products = reduce(np.multiply, rows, 1.0)
+        return rhs.factors[j] @ (rhs.weights * products)
+
+    n = form.n_factors
+    r = greedy._vectors(init)
+    forms = np.array([m.quad_forms(f) for m, f in zip(mats, r)])
+    norms = np.sqrt(np.maximum(forms[:, FORM_ROW[MASS]], 0.0))
+    stacks = [np.array([m.bands[name] for name in names])
+              for m, names in zip(mats, zip(*(ops for _, ops in form.terms)))]
+    j_prev = j_val = np.inf
+    for sweep in range(max_sweeps):
+        for j in range(n):
+            u, j_val = _slot_solve(_slot_hessian(form, forms, stacks[j], j),
+                                   slot_vector(r, j), j)
+            forms[j] = mats[j].quad_forms(u)
+            norms[j] = float(np.sqrt(max(forms[j, FORM_ROW[MASS]], 0.0)))
+            if norms[j] < greedy._NULL_MASS_NORM:
+                raise NullTermError("residual orthogonal to rank-one set")
+            r[j] = u
+        r = greedy._normalized(r, norms)
+        squares = np.square(norms[:-1])
+        forms[:-1] /= squares[:, None]
+        forms[-1] *= math.prod(squares)
+        if j_val > j_prev + 1e-12 * (1.0 + abs(j_prev)):
+            raise AlsError(f"J increased across sweep {sweep}: {j_prev!r} -> {j_val!r}")
+        if abs(j_prev - j_val) <= tol * (1.0 + abs(j_val)):
+            break
+        j_prev = j_val
+    return rank_one(r), float(j_val)
+
+
+@pytest.mark.parametrize("coupling", ["rouse", "full"])
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])  # N = 1: the slot vector's product is empty
+def test_als_is_bitwise_the_numpy_scalar_reference(n, degree, coupling):
+    # norms and rescaling in Python floats, and products started at their
+    # first factor, round exactly as numpy scalars and a 1.0 start do
+    rng = np.random.default_rng(200 * n + 10 * degree + len(coupling))
+    form, mats = alternating_problem(n, degree, coupling, rng)
+    rhs = Functional.from_target(form, mats, random_target(mats, rng, 3))
+    for _ in range(3):
+        init = random_unit_term(mats, rng)
+        term, j_val = als_rank1(form, mats, rhs, init)
+        want, want_j = reference_als_rank1(form, mats, rhs, init)
+        assert term.weights.tobytes() == want.weights.tobytes()
+        assert [f.tobytes() for f in term.factors] == [f.tobytes() for f in want.factors]
+        assert j_val == want_j
 
 
 @pytest.mark.parametrize("n_el", [60, 120], ids=["below-crossover", "above-crossover"])

@@ -10,12 +10,12 @@ from greedy_ou.springs import (
     CPAIL,
     FENE,
     SpringModel,
-    boundary_limit_d2q,
     integrate_weighted,
     maxwellian_unnormalized,
     normalize,
-    q_theta,
 )
+
+from closed_forms import boundary_limit_d2q, q_theta
 
 
 def test_model_validation():
