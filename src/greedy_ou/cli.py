@@ -49,8 +49,9 @@ def _write_csv(path, header, rows):
 
 
 def _write_json(path, payload):
+    """payload on one line: without indent, json.dumps takes its C encoder."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _run_algorithm(cfg: ExperimentConfig, name: str, form, mats, rhs, target):

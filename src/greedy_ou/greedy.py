@@ -71,9 +71,9 @@ class NullTermError(RuntimeError):
 class EnergyForm:
     """Coupling matrix A, Weissenberg number wi, and reaction coefficient c.
 
-    Term table of terms (operator_terms): coefs[t] = coef_t, and slot_rows[j] the
-    T x (N - 1) flat indices 3 k + FORM_ROW[op_{t,k}], k != j, of the forms that
-    slot j's Hessian multiplies, in an N x 3 array holding factor k's in row k.
+    Term table of terms (operator_terms): coefs[t] = coef_t, and slot_rows[j] holds
+    (coef_t, ((k, FORM_ROW[op_{t,k}]) for k != j)) per term t, in Python floats and
+    ints: where slot j's Hessian reads the frozen forms, factor k's in row k.
     A form compares and hashes by identity.
     """
 
@@ -103,9 +103,9 @@ class EnergyForm:
         terms = operator_terms(self)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "coefs", np.array([coef for coef, _ in terms]))
-        object.__setattr__(self, "slot_rows", tuple(np.array(
-            [[3 * k + FORM_ROW[op] for k, op in enumerate(ops) if k != j] for _, ops in terms],
-            dtype=int) for j in range(self.n_factors)))
+        object.__setattr__(self, "slot_rows", tuple(
+            tuple((float(coef), tuple((k, FORM_ROW[op]) for k, op in enumerate(ops) if k != j))
+                  for coef, ops in terms) for j in range(self.n_factors)))
 
     @property
     def n_factors(self) -> int:
@@ -231,12 +231,12 @@ def _applied(op_terms, mats, f: SeparatedFunction) -> "Functional":
     term and primal column; each distinct op_{t,k} U_k is formed once
     (FactorMatrices.apply).
     """
+    coefs, slot_ops = zip(*op_terms)
     factors = []
-    for k, m in enumerate(mats):
-        names = {ops[k] for _, ops in op_terms}
-        applied = {name: m.apply(name, f.factors[k]) for name in names}
-        factors.append(np.concatenate([applied[ops[k]] for _, ops in op_terms], axis=1))
-    return Functional(np.concatenate([coef * f.weights for coef, _ in op_terms]), factors)
+    for m, u, names in zip(mats, f.factors, zip(*slot_ops)):
+        applied = {name: m.apply(name, u) for name in set(names)}
+        factors.append(np.concatenate([applied[name] for name in names], axis=1))
+    return Functional(np.outer(coefs, f.weights).ravel(), factors)
 
 
 def energy_rank1(form: EnergyForm, mats, u: SeparatedFunction, v: SeparatedFunction) -> float:
@@ -336,8 +336,12 @@ class Functional(_CPForm):
 
         The product starts at the first factor, not at 1.0 (1.0 x is exact),
         and is 1.0 when no factor is left."""
-        rows = [f.T @ v for k, (f, v) in enumerate(zip(self.factors, test)) if k != skip]
-        return reduce(np.multiply, rows) if rows else 1.0
+        product = None
+        for k, (f, v) in enumerate(zip(self.factors, test)):
+            if k != skip:
+                row = f.T @ v
+                product = row if product is None else product * row
+        return 1.0 if product is None else product
 
     def values(self, test: SeparatedFunction) -> np.ndarray:
         """f at each column of a separated test function."""
@@ -352,16 +356,22 @@ class Functional(_CPForm):
         return self.factors[j] @ (self.weights * self._products(frozen, skip=j))
 
 
-def _slot_hessian(form: EnergyForm, forms: np.ndarray, stack: np.ndarray, j: int) -> np.ndarray:
+def _slot_hessian(form: EnergyForm, forms, stack: np.ndarray, j: int) -> np.ndarray:
     """Upper band of the Hessian of u -> a(term with slot j -> u, same) over slot-j coefficients.
 
     Operator term t contributes coef_t prod_{k != j} (f_k . op_{t,k} f_k) op_{t,j};
-    row k of forms holds the quad_forms of the frozen f_k (row j is not read),
-    and stack holds slot j's upper bands of op_{t,j} over t.  Products run over k
-    and the sum over t in order: the roundings of a Python loop over the terms.
-    The band is in the FactorMatrices.bands layout, which _slot_solve takes.
+    row k of forms (N x 3, nested lists or an array) holds the quad_forms of the
+    frozen f_k (row j is not read), and stack holds slot j's upper bands of
+    op_{t,j} over t.  Products run over k and the sum over t in order: the
+    roundings of a Python loop over the terms.  The band is in the
+    FactorMatrices.bands layout, which _slot_solve takes.
     """
-    scale = form.coefs * np.multiply.reduce(forms.take(form.slot_rows[j]), axis=1)
+    scale = []
+    for coef, rows in form.slot_rows[j]:
+        product = 1.0  # 1.0 x is exact
+        for k, i in rows:
+            product *= forms[k][i]
+        scale.append(coef * product)
     return np.einsum("t,tij->ij", scale, stack)
 
 
@@ -392,9 +402,10 @@ def als_rank1(form: EnergyForm, mats, rhs: Functional, init: SeparatedFunction,
 
     Each slot solve is a symmetric positive-definite banded system in the
     LAPACK dpbtrf upper-band layout, factored by banded Cholesky in O(ndof)
-    (_slot_solve); sweeps stop when the relative change of J drops below tol
-    or max_sweeps is hit.  Returns (term, J) with the term a rank-1 form,
-    normalized so factors 1..N-1 have unit mass norm.
+    (_slot_solve).  Sweeps stop once |J_prev - J| <= tol (1 + |J|) between
+    the J of consecutive sweeps, a test that is absolute once |J| << 1, or
+    after max_sweeps, which is logged at INFO.  Returns (term, J) with the
+    term a rank-1 form, normalized so factors 1..N-1 have unit mass norm.
 
     Raises AlsError on a slot system that is not positive definite, a slot
     solve that is not finite (a NaN or inf in rhs or in the factor
@@ -403,26 +414,29 @@ def als_rank1(form: EnergyForm, mats, rhs: Functional, init: SeparatedFunction,
     (residual orthogonal to the rank-one set, as is an empty rhs).
     """
     _check_sizes(form, mats, init)
-    n = form.n_factors
     r = _vectors(init)
-    # the forms of the iterate's factors: each slot solve replaces its own row
     forms = np.array([m.quad_forms(f) for m, f in zip(mats, r)])
     norms = np.sqrt(np.maximum(forms[:, FORM_ROW[MASS]], 0.0))
     if norms.min() < _NULL_MASS_NORM:
         raise ValueError(f"init factor {norms.argmin()} is zero")
-    norms = norms.tolist()  # Python floats: the sweeps read them one at a time
-    # slot j's operators op_{t,j} over the terms, as one stack of their upper bands
-    stacks = [np.array([m.bands[name] for name in names])
-              for m, names in zip(mats, zip(*(ops for _, ops in form.terms)))]
-    j_prev = j_val = math.inf
+    # the forms of the iterate's factors and their mass norms, as Python floats
+    # since the sweeps read them one at a time; each slot solve replaces its
+    # own factor's
+    forms, norms = forms.tolist(), norms.tolist()
+    mass = FORM_ROW[MASS]
+    # per slot: j, the quad_forms of its basis, and its operators op_{t,j} over
+    # the terms as one stack of their upper bands
+    slots = [(j, m.quad_forms, np.array([m.bands[name] for name in names]))
+             for j, (m, names) in enumerate(zip(mats, zip(*(ops for _, ops in form.terms))))]
+    slot_vector = rhs.slot_vector
+    j_prev = j_val = change = math.inf
     for sweep in range(max_sweeps):
-        for j in range(n):
-            u, j_val = _slot_solve(_slot_hessian(form, forms, stacks[j], j),
-                                   rhs.slot_vector(r, j), j)
+        for j, quad_forms, stack in slots:
+            u, j_val = _slot_solve(_slot_hessian(form, forms, stack, j), slot_vector(r, j), j)
             # the forms of u give its mass norm and serve the next slots' Hessians
-            q = forms[j] = mats[j].quad_forms(u)
-            norms[j] = math.sqrt(max(float(q[FORM_ROW[MASS]]), 0.0))
-            if norms[j] < _NULL_MASS_NORM:
+            q = forms[j] = quad_forms(u).tolist()
+            nu = norms[j] = math.sqrt(max(q[mass], 0.0))
+            if nu < _NULL_MASS_NORM:
                 raise NullTermError("residual orthogonal to rank-one set")
             r[j] = u
         # every factor was solved in this sweep, so norms are those of r; the
@@ -430,13 +444,18 @@ def als_rank1(form: EnergyForm, mats, rhs: Functional, init: SeparatedFunction,
         # _normalized applies to its factor
         r = _normalized(r, norms)
         squares = [nu * nu for nu in norms[:-1]]
-        forms[:-1] /= np.array(squares)[:, None]
-        forms[-1] *= math.prod(squares)
+        forms[:-1] = [[x / s for x in q] for q, s in zip(forms, squares)]
+        product = math.prod(squares)
+        forms[-1] = [x * product for x in forms[-1]]
         if j_val > j_prev + 1e-12 * (1.0 + abs(j_prev)):
             raise AlsError(f"J increased across sweep {sweep}: {j_prev!r} -> {j_val!r}")
-        if abs(j_prev - j_val) <= tol * (1.0 + abs(j_val)):
+        change = abs(j_prev - j_val)
+        if change <= tol * (1.0 + abs(j_val)):
             break
         j_prev = j_val
+    else:
+        logger.info("ALS reached max_sweeps = %d: last |dJ| = %.3e against tol = %.3e",
+                    max_sweeps, change, tol)
     return rank_one(r), float(j_val)
 
 

@@ -78,6 +78,18 @@ def test_benchmark_hooks_resolve(monkeypatch):
             "greedy.energy_norm"} <= {s.name for s in tracer.spans}
     residual = rhs - greedy.Functional.from_target(form, mats, approx)
     assert len(residual.terms) == residual.rank
+    # greedy.als_rank1.sweeps_mean is slot_vector spans over N per als_rank1
+    # call: one span per slot solve, so a call cut at 3 sweeps records 3 N
+    for n in (2, 3):
+        cfg = validate_config(base_config(n_factors=n))
+        form, mats = build_problem(cfg)
+        target, _ = build_target(cfg, form, mats)
+        rhs = greedy.Functional.from_target(form, mats, target)
+        init = greedy.random_unit_term(mats, np.random.default_rng(n))
+        with spans.Tracer().installed() as tracer:
+            greedy.als_rank1(form, mats, rhs, init, tol=0.0, max_sweeps=3)
+        names = [s.name for s in tracer.spans]
+        assert (names.count("greedy.als_rank1"), names.count("greedy.slot_vector")) == (1, 3 * n)
 
 
 # --- validation ---

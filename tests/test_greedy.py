@@ -349,6 +349,32 @@ def test_rising_j_is_an_als_error(monkeypatch):
         als_best(form, mats, rhs, restarts=3, rng=rng)
 
 
+def test_als_at_max_sweeps_logs_its_last_change(caplog):
+    # a start cut at max_sweeps returns its last iterate as a stopped one does,
+    # and logs one INFO record with the last |dJ|; a start that stops logs none
+    mats = two_factor_mats()
+    form = EnergyForm(ROUSE2, 1.0, 1.0)
+    rng = np.random.default_rng(14)
+    rhs = Functional.from_target(form, mats, random_target(mats, rng, 2))
+    init = random_unit_term(mats, rng)
+    with caplog.at_level(logging.INFO, logger="greedy_ou.greedy"):
+        _, j_one = als_rank1(form, mats, rhs, init, tol=1e-10, max_sweeps=1)
+        [record] = caplog.records
+        assert (record.name, record.levelno) == ("greedy_ou.greedy", logging.INFO)
+        # the first sweep's change is from J = inf
+        assert record.getMessage() == ("ALS reached max_sweeps = 1: last |dJ| = inf "
+                                       "against tol = 1.000e-10")
+        caplog.clear()
+        _, j_two = als_rank1(form, mats, rhs, init, tol=1e-10, max_sweeps=2)
+        [record] = caplog.records
+        assert record.getMessage() == (f"ALS reached max_sweeps = 2: last |dJ| = "
+                                       f"{abs(j_one - j_two):.3e} against tol = 1.000e-10")
+        caplog.clear()
+        _, j_val = als_rank1(form, mats, rhs, init, tol=1e-10, max_sweeps=300)
+        assert caplog.records == []
+    assert j_val <= j_two <= j_one
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 def test_slot_solve_is_bitwise_scipy_banded_cholesky(degree):
     # the same LAPACK routines on the same band that scipy's wrappers call
