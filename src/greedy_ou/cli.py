@@ -124,7 +124,8 @@ def cmd_eig(cfg: ExperimentConfig, out_dir: Path) -> int:
         for n in range(1, eig.k + 1):
             rows.append([i, n, float(eig.values[n - 1]), int(eig.resolved[n - 1])])
         hi = min(40, eig.n_resolved if eig.n_resolved >= 2 else eig.k)
-        lo = max(1, min(10, hi))
+        # two eigenvalues at least whenever two exist: a one-point tail has ratio 1
+        lo = max(1, min(10, hi - 1))
         fit = weyl_fit(eig.values, d=1, tail=(lo, hi), resolved=eig.resolved)
         summary[f"factor_{i}"] = {
             "kind": model.kind, "b": model.b, "k": eig.k,

@@ -666,6 +666,21 @@ def test_eig_outputs_and_k_clamp_warning(tmp_path, caplog):
         assert entry["n_resolved"] >= 1
 
 
+def test_weyl_tail_holds_two_eigenvalues_when_few_are_resolved(tmp_path):
+    # n_el 20 resolves 6 of 40 eigenvalues per factor: the tail ends at 6
+    # and must start below it, or the fit has one point and ratio 1
+    out = tmp_path / "out"
+    raw = base_config(factors=[{"kind": "fene", "b": 4.0}, {"kind": "cpail", "b": 6.0}],
+                      mesh={"n_el": 20}, eig={"k": 40})
+    assert cli.main(["eig", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 0
+    summary = json.loads((out / "weyl.json").read_text())
+    for i in (0, 1):
+        entry = summary[f"factor_{i}"]
+        assert entry["n_resolved"] == 6
+        assert entry["tail"] == [5, 6]
+        assert entry["ratio"] > 1.0
+
+
 def test_eig_is_deterministic(tmp_path):
     cfg = write_config(tmp_path, base_config(mesh={"n_el": 8}))
     outs = []

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -129,11 +130,38 @@ def test_value_only_solve_matches_the_vector_solve(kind, b, n_el):
     pairs = solve_factor_eigens(mats, 40)
     values = solve_factor_eigens(mats, 40, vectors=False)
     assert values.vectors is None and values.mats is mats
-    assert np.all(np.abs(values.values - pairs.values) <= 1e-13 * pairs.values)
+    assert np.all(np.abs(values.values - pairs.values) <= 1e-14 * pairs.values)
     assert np.array_equal(solve_factor_eigens(mats, 40, vectors=False).values, values.values)
     gate = resolved_factor_eigens(mats, 40)
     gate_values = resolved_factor_eigens(mats, 40, vectors=False)
     assert gate_values.vectors is None
+    assert np.array_equal(gate_values.resolved, gate.resolved)
+
+
+def _lanczos_products(caplog, mats, vectors):
+    """Eigens of one solve and its operator products, read from its DEBUG record."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="greedy_ou.eigen"):
+        eig = solve_factor_eigens(mats, 40, vectors=vectors)
+    [record] = caplog.records
+    found = re.fullmatch(rf"Lanczos solve: ndof {mats.ndof}, k 40, vectors {vectors}, "
+                         r"tol \S+, (\d+) operator products", record.getMessage())
+    assert found and record.levelno == logging.DEBUG
+    return eig, int(found[1])
+
+
+@pytest.mark.parametrize("n_el", [320, 640], ids=["641", "1281"])
+@pytest.mark.parametrize("kind,b", [(FENE, 4.0), (CPAIL, 6.0)], ids=["fene", "cpail"])
+def test_value_only_stop_keeps_every_eigenvalue_and_saves_the_restart(caplog, kind, b, n_el):
+    # the four bases the spectrum benchmark solves: a residual of sqrt(eps)
+    # ends the value-only solve in its first Lanczos cycle, where tol=0 restarts
+    mats = factor_mats(kind, b, n_el=n_el)
+    pairs, vector_products = _lanczos_products(caplog, mats, vectors=True)
+    values, value_products = _lanczos_products(caplog, mats, vectors=False)
+    assert np.all(np.abs(values.values - pairs.values) <= 1e-14 * pairs.values)
+    assert value_products < vector_products
+    gate = resolved_factor_eigens(mats, 40)
+    gate_values = resolved_factor_eigens(mats, 40, vectors=False)
     assert np.array_equal(gate_values.resolved, gate.resolved)
 
 
