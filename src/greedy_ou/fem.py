@@ -11,7 +11,7 @@ every weighted pairing in this package reduces to:
 No essential boundary conditions are imposed: the natural weighted space
 contains the constants, and the weight itself supplies the boundary decay.
 At large b it underflows there, and assembly refuses a mass band left
-without a banded Cholesky factor, on every mesh it is asked for.
+without a banded Cholesky factor on any mesh, and keeps the factor.
 
 The matrices have bandwidth equal to the element degree p, and their
 storage is four upper bands, named MASS, STIFFNESS, GRAD and GRAD_T (the
@@ -158,6 +158,18 @@ class FactorMatrices:
     def grad_coupling_t(self) -> np.ndarray:
         return self.grad_coupling.T
 
+    @cached_property
+    def mass_factor(self) -> np.ndarray:
+        """Upper band of the Cholesky factor C of the mass, M = C^T C (LAPACK dpbtrf),
+        read-only; a mass band without one is an AssemblyError."""
+        mass = self.bands[MASS]
+        factor, info = dpbtrf(mass)
+        if info != 0:
+            raise AssemblyError(f"mass matrix not positive definite on {self.mesh.n_el} elements: "
+                                f"the boundary mass M[0, 0] = {mass[-1, 0]:.3g} underflows")
+        factor.setflags(write=False)
+        return factor
+
     def apply(self, name: str, x: np.ndarray) -> np.ndarray:
         """op @ x for the operator of the given name; x a vector or an ndof x R stack.
 
@@ -202,19 +214,20 @@ class FactorMatrices:
         return self._form_stack @ shifted.reshape(-1)
 
 
-def band_matmul(upper: np.ndarray, lower: np.ndarray, x: np.ndarray) -> np.ndarray:
+def band_matmul(upper: np.ndarray, lower: np.ndarray | None, x: np.ndarray) -> np.ndarray:
     """op @ x for the operator with upper band upper and lower band lower.
 
     Both bands are in the FactorMatrices.bands layout, so lower is the upper
-    band of op^T.  x is a vector or an ndof x R stack; the product is
-    2p + 1 slice multiply-adds, one per diagonal.
+    band of op^T (None for a triangular op).  x is a vector or an ndof x R
+    stack; the product is one slice multiply-add per diagonal.
     """
     p, n = upper.shape[0] - 1, upper.shape[1]
     rows = (slice(None),) + (None,) * (x.ndim - 1)
     out = upper[p][rows] * x
     for d in range(1, p + 1):
         out[:n - d] += upper[p - d, d:][rows] * x[d:]
-        out[d:] += lower[p - d, d:][rows] * x[:n - d]
+        if lower is not None:
+            out[d:] += lower[p - d, d:][rows] * x[:n - d]
     return out
 
 
@@ -321,7 +334,6 @@ def assemble(mesh: FactorMesh, weight: MaxwellianWeight, basis_degree: int = 2) 
              STIFFNESS: band((dr[:, None] * dr[None, :]).sum(axis=-1)),
              GRAD: band(grad),
              GRAD_T: band(grad.swapaxes(0, 1))}
-    if dpbtrf(bands[MASS])[1] != 0:
-        raise AssemblyError(f"mass matrix not positive definite on {mesh.n_el} elements: the "
-                            f"boundary mass M[0, 0] = {bands[MASS][-1, 0]:.3g} underflows")
-    return FactorMatrices(bands=bands, mesh=mesh, degree=p, weight=weight)
+    mats = FactorMatrices(bands=bands, mesh=mesh, degree=p, weight=weight)
+    mats.mass_factor  # refuses a mass band without a Cholesky factor, and keeps the factor
+    return mats

@@ -21,8 +21,8 @@ dual one f's columns and then each captured term's applied columns, so the
 error tau - u_n and the residual f - a(u_n, .) are re-weightings of them
 and each term is applied once.  energy_norm recompresses a CP form's
 columns into factor bases before it squares anything, so an error that
-cancels has no roundoff floor; the loops pass the bases of their primal
-stack, extended by one column per row.
+cancels has no roundoff floor; the loops factor their primal stack once and
+read each row's error from its leading blocks.
 
 The rank-one subproblem min_u J_f(u) = 1/2 a(u,u) - f(u) is solved by
 alternating sweeps: freezing all factors but slot j leaves a small symmetric
@@ -38,14 +38,13 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
-from .fem import FORM_ROW, GRAD, GRAD_T, MASS, STIFFNESS, FactorMatrices
+from .fem import FORM_ROW, GRAD, GRAD_T, MASS, STIFFNESS, band_matmul
 
 logger = logging.getLogger(__name__)
 
@@ -245,40 +244,23 @@ def energy_rank1(form: EnergyForm, mats, u: SeparatedFunction, v: SeparatedFunct
     return _applied(form.terms, mats, u).value(v)
 
 
-# mass-orthonormal basis Q of one factor's CP columns U = Q R: the stack of Q and
-# op Q over _OPS, and R
-_Basis = namedtuple("_Basis", "stack coefs")
-_OPS = (MASS, STIFFNESS, GRAD)
+_OPS = (STIFFNESS, GRAD)
 
 
-def _with_column(mats_k: FactorMatrices, basis: _Basis, u: np.ndarray) -> _Basis:
-    """The basis of one more column u: two classical Gram-Schmidt passes in the mass inner
-    product, the remainder a new basis vector unless the second pass removed more than it
-    left, u then being in the span (Kahan; Parlett, The Symmetric Eigenvalue Problem, 6.9)."""
-    (q, mq), coefs = basis.stack[:2], basis.coefs
-    h1 = mq.T @ u
-    v1 = u - q @ h1
-    h2 = mq.T @ v1
-    v = v1 - q @ h2
-    mv = mats_k.apply(MASS, v)
-    nu = math.sqrt(max(float(v @ mv), 0.0))
-    r, keep = len(coefs), nu > math.sqrt(float(h2 @ h2))
-    grown = np.zeros((r + keep, coefs.shape[1] + 1))
-    grown[:r, :-1], grown[:r, -1] = coefs, h1 + h2
-    if not keep:
-        return basis._replace(coefs=grown)
-    grown[r, -1] = nu
-    new = np.array([v, mv] + [mats_k.apply(name, v) for name in _OPS[1:]]) / nu
-    return _Basis(np.concatenate([basis.stack, new[:, :, None]], axis=2), grown)
-
-
-def _extended(mats, factors, bases=None) -> list:
-    """Factor bases (empty by default) extended by the columns they do not hold yet, each
-    copied contiguous so that it rounds the same alone as in a batch."""
-    bases = bases or [_Basis(np.zeros((4, m.ndof, 0)), np.zeros((0, 0))) for m in mats]
-    for columns in zip(*(np.array(f[:, bases[0].coefs.shape[1]:].T, order="C") for f in factors)):
-        bases = [_with_column(m, b, u) for m, b, u in zip(mats, bases, columns)]
-    return bases
+def _factored(mats, factors) -> list:
+    """R and Q'op Q over _OPS per factor, U = Q R with Q mass-orthonormal: with M = C'C
+    (FactorMatrices.mass_factor), one Householder QR C U = Q~ R, rows sorted by decreasing
+    max-norm for row-wise stability (Cox and Higham, BIT 38, 1998), Q = C^-1 Q~ by a banded
+    solve, Q'op Q by einsum (no BLAS thread split).  A prefix of U has R's leading block."""
+    out = []
+    for m, u in zip(mats, factors):
+        a = band_matmul(m.mass_factor, None, u)
+        order = np.argsort(-np.abs(a).max(axis=1, initial=0.0), kind="stable")
+        q, r = np.linalg.qr(a[order])
+        q[order] = q.copy()  # undo the row sort
+        q, _ = dtbtrs(m.mass_factor, q)
+        out.append((r, [np.einsum("ki,kj->ij", q, m.apply(name, q)) for name in _OPS]))
+    return out
 
 
 def _mode_product(core: np.ndarray, k: int, mat: np.ndarray) -> np.ndarray:
@@ -289,27 +271,31 @@ def _mode_product(core: np.ndarray, k: int, mat: np.ndarray) -> np.ndarray:
 
 
 def energy_norm(form: EnergyForm, mats, f: SeparatedFunction, bases=None) -> float:
-    """||f||_a with no floor: the columns, recompressed into mass-orthonormal factor bases
-    (_with_column), cancel in the Tucker core C = sum_r w_r (x)_k R_k[:, r] before anything
-    is squared (De Lathauwer, De Moor, Vandewalle, SIAM J. Matrix Anal. Appl. 21, 2000).
-    Mass slots are identities there, so term t is <C x_i Q'GQ over its GRAD_T slots i,
-    C x_j Q'op Q over its other slots j>.  bases (the greedy loops' own, _extended) may
-    hold a prefix of f's columns already; the rest are added."""
+    """||f||_a with no floor: the columns, factored as U_k = Q_k R_k, Q_k mass-orthonormal
+    (_factored), cancel in the Tucker core C = sum_r w_r (x)_k R_k[:, r] before anything is
+    squared (De Lathauwer, De Moor, Vandewalle, SIAM J. Matrix Anal. Appl. 21, 2000).  Mass
+    slots are identities there, so term t is <C x_i Q'GQ over its GRAD_T slots i, C x_j Q'op Q
+    over its other slots j>, an einsum.  bases (_factored, the loops') may factor a longer
+    stack whose leading columns are f's; by default f's own columns are factored."""
     _check_sizes(form, mats, f)
-    bases = _extended(mats, f.factors, bases)
-    first, *rest = [b.coefs for b in bases]
-    columns = reduce(lambda a, c: (a[:, None] * c).reshape(len(a) * len(c), f.rank), rest[1:],
-                     rest[0] if rest else np.ones((1, f.rank)))
-    core = ((first * f.weights) @ columns.T).reshape([len(b.coefs) for b in bases])
-    products = {(k, name): _mode_product(core, k, proj) for k, b in enumerate(bases)
-                for name, proj in zip(_OPS[1:], b.stack[0].T @ b.stack[2:])}
+    p = f.rank
+    if p == 0:
+        return 0.0  # the empty sum: dtbtrs takes no empty stack
+    bases = bases or _factored(mats, f.factors)
+    first, *rest = [r[:p, :p] for r, _ in bases]
+    columns = reduce(lambda a, c: (a[:, None] * c).reshape(len(a) * len(c), p), rest[1:],
+                     rest[0] if rest else np.ones((1, p)))
+    core = ((first * f.weights) @ columns.T).reshape([len(first)] + [len(c) for c in rest])
+    products = {(k, name): _mode_product(core, k, proj[:n, :n])
+                for k, ((_, projs), n) in enumerate(zip(bases, core.shape))
+                for name, proj in zip(_OPS, projs)}
     total = 0.0
     for coef, ops in form.terms:
         sides = [core, core]  # test, trial
         for k, op in enumerate(ops):
             if op != MASS:
                 sides[op != GRAD_T] = products[k, GRAD if op == GRAD_T else op]
-        total += coef * float(np.vdot(*sides))
+        total += coef * float(np.einsum("i,i->", sides[0].ravel(), sides[1].ravel()))
     return math.sqrt(max(total, 0.0))
 
 
@@ -537,7 +523,7 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
     gram = np.zeros((0, 0))
     fvec = np.zeros(0)
     r1_norm = None
-    bases = None  # of the primal columns
+    row_weights = []  # the weights after each row's update, for its error
     for n in range(1, n_max + 1):
         try:
             term, j_val = als_best(form, mats, residual, tol=als_tol,
@@ -581,15 +567,17 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
             alpha_out = gram_cond = None
         residual = Functional(np.concatenate(
             [rhs.weights, -np.outer(weights, form.coefs).ravel()]), dual)
-        err = float("nan")
-        if target is not None:
-            bases = _extended(mats, primal, bases)
-            err = energy_norm(form, mats, SeparatedFunction(
-                np.concatenate([target.weights, -weights]), primal), bases)
-        trace.rows.append(TraceRow(n=n, err_energy=err, term_norm_a=norm_n,
+        row_weights.append(weights)
+        trace.rows.append(TraceRow(n=n, err_energy=float("nan"), term_norm_a=norm_n,
                                    ortho_defect=float(residual.value(term)),
                                    surrogate=float(surrogate), alpha=alpha_out,
                                    gram_cond=gram_cond))
+    if target is not None and trace.rows:
+        # tau - u_n re-weights the leading n_target + n columns: one factorisation serves all
+        bases = _factored(mats, primal)
+        trace.rows = [replace(row, err_energy=energy_norm(form, mats, SeparatedFunction(
+            np.concatenate([target.weights, -w]), [u[:, :n_target + row.n] for u in primal]),
+            bases)) for row, w in zip(trace.rows, row_weights)]
     return SeparatedFunction(weights, [u[:, n_target:] for u in primal]), trace
 
 

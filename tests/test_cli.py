@@ -954,6 +954,34 @@ def test_log_variable_takes_level_names_only(tmp_path):
     assert done.stderr == "error: n_factors: expected a positive integer\n"
 
 
+def test_outputs_are_the_same_bytes_at_any_blas_thread_count(tmp_path):
+    # an oga-n3-shaped solve (N = 3, P2, n_el 20, 20 rows): row 19's error core
+    # has 22^3 = 10,648 entries, past the 10,000 at which OpenBLAS splits a dot
+    # product across threads, and a sum whose rounding follows the split would
+    # move err_energy.  OpenBLAS runs no more threads than there are CPUs, so on
+    # a one-CPU machine both runs take one thread and this only shows that a
+    # rerun repeats.
+    src = Path(cli.__file__).resolve().parent.parent
+    code = "import sys; from greedy_ou import cli; sys.exit(cli.main(sys.argv[1:]))"
+    raw = base_config(n_factors=3, mesh={"n_el": 20}, algorithm="oga", tol_stop=1e-12, n_max=20,
+                      als={"tol": 1e-10, "max_sweeps": 60, "restarts": 1, "seed": 680645901},
+                      target={"kind": "manufactured", "coefficients": [0.8, 0.5, 0.3],
+                              "seed": 4133142942})
+    config_path = write_config(tmp_path, raw)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        done = subprocess.run(
+            [sys.executable, "-c", code, "solve", "--config", config_path, "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True)
+        record = json.loads((out / "runrecord.json").read_text())
+        del record["wall_clock_s"]
+        outputs.append((done.returncode, (out / "solve.csv").read_bytes(), record))
+    assert outputs[0][2]["n_iterations"] == 20
+    assert outputs[0] == outputs[1]
+
+
 def test_readme_library_example_runs():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)

@@ -3,9 +3,13 @@
 err_energy recompresses tau - u_n into factor bases before it squares
 anything, so it carries no sqrt(eps) floor: on every row it must match the
 dense error e' A e, with e formed entry by entry on the tensor grid, to
-1e-13 of ||tau||_a, however far the error has fallen.  The loops' residuals,
-kept as re-weighted applied columns, are checked against residuals applied
-from scratch the same way.
+1e-13 of ||tau||_a, however far the error has fallen.  The loops factor
+their primal stack once and read each row's error from the leading blocks,
+which must match a fresh recompression of that row to 1e-14 of ||tau||_a.
+At the largest b the bases accept, the mass's Cholesky rows span hundreds
+of orders of magnitude; the row-sorted QR must hold the oracle bound there
+too.  The loops' residuals, kept as re-weighted applied columns, are
+checked against residuals applied from scratch the same way.
 """
 
 from functools import reduce
@@ -92,9 +96,10 @@ def test_three_factor_oga_matches_the_dense_oracle():
 
 @pytest.mark.parametrize("runner", [run_pga, run_oga], ids=["pga", "oga"])
 def test_loop_error_is_a_fresh_energy_norm(runner):
-    # the loop extends its bases by one column per row; recompressing the
-    # same form from scratch appends the same columns in the same order and
-    # rounds each the same, so the two agree bit for bit
+    # the loop factors its whole primal stack once and reads each row's error
+    # from the leading blocks; a fresh recompression of tau - u_n factors only
+    # that row's columns, and the two agree to 1e-14 of ||tau||_a.  Rows pass
+    # the basis size, so the last ones read an R with fewer rows than columns
     mats = [small_factor(FENE, 2), small_factor(CPAIL, 2)]
     form = EnergyForm(np.array([[1.0, -0.5], [-0.5, 1.0]]), wi=1.0, c=1.0)
     rng = np.random.default_rng(31)
@@ -102,8 +107,11 @@ def test_loop_error_is_a_fresh_energy_norm(runner):
                                                           for m in mats])
     approx, trace = runner(form, mats, Functional.from_target(form, mats, target),
                            tol_stop=1e-14, n_max=8, restarts=2, rng=rng, target=target)
+    assert target.rank + len(trace.rows) > max(m.ndof for m in mats)
+    scale = energy_norm(form, mats, target)
     for row in trace.rows:
-        assert row.err_energy == energy_norm(form, mats, target - approximation_at(approx, row))
+        fresh = energy_norm(form, mats, target - approximation_at(approx, row))
+        assert abs(row.err_energy - fresh) <= 1e-14 * scale, row.n
 
 
 @pytest.mark.parametrize("runner", [run_pga, run_oga], ids=["pga", "oga"])
@@ -164,10 +172,10 @@ def test_planted_cancellation_matches_the_dense_oracle(n, data, exponent, seed):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_energy_norm_extends_given_bases(n):
-    # the loops pass bases that hold a prefix of f's columns already: every
-    # prefix gives the number a fresh recompression gives, bit for bit, on a
-    # form whose columns cancel and on one whose columns do not: a column
-    # rounds the same whether it reaches _with_column alone or in a batch
+    # the loops pass the factorisation of a stack whose leading columns are
+    # f's: every prefix of f read from a longer stack's factorisation gives a
+    # fresh recompression's number to 1e-14 of ||g||_a, on a form whose
+    # columns cancel and on one whose columns do not
     mats = [small_factor(kind, 2) for kind in (FENE, CPAIL, FENE)[:n]]
     form = EnergyForm(np.eye(n) - 0.4 * (np.eye(n, k=1) + np.eye(n, k=-1)), wi=0.8, c=1.2)
     rng = np.random.default_rng(43)
@@ -175,8 +183,38 @@ def test_energy_norm_extends_given_bases(n):
                                                       for m in mats])
     near = SeparatedFunction(g.weights, [u + 1e-6 * rng.standard_normal(u.shape)
                                          for u in g.factors])
+    scale = energy_norm(form, mats, g)
     for f in (g, g - near):
-        fresh = energy_norm(form, mats, f)
-        for k in range(f.rank + 1):
-            prefix = greedy._extended(mats, [u[:, :k] for u in f.factors])
-            assert energy_norm(form, mats, f, prefix) == fresh, k
+        stack = [np.concatenate([u, rng.standard_normal((m.ndof, 4))], axis=1)
+                 for u, m in zip(f.factors, mats)]
+        bases = greedy._factored(mats, stack)
+        for k in range(1, f.rank + 1):
+            head = SeparatedFunction(f.weights[:k], [u[:, :k] for u in f.factors])
+            fresh = energy_norm(form, mats, head)
+            assert abs(energy_norm(form, mats, head, bases) - fresh) <= 1e-14 * scale, k
+
+
+@pytest.mark.parametrize("model", [SpringModel(FENE, 700.0), SpringModel(CPAIL, 900.0)],
+                         ids=["fene-700", "cpail-900"])
+def test_energy_norm_at_the_edge_of_the_accepted_range(model):
+    # n_el 20 at these b leaves mass pivots near 1e-271: the rows of C U
+    # (M = C'C) span hundreds of orders of magnitude, and only a QR with its
+    # rows sorted by decreasing max-norm keeps the small ones' accuracy.
+    # Cancellations planted in one slot of g's first term, at three depths
+    mats = [assemble(build_mesh(model.b, 20), normalize(model), 2)] * 2
+    form = EnergyForm(np.array([[1.0, -0.4], [-0.4, 1.0]]), wi=0.8, c=1.2)
+    a_full = assemble_dense(form, mats)
+    rng = np.random.default_rng(47)
+    g = SeparatedFunction(rng.uniform(0.5, 1.5, 3), [rng.standard_normal((m.ndof, 3))
+                                                     for m in mats])
+    norm_g = dense_energy_norm(form, mats, g, a_full)
+    move = rng.standard_normal(mats[0].ndof)
+    direction = SeparatedFunction(g.weights[:1], [move[:, None], g.factors[1][:, :1]])
+    for depth in (1e-6, 1e-10, 1e-13):
+        step = depth * norm_g / dense_energy_norm(form, mats, direction, a_full)
+        first = g.factors[0].copy()
+        first[:, 0] += step * move
+        f = g - SeparatedFunction(g.weights, [first, g.factors[1]])
+        want = dense_energy_norm(form, mats, f, a_full)
+        assert want == pytest.approx(depth * norm_g, rel=1e-2)
+        assert abs(energy_norm(form, mats, f) - want) <= TOL * norm_g, depth
