@@ -130,13 +130,15 @@ def _parse_coupling(raw, n_factors):
         a = np.eye(n_factors) + off * (np.eye(n_factors, k=1) + np.eye(n_factors, k=-1))
     elif kind == "explicit":
         matrix = _require(spec, "matrix", "coupling", list)
+        # numpy would take a boolean or a numeric string for a number
+        if not all(isinstance(row, list) and len(row) == len(matrix[0])
+                   and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
+                   for row in matrix):
+            raise ConfigError("coupling.matrix", "expected a list of equal-length rows of numbers")
         try:
             a = np.asarray(matrix, dtype=float)
         except OverflowError as exc:  # an integer past the float range
             raise ConfigError("coupling.matrix", "must be a finite number") from exc
-        except (ValueError, TypeError) as exc:  # ragged rows or a non-numeric entry
-            raise ConfigError("coupling.matrix",
-                              "expected a list of equal-length rows of numbers") from exc
         if a.shape != (n_factors, n_factors):
             raise ConfigError("coupling.matrix",
                               f"expected shape ({n_factors}, {n_factors}), got {a.shape}")

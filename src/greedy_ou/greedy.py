@@ -20,9 +20,9 @@ primal one holds the target's columns and then each captured term's, the
 dual one f's columns and then each captured term's applied columns, so the
 error tau - u_n and the residual f - a(u_n, .) are re-weightings of them
 and each term is applied once.  energy_norm recompresses a CP form's
-columns into factor bases before it squares anything, so an error that
-cancels has no roundoff floor; the loops factor their primal stack once and
-read each row's error from its leading blocks.
+columns into a tensor train before it squares anything, so an error that
+cancels has no floor and the cost is polynomial in N; the loops factor
+their primal stack once and read each row's error from its leading blocks.
 
 The rank-one subproblem min_u J_f(u) = 1/2 a(u,u) - f(u) is solved by
 alternating sweeps: freezing all factors but slot j leaves a small symmetric
@@ -39,7 +39,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
@@ -244,59 +244,57 @@ def energy_rank1(form: EnergyForm, mats, u: SeparatedFunction, v: SeparatedFunct
     return _applied(form.terms, mats, u).value(v)
 
 
-_OPS = (STIFFNESS, GRAD)
-
-
-def _factored(mats, factors) -> list:
-    """R and Q'op Q over _OPS per factor, U = Q R with Q mass-orthonormal: with M = C'C
-    (FactorMatrices.mass_factor), one Householder QR C U = Q~ R, rows sorted by decreasing
-    max-norm for row-wise stability (Cox and Higham, BIT 38, 1998), Q = C^-1 Q~ by a banded
-    solve, Q'op Q by einsum (no BLAS thread split).  A prefix of U has R's leading block."""
-    out = []
+def _factored(form: EnergyForm, mats, factors) -> tuple:
+    """(R_1, L, Q_1'op Q_1 and its environment per factor-1 op), U_k = Q_k R_k, Q_k mass-
+    orthonormal: one QR of C_k U_k (M_k = C_k'C_k, FactorMatrices.mass_factor), rows sorted by
+    decreasing max-norm to be row-wise stable (Cox and Higham, BIT 38, 1998), Q'op Q by einsum
+    (no BLAS thread split).  The train is right-orthonormal (Oseledets, SIAM J. Sci. Comput. 33,
+    2011): core k is the Q of a QR of the columns R_k[:, a] (x) L[a, :], L the previous triangle
+    transposed.  Mass is the identity on those cores, so a term is carried from its last
+    non-mass slot down to factor 2.  Householder QRs keep prefixes: leading columns, blocks."""
+    rs, projs = [], []
     for m, u in zip(mats, factors):
         a = band_matmul(m.mass_factor, None, u)
         order = np.argsort(-np.abs(a).max(axis=1, initial=0.0), kind="stable")
         q, r = np.linalg.qr(a[order])
         q[order] = q.copy()  # undo the row sort
         q, _ = dtbtrs(m.mass_factor, q)
-        out.append((r, [np.einsum("ki,kj->ij", q, m.apply(name, q)) for name in _OPS]))
-    return out
-
-
-def _mode_product(core: np.ndarray, k: int, mat: np.ndarray) -> np.ndarray:
-    """core x_k mat: mode k contracted with the columns of mat, one matrix product."""
-    a, r, b = math.prod(core.shape[:k]), core.shape[k], math.prod(core.shape[k + 1:])
-    out = core.reshape(a, r) @ mat.T if b == 1 else mat @ core.reshape(a, r, b)
-    return out.reshape(core.shape)
+        kq, gq = (np.einsum("ki,kj->ij", q, m.apply(op, q)) for op in (STIFFNESS, GRAD))
+        rs.append(r)
+        projs.append({MASS: np.eye(len(r)), STIFFNESS: kq, GRAD: gq, GRAD_T: gq.T})
+    lead = np.ones((rs[0].shape[1], 1))
+    cores = []  # core k as [right bond, left bond, factor k], k = 2, ..., N
+    for r in rs[:0:-1]:
+        q, t = np.linalg.qr((lead[:, :, None] * r.T[:, None, :]).reshape(len(lead), -1).T)
+        cores.insert(0, q.reshape(lead.shape[1], len(r), len(t)).transpose(0, 2, 1))
+        lead = t.T
+    widths = [lead.shape[1]] + [len(core) for core in cores]  # the bond right of factor k
+    envs = {}
+    for coef, ops in form.terms:
+        last = max((k for k, op in enumerate(ops) if op != MASS), default=0)
+        env = coef * np.eye(widths[last])
+        for k in range(last, 0, -1):
+            # batched gemms of at most R^3 flops each, which OpenBLAS runs unsplit up to R = 64
+            x = env.T @ (cores[k - 1] @ projs[k][ops[k]].T).transpose(1, 0, 2)
+            env = (x.transpose(1, 0, 2) @ cores[k - 1].transpose(0, 2, 1)).sum(axis=0)
+        envs[ops[0]] = envs.get(ops[0], 0.0) + env
+    return rs[0], lead, np.array([projs[0][op] for op in envs]), np.array(list(envs.values()))
 
 
 def energy_norm(form: EnergyForm, mats, f: SeparatedFunction, bases=None) -> float:
-    """||f||_a with no floor: the columns, factored as U_k = Q_k R_k, Q_k mass-orthonormal
-    (_factored), cancel in the Tucker core C = sum_r w_r (x)_k R_k[:, r] before anything is
-    squared (De Lathauwer, De Moor, Vandewalle, SIAM J. Matrix Anal. Appl. 21, 2000).  Mass
-    slots are identities there, so term t is <C x_i Q'GQ over its GRAD_T slots i, C x_j Q'op Q
-    over its other slots j>, an einsum.  bases (_factored, the loops') may factor a longer
-    stack whose leading columns are f's; by default f's own columns are factored."""
+    """||f||_a with no floor: the columns cancel in the train's centre Z = R_1 diag(w) L
+    (_factored) before anything is squared, and ||f||_a^2 sums <Z, Q_1'op Q_1 Z E> over the
+    factor-1 operators op, E op's environment.  bases (_factored, the loops') may factor a
+    longer stack whose leading columns are f's; by default f's own columns are factored."""
     _check_sizes(form, mats, f)
     p = f.rank
     if p == 0:
         return 0.0  # the empty sum: dtbtrs takes no empty stack
-    bases = bases or _factored(mats, f.factors)
-    first, *rest = [r[:p, :p] for r, _ in bases]
-    columns = reduce(lambda a, c: (a[:, None] * c).reshape(len(a) * len(c), p), rest[1:],
-                     rest[0] if rest else np.ones((1, p)))
-    core = ((first * f.weights) @ columns.T).reshape([len(first)] + [len(c) for c in rest])
-    products = {(k, name): _mode_product(core, k, proj[:n, :n])
-                for k, ((_, projs), n) in enumerate(zip(bases, core.shape))
-                for name, proj in zip(_OPS, projs)}
-    total = 0.0
-    for coef, ops in form.terms:
-        sides = [core, core]  # test, trial
-        for k, op in enumerate(ops):
-            if op != MASS:
-                sides[op != GRAD_T] = products[k, GRAD if op == GRAD_T else op]
-        total += coef * float(np.einsum("i,i->", sides[0].ravel(), sides[1].ravel()))
-    return math.sqrt(max(total, 0.0))
+    first, lead, projs, envs = bases or _factored(form, mats, f.factors)
+    z = (first[:p, :p] * f.weights) @ lead[:p, :p]
+    r, m = z.shape
+    total = np.einsum("ij,kij->", z, projs[:, :r, :r] @ z @ envs[:, :m, :m])
+    return math.sqrt(max(float(total), 0.0))
 
 
 class Functional(_CPForm):
@@ -574,7 +572,7 @@ def _greedy_loop(form, mats, rhs, tol_stop, n_max, *, als_tol, max_sweeps,
                                    gram_cond=gram_cond))
     if target is not None and trace.rows:
         # tau - u_n re-weights the leading n_target + n columns: one factorisation serves all
-        bases = _factored(mats, primal)
+        bases = _factored(form, mats, primal)
         trace.rows = [replace(row, err_energy=energy_norm(form, mats, SeparatedFunction(
             np.concatenate([target.weights, -w]), [u[:, :n_target + row.n] for u in primal]),
             bases)) for row, w in zip(trace.rows, row_weights)]

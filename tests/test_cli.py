@@ -200,6 +200,13 @@ _REFUSALS = {
                                                "matrix": [["a", 0.0], [0.0, 1.0]]}},
                                  "coupling.matrix: expected a list of equal-length rows of "
                                  "numbers"),
+    "boolean matrix entry": ({"coupling": {"kind": "explicit",
+                                           "matrix": [[True, 0], [0, 1]]}},
+                             "coupling.matrix: expected a list of equal-length rows of numbers"),
+    "numeric string matrix entry": ({"coupling": {"kind": "explicit",
+                                                  "matrix": [["1", "0"], ["0", "1.0"]]}},
+                                    "coupling.matrix: expected a list of equal-length rows of "
+                                    "numbers"),
     "empty eigen terms": ({"target": {"kind": "eigen", "terms": []}},
                           "target.terms: must be a nonempty list"),
     "eigen term not an object": ({"target": {"kind": "eigen", "terms": [3]}},
@@ -955,12 +962,13 @@ def test_log_variable_takes_level_names_only(tmp_path):
 
 
 def test_outputs_are_the_same_bytes_at_any_blas_thread_count(tmp_path):
-    # an oga-n3-shaped solve (N = 3, P2, n_el 20, 20 rows): row 19's error core
-    # has 22^3 = 10,648 entries, past the 10,000 at which OpenBLAS splits a dot
-    # product across threads, and a sum whose rounding follows the split would
-    # move err_energy.  OpenBLAS runs no more threads than there are CPUs, so on
-    # a one-CPU machine both runs take one thread and this only shows that a
-    # rerun repeats.
+    # an oga-n3-shaped solve (N = 3, P2, n_el 20, 20 rows): the error's train
+    # has a 23 x 23 x 23 core, contracted in batches of gemms each below the
+    # size at which OpenBLAS splits a product across threads, while a sum
+    # whose rounding followed such a split would move err_energy.
+    # OpenBLAS runs no more threads than there are CPUs, so on a one-CPU
+    # machine both runs take one thread and this only shows that a rerun
+    # repeats.
     src = Path(cli.__file__).resolve().parent.parent
     code = "import sys; from greedy_ou import cli; sys.exit(cli.main(sys.argv[1:]))"
     raw = base_config(n_factors=3, mesh={"n_el": 20}, algorithm="oga", tol_stop=1e-12, n_max=20,

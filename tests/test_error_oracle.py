@@ -8,8 +8,10 @@ their primal stack once and read each row's error from the leading blocks,
 which must match a fresh recompression of that row to 1e-14 of ||tau||_a.
 At the largest b the bases accept, the mass's Cholesky rows span hundreds
 of orders of magnitude; the row-sorted QR must hold the oracle bound there
-too.  The loops' residuals, kept as re-weighted applied columns, are
-checked against residuals applied from scratch the same way.
+too.  At N = 6, past the dense oracle's reach, each row's square must
+match the Gram sum of tau - u_n's columns.  The loops' residuals, kept as
+re-weighted applied columns, are checked against residuals applied from
+scratch the same way.
 """
 
 from functools import reduce
@@ -141,13 +143,16 @@ def test_loop_residual_matches_a_fresh_residual(runner):
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(n=st.sampled_from([2, 3]), data=st.data(), exponent=st.floats(4.0, 12.0),
+@given(n=st.sampled_from([1, 2, 3, 4]), data=st.data(), exponent=st.floats(4.0, 12.0),
        seed=st.integers(0, 2**32 - 1))
 def test_planted_cancellation_matches_the_dense_oracle(n, data, exponent, seed):
     # f~ moves one slot of each of f's terms, scaled so that ||f - f~||_a is
-    # 10**-exponent of ||f||_a: the columns of f - f~ cancel to that depth
+    # 10**-exponent of ||f||_a: the columns of f - f~ cancel to that depth.
+    # N = 1 has no bond and N = 4 contracts three cores in order; P1 only at
+    # N = 4 keeps the dense operator at 625 x 625
     kinds = data.draw(st.lists(st.sampled_from([FENE, CPAIL]), min_size=n, max_size=n))
-    degrees = data.draw(st.lists(st.sampled_from([1, 2]), min_size=n, max_size=n))
+    degrees = data.draw(st.lists(st.sampled_from([1] if n == 4 else [1, 2]),
+                                 min_size=n, max_size=n))
     mats = [small_factor(k, d) for k, d in zip(kinds, degrees)]
     form = EnergyForm(np.eye(n) - 0.4 * (np.eye(n, k=1) + np.eye(n, k=-1)), wi=0.8, c=1.2)
     a_full = assemble_dense(form, mats)
@@ -170,13 +175,13 @@ def test_planted_cancellation_matches_the_dense_oracle(n, data, exponent, seed):
     assert abs(energy_norm(form, mats, f - moved) - want) <= TOL * norm_f
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_energy_norm_extends_given_bases(n):
     # the loops pass the factorisation of a stack whose leading columns are
     # f's: every prefix of f read from a longer stack's factorisation gives a
     # fresh recompression's number to 1e-14 of ||g||_a, on a form whose
     # columns cancel and on one whose columns do not
-    mats = [small_factor(kind, 2) for kind in (FENE, CPAIL, FENE)[:n]]
+    mats = [small_factor(kind, 2) for kind in (FENE, CPAIL, FENE, CPAIL)[:n]]
     form = EnergyForm(np.eye(n) - 0.4 * (np.eye(n, k=1) + np.eye(n, k=-1)), wi=0.8, c=1.2)
     rng = np.random.default_rng(43)
     g = SeparatedFunction(rng.uniform(-1.5, 1.5, 3), [rng.standard_normal((m.ndof, 3))
@@ -187,7 +192,7 @@ def test_energy_norm_extends_given_bases(n):
     for f in (g, g - near):
         stack = [np.concatenate([u, rng.standard_normal((m.ndof, 4))], axis=1)
                  for u, m in zip(f.factors, mats)]
-        bases = greedy._factored(mats, stack)
+        bases = greedy._factored(form, mats, stack)
         for k in range(1, f.rank + 1):
             head = SeparatedFunction(f.weights[:k], [u[:, :k] for u in f.factors])
             fresh = energy_norm(form, mats, head)
@@ -218,3 +223,31 @@ def test_energy_norm_at_the_edge_of_the_accepted_range(model):
         want = dense_energy_norm(form, mats, f, a_full)
         assert want == pytest.approx(depth * norm_g, rel=1e-2)
         assert abs(energy_norm(form, mats, f) - want) <= TOL * norm_g, depth
+
+
+def test_six_factor_pga_rows_match_the_gram_sum():
+    # N = 6, where the dense oracle has 21^6 dofs: 20 PGA rows on a rank-3
+    # manufactured target keep criterion 08's monotone rule and criterion 06's
+    # PGA envelope, and each row's err_energy^2 matches the Gram sum w'Gw of
+    # tau - u_n's columns, G_rs = a(col_r, col_s).  That sum has its own
+    # roundoff floor, so the squares are compared, to 1e-12 of ||tau||_a^2
+    raw = base_config(n_factors=6, mesh={"n_el": 10}, tol_stop=1e-12, n_max=20,
+                      als={"tol": 1e-10, "max_sweeps": 60, "restarts": 4, "seed": 11},
+                      target={"kind": "manufactured", "coefficients": [0.8, 0.5, 0.3],
+                              "seed": 5})
+    cfg = validate_config(raw)
+    form, mats = build_problem(cfg)
+    target, bound = build_target(cfg, form, mats)
+    rhs = Functional.from_target(form, mats, target)
+    approx, trace = cli._run_algorithm(cfg, "pga", form, mats, rhs, target)
+    assert len(trace.rows) == 20
+    columns = [t for _, t in (target + approx).terms]
+    gram = np.array([[greedy.energy_rank1(form, mats, u, v) for v in columns] for u in columns])
+    norm2 = target.weights @ gram[:3, :3] @ target.weights
+    errs = [np.sqrt(norm2)] + [row.err_energy for row in trace.rows]
+    assert max(np.diff(errs)) <= 1e-10 * errs[0]
+    for row in trace.rows:
+        assert row.err_energy <= bound * row.n ** (-1 / 6) * (1 + 1e-12), row.n
+        w = np.concatenate([target.weights, -np.ones(row.n)])
+        want = w @ gram[:3 + row.n, :3 + row.n] @ w
+        assert abs(row.err_energy**2 - want) <= 1e-12 * norm2, row.n
