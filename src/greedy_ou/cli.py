@@ -28,7 +28,7 @@ from .config import (SCHEMA_VERSION, ConfigError, ExperimentConfig, build_proble
                      build_target, load_raw, separated_target, validate_config)
 from .diagnostics import fourier_coeffs, rate_class_report
 from .eigen import EigenError, resolved_factor_eigens, weyl_fit
-from .fem import AssemblyError
+from .fem import AssemblyError, MeshError
 from .greedy import Functional, GreedyError, run_oga, run_pga
 from .springs import normalize  # noqa: F401  (perfbench/spans.py patches cli.normalize)
 
@@ -100,7 +100,8 @@ def _resolved_system(cfg: ExperimentConfig, mats, vectors: bool = True) -> tuple
 
     With vectors=False the eigens carry no vectors (see resolved_factor_eigens).
     A refined basis that assemble refuses is refused under its first factor's
-    b, as build_problem refuses the configured one.
+    b, and a refined mesh whose nodes coincide under mesh.grading, as
+    build_problem refuses the configured ones.
     """
     resolved = {}
     for i, m in enumerate(mats):
@@ -112,6 +113,8 @@ def _resolved_system(cfg: ExperimentConfig, mats, vectors: bool = True) -> tuple
                 resolved[m] = resolved_factor_eigens(m, min(cfg.eig_k, m.ndof), vectors)
             except AssemblyError as exc:
                 raise ConfigError(f"factors[{i}].b", str(exc)) from exc
+            except MeshError as exc:
+                raise ConfigError("mesh.grading", str(exc)) from exc
     return tuple(resolved[m] for m in mats)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import solve_factor_eigens
-from .fem import AssemblyError, assemble, build_mesh
+from .fem import AssemblyError, MeshError, assemble, build_mesh
 from .greedy import EnergyForm, SeparatedFunction, energy_rank1, random_unit_term
 from .springs import CPAIL, FENE, SpringModel, normalize
 
@@ -252,14 +252,18 @@ def load_raw(path):
 def build_problem(cfg: ExperimentConfig):
     """Energy form and per-factor matrices; equal factor models share one basis.
 
-    A basis refused by normalize or assemble is refused under its first factor's b.
+    A mesh whose nodes coincide is refused under mesh.grading, before assembly,
+    and a basis refused by normalize or assemble under its first factor's b.
     """
     bases = {}
     for i, model in enumerate(cfg.factor_models):
         if model not in bases:
             try:
-                bases[model] = assemble(build_mesh(model.b, cfg.n_el, cfg.grading),
-                                        normalize(model), cfg.degree)
+                mesh = build_mesh(model.b, cfg.n_el, cfg.grading)
+            except MeshError as exc:
+                raise ConfigError("mesh.grading", str(exc)) from exc
+            try:
+                bases[model] = assemble(mesh, normalize(model), cfg.degree)
             except (ValueError, AssemblyError) as exc:
                 raise ConfigError(f"factors[{i}].b", str(exc)) from exc
     return cfg.form, [bases[model] for model in cfg.factor_models]

@@ -74,6 +74,10 @@ class AssemblyError(RuntimeError):
     pass
 
 
+class MeshError(ValueError):
+    """A graded node map whose nodes coincide in floating point."""
+
+
 @dataclass(frozen=True)
 class FactorMesh:
     """Sorted node coordinates spanning [-sqrt(b), sqrt(b)]."""
@@ -90,7 +94,8 @@ def build_mesh(b: float, n_el: int, grading: float = 1.0) -> FactorMesh:
     """Symmetric mesh on [-sqrt(b), sqrt(b)], clustered at the endpoints for grading > 1.
 
     Node map: x = sqrt(b) * sign(u) * (1 - (1 - |u|)^grading) for uniform
-    u in [-1, 1]; grading = 1 is the uniform mesh.
+    u in [-1, 1]; grading = 1 is the uniform mesh.  A grading so steep that
+    two nodes coincide in floating point raises MeshError.
     """
     if n_el < 4:
         raise ValueError(f"n_el must be at least 4, got {n_el}")
@@ -100,6 +105,8 @@ def build_mesh(b: float, n_el: int, grading: float = 1.0) -> FactorMesh:
     u = np.linspace(-1.0, 1.0, n_el + 1)
     x = q_max * np.sign(u) * (1.0 - (1.0 - np.abs(u)) ** grading)
     x[0], x[-1] = -q_max, q_max
+    if not (np.diff(x) > 0).all():
+        raise MeshError(f"grading {grading!r} on {n_el} elements makes coincident nodes")
     return FactorMesh(nodes=x, grading=float(grading))
 
 

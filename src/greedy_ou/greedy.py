@@ -21,8 +21,10 @@ dual one f's columns and then each captured term's applied columns, so the
 error tau - u_n and the residual f - a(u_n, .) are re-weightings of them
 and each term is applied once.  energy_norm recompresses a CP form's
 columns into a tensor train before it squares anything, so an error that
-cancels has no floor and the cost is polynomial in N; the loops factor
-their primal stack once and read each row's error from its leading blocks.
+cancels has no floor.  One pass from factor N to 1 builds the train, and
+the terms that agree left of a factor share its contraction, O(N) of them
+for a Rouse coupling; the loops factor their primal stack once and read
+each row's error from its leading blocks.
 
 The rank-one subproblem min_u J_f(u) = 1/2 a(u,u) - f(u) is solved by
 alternating sweeps: freezing all factors but slot j leaves a small symmetric
@@ -245,40 +247,37 @@ def energy_rank1(form: EnergyForm, mats, u: SeparatedFunction, v: SeparatedFunct
 
 
 def _factored(form: EnergyForm, mats, factors) -> tuple:
-    """(R_1, L, Q_1'op Q_1 and its environment per factor-1 op), U_k = Q_k R_k, Q_k mass-
-    orthonormal: one QR of C_k U_k (M_k = C_k'C_k, FactorMatrices.mass_factor), rows sorted by
-    decreasing max-norm to be row-wise stable (Cox and Higham, BIT 38, 1998), Q'op Q by einsum
-    (no BLAS thread split).  The train is right-orthonormal (Oseledets, SIAM J. Sci. Comput. 33,
-    2011): core k is the Q of a QR of the columns R_k[:, a] (x) L[a, :], L the previous triangle
-    transposed.  Mass is the identity on those cores, so a term is carried from its last
-    non-mass slot down to factor 2.  Householder QRs keep prefixes: leading columns, blocks."""
-    rs, projs = [], []
-    for m, u in zip(mats, factors):
-        a = band_matmul(m.mass_factor, None, u)
+    """(R_1, L, Q_1'op Q_1 and its environment per factor-1 op), in one pass from factor N to 1.
+    U_k = Q_k R_k, Q_k mass-orthonormal: one QR of C_k U_k (M_k = C_k'C_k, the mass_factor),
+    rows sorted by decreasing max-norm to be row-wise stable (Cox and Higham, BIT 38, 1998),
+    Q'op Q by einsum (no BLAS thread split).  The train is right-orthonormal (Oseledets, SIAM J.
+    Sci. Comput. 33, 2011): core k is the Q of a QR of the columns R_k[:, a] (x) L[a, :], L the
+    previous triangle transposed.  Mass is the identity on those cores, so a term enters as
+    coef I at its last non-mass slot, and the environments of terms that agree left of core k
+    are summed before it.  Householder QRs keep prefixes: leading columns, blocks."""
+    lead, envs = np.ones((factors[0].shape[1], 1)), {}  # envs right of factor k, by ops[:k + 1]
+    for k, m in reversed(list(enumerate(mats))):
+        a = band_matmul(m.mass_factor, None, factors[k])
         order = np.argsort(-np.abs(a).max(axis=1, initial=0.0), kind="stable")
         q, r = np.linalg.qr(a[order])
         q[order] = q.copy()  # undo the row sort
         q, _ = dtbtrs(m.mass_factor, q)
         kq, gq = (np.einsum("ki,kj->ij", q, m.apply(op, q)) for op in (STIFFNESS, GRAD))
-        rs.append(r)
-        projs.append({MASS: np.eye(len(r)), STIFFNESS: kq, GRAD: gq, GRAD_T: gq.T})
-    lead = np.ones((rs[0].shape[1], 1))
-    cores = []  # core k as [right bond, left bond, factor k], k = 2, ..., N
-    for r in rs[:0:-1]:
+        proj = {MASS: np.eye(len(r)), STIFFNESS: kq, GRAD: gq, GRAD_T: gq.T}
+        for coef, ops in form.terms:
+            if max((i for i, op in enumerate(ops) if op != MASS), default=0) == k:
+                envs[ops[:k + 1]] = envs.get(ops[:k + 1], 0.0) + coef * np.eye(lead.shape[1])
+        if k == 0:
+            return r, lead, np.array([proj[ops[0]] for ops in envs]), np.array(list(envs.values()))
         q, t = np.linalg.qr((lead[:, :, None] * r.T[:, None, :]).reshape(len(lead), -1).T)
-        cores.insert(0, q.reshape(lead.shape[1], len(r), len(t)).transpose(0, 2, 1))
-        lead = t.T
-    widths = [lead.shape[1]] + [len(core) for core in cores]  # the bond right of factor k
-    envs = {}
-    for coef, ops in form.terms:
-        last = max((k for k, op in enumerate(ops) if op != MASS), default=0)
-        env = coef * np.eye(widths[last])
-        for k in range(last, 0, -1):
+        core = q.reshape(lead.shape[1], len(r), len(t)).transpose(0, 2, 1)  # [right, left, k]
+        lead, contracted = t.T, {}
+        for ops, env in envs.items():
             # batched gemms of at most R^3 flops each, which OpenBLAS runs unsplit up to R = 64
-            x = env.T @ (cores[k - 1] @ projs[k][ops[k]].T).transpose(1, 0, 2)
-            env = (x.transpose(1, 0, 2) @ cores[k - 1].transpose(0, 2, 1)).sum(axis=0)
-        envs[ops[0]] = envs.get(ops[0], 0.0) + env
-    return rs[0], lead, np.array([projs[0][op] for op in envs]), np.array(list(envs.values()))
+            x = env.T @ (core @ proj[ops[k]].T).transpose(1, 0, 2)
+            x = (x.transpose(1, 0, 2) @ core.transpose(0, 2, 1)).sum(axis=0)
+            contracted[ops[:k]] = contracted.get(ops[:k], 0.0) + x
+        envs = contracted
 
 
 def energy_norm(form: EnergyForm, mats, f: SeparatedFunction, bases=None) -> float:

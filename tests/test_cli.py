@@ -221,6 +221,8 @@ _REFUSALS = {
                                                                     "index": [True, 1]}]}},
                             "target.terms[0].index: expected a list of positive integers"),
     "n_el below 4": ({"mesh": {"n_el": 3}}, "mesh.n_el: must be at least 4"),
+    "coincident mesh nodes": ({"mesh": {"n_el": 6, "grading": 40.0}},
+                              "mesh.grading: grading 40.0 on 6 elements makes coincident nodes"),
     "unknown algorithm": ({"algorithm": "cg"}, "algorithm: must be 'pga' or 'oga', got 'cg'"),
     "als not an object": ({"als": []}, "als: expected an object"),
     "eig not an object": ({"eig": 5}, "eig: expected an object"),
@@ -238,6 +240,21 @@ def test_config_refusals_name_their_field(tmp_path, capsys, case):
                      "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err == f"error: {line}\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, n_el, grading, elements", [
+    ("eig", 6, 40.0, 6), ("regularity", 6, 40.0, 6),
+    # at n_el 20 the configured nodes are distinct, those of the gate's 40-element refinement not
+    ("eig", 20, 14.0, 40), ("regularity", 20, 14.0, 40)])
+def test_coincident_mesh_nodes_refused_before_assembly(tmp_path, capsys, command, n_el,
+                                                       grading, elements):
+    out = tmp_path / "out"
+    raw = base_config(mesh={"n_el": n_el, "grading": grading})
+    code = cli.main([command, "--config", write_config(tmp_path, raw), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: mesh.grading: grading {grading!r} on {elements} "
+                                       "elements makes coincident nodes\n")
     assert list(out.iterdir()) == []
 
 

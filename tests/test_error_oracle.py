@@ -8,10 +8,14 @@ their primal stack once and read each row's error from the leading blocks,
 which must match a fresh recompression of that row to 1e-14 of ||tau||_a.
 At the largest b the bases accept, the mass's Cholesky rows span hundreds
 of orders of magnitude; the row-sorted QR must hold the oracle bound there
-too.  At N = 6, past the dense oracle's reach, each row's square must
-match the Gram sum of tau - u_n's columns.  The loops' residuals, kept as
-re-weighted applied columns, are checked against residuals applied from
-scratch the same way.
+too.  The train is built in one pass from factor N to 1, and the terms
+whose operators agree left of a factor share one environment through it;
+the planted cancellations run that pass up to N = 4 against the dense
+oracle (couplings with non-adjacent pairs are in tests/test_greedy.py), and
+at N = 6 and 8, past the oracle's reach, each row's square must match the
+Gram sum of tau - u_n's columns.  The loops' residuals, kept as re-weighted
+applied columns, are checked against residuals applied from scratch the
+same way.
 """
 
 from functools import reduce
@@ -225,13 +229,14 @@ def test_energy_norm_at_the_edge_of_the_accepted_range(model):
         assert abs(energy_norm(form, mats, f) - want) <= TOL * norm_g, depth
 
 
-def test_six_factor_pga_rows_match_the_gram_sum():
-    # N = 6, where the dense oracle has 21^6 dofs: 20 PGA rows on a rank-3
+@pytest.mark.parametrize("n", [6, 8])
+def test_many_factor_pga_rows_match_the_gram_sum(n):
+    # N = 6 and 8, where the dense oracle has 21^N dofs: 20 PGA rows on a rank-3
     # manufactured target keep criterion 08's monotone rule and criterion 06's
     # PGA envelope, and each row's err_energy^2 matches the Gram sum w'Gw of
     # tau - u_n's columns, G_rs = a(col_r, col_s).  That sum has its own
     # roundoff floor, so the squares are compared, to 1e-12 of ||tau||_a^2
-    raw = base_config(n_factors=6, mesh={"n_el": 10}, tol_stop=1e-12, n_max=20,
+    raw = base_config(n_factors=n, mesh={"n_el": 10}, tol_stop=1e-12, n_max=20,
                       als={"tol": 1e-10, "max_sweeps": 60, "restarts": 4, "seed": 11},
                       target={"kind": "manufactured", "coefficients": [0.8, 0.5, 0.3],
                               "seed": 5})

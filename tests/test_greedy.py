@@ -1022,6 +1022,10 @@ def test_separated_operator_matches_dense_oracle(problem, ranks):
 
     assert_close(energy_pairing(form, mats, f, g), dense_vector(g) @ a_full @ dense_vector(f),
                  dense_vector(abs_function(g)) @ a_abs @ dense_vector(abs_function(f)))
+    # the couplings have zero and non-adjacent entries, so the error's train
+    # meets GRAD and GRAD_T in slots that are not neighbours
+    assert_close(energy_norm(form, mats, f) ** 2, dense_vector(f) @ a_full @ dense_vector(f),
+                 dense_vector(abs_function(f)) @ a_abs @ dense_vector(abs_function(f)))
 
     # residual of a target-plus-source functional; the oracle applies the dense
     # form and the Kronecker mass to the primal stacks directly
