@@ -23,8 +23,12 @@ allocates no pad of its own.  Operator-applied stacks op X come from 2p + 1
 slice multiply-adds (band_matmul) on bases of at least BANDED_MIN_NDOF
 dofs.  Below that size the stacks use dense BLAS, which is faster there, on
 dense matrices that are views built from the bands on first use; the dense
-eigensolve and the Kronecker oracle read them too.
-Bands and views are read-only, so the two can never disagree.
+eigensolve and the Kronecker oracle read them too.  The ALS slot solves
+read a second copy of each band, moved as it is into LAPACK's lower-band
+layout (FactorMatrices.lower_bands): LAPACK's unblocked lower-band
+Cholesky hands each column's rank-1 update a unit-stride vector, where
+the upper-band one strides by the bandwidth.  Bands, copies and views are
+read-only, so they can never disagree.
 """
 
 from __future__ import annotations
@@ -120,8 +124,11 @@ class FactorMatrices:
     operator is the upper band of its transpose.  quad_forms and apply
     compute from the bands; the dense attributes of the same names are
     read-only views built on first read, which apply uses below
-    BANDED_MIN_NDOF dofs.  Derived arrays are cached on the instance, which
-    compares and hashes by identity.
+    BANDED_MIN_NDOF dofs.  lower_bands holds each band moved as it is into
+    LAPACK's lower-band layout, built on first read for the ALS slot
+    solves, whose lower-band Cholesky updates each column at unit stride.
+    Derived arrays are cached on the instance, which compares and hashes by
+    identity.
     """
 
     bands: dict
@@ -164,6 +171,23 @@ class FactorMatrices:
     @property
     def grad_coupling_t(self) -> np.ndarray:
         return self.grad_coupling.T
+
+    @cached_property
+    def lower_bands(self) -> dict:
+        """Each band moved as it is into the LAPACK dpbtrf lower-band layout, read-only:
+        lower_bands[name][d, i] = bands[name][degree - d, i + d] = op[i, i + d], the lower
+        band of op^T (GRAD_T's for GRAD), with zeros past the end.  A slot Hessian summed
+        from them holds the upper-band one's sums, moved, and its lower-band Cholesky
+        factor is the upper one's transpose, bit for bit."""
+        p, n = self.degree, self.ndof
+        lower = {}
+        for name, upper in self.bands.items():
+            band = np.zeros((p + 1, n))
+            for d in range(p + 1):
+                band[d, :n - d] = upper[p - d, d:]
+            band.setflags(write=False)
+            lower[name] = band
+        return lower
 
     @cached_property
     def mass_factor(self) -> np.ndarray:

@@ -30,7 +30,7 @@ The rank-one subproblem min_u J_f(u) = 1/2 a(u,u) - f(u) is solved by
 alternating sweeps: freezing all factors but slot j leaves a small symmetric
 positive-definite system in the slot-j coefficients, whose matrix is one
 weighted sum of stacked bands, weighted from the form's term table and the
-frozen factors' forms.  Stationary points satisfy a(r, .) = f(.) against all
+frozen factors' forms, and solved by one lower-band banded Cholesky.  Stationary points satisfy a(r, .) = f(.) against all
 single-slot perturbations, which is what the orthogonality and
 energy-decrease identities of both greedy loops rely on; global minimality
 of a sweep limit is not certifiable and is everywhere treated as such.
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
+from scipy.linalg.lapack import dpbsv, dtbtrs
 
 from .fem import FORM_ROW, GRAD, GRAD_T, MASS, STIFFNESS, band_matmul
 
@@ -74,7 +74,8 @@ class EnergyForm:
 
     Term table of terms (operator_terms): coefs[t] = coef_t, and slot_rows[j] holds
     (coef_t, ((k, FORM_ROW[op_{t,k}]) for k != j)) per term t, in Python floats and
-    ints: where slot j's Hessian reads the frozen forms, factor k's in row k.
+    ints: where slot j's Hessian reads the frozen forms, factor k's in row k.  last_slots[t]
+    is term t's last non-mass slot (0 for the mass term), where _factored starts it.
     A form compares and hashes by identity.
     """
 
@@ -84,6 +85,7 @@ class EnergyForm:
     terms: list = field(init=False, repr=False)
     coefs: np.ndarray = field(init=False, repr=False)
     slot_rows: tuple = field(init=False, repr=False)
+    last_slots: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.coupling, dtype=float)
@@ -107,6 +109,8 @@ class EnergyForm:
         object.__setattr__(self, "slot_rows", tuple(
             tuple((float(coef), tuple((k, FORM_ROW[op]) for k, op in enumerate(ops) if k != j))
                   for coef, ops in terms) for j in range(self.n_factors)))
+        object.__setattr__(self, "last_slots", tuple(
+            max((k for k, op in enumerate(ops) if op != MASS), default=0) for _, ops in terms))
 
     @property
     def n_factors(self) -> int:
@@ -264,8 +268,8 @@ def _factored(form: EnergyForm, mats, factors) -> tuple:
         q, _ = dtbtrs(m.mass_factor, q)
         kq, gq = (np.einsum("ki,kj->ij", q, m.apply(op, q)) for op in (STIFFNESS, GRAD))
         proj = {MASS: np.eye(len(r)), STIFFNESS: kq, GRAD: gq, GRAD_T: gq.T}
-        for coef, ops in form.terms:
-            if max((i for i, op in enumerate(ops) if op != MASS), default=0) == k:
+        for (coef, ops), last in zip(form.terms, form.last_slots):
+            if last == k:
                 envs[ops[:k + 1]] = envs.get(ops[:k + 1], 0.0) + coef * np.eye(lead.shape[1])
         if k == 0:
             return r, lead, np.array([proj[ops[0]] for ops in envs]), np.array(list(envs.values()))
@@ -340,14 +344,16 @@ class Functional(_CPForm):
 
 
 def _slot_hessian(form: EnergyForm, forms, stack: np.ndarray, j: int) -> np.ndarray:
-    """Upper band of the Hessian of u -> a(term with slot j -> u, same) over slot-j coefficients.
+    """Band of the Hessian of u -> a(term with slot j -> u, same) over slot-j coefficients.
 
     Operator term t contributes coef_t prod_{k != j} (f_k . op_{t,k} f_k) op_{t,j};
     row k of forms (N x 3, nested lists or an array) holds the quad_forms of the
-    frozen f_k (row j is not read), and stack holds slot j's upper bands of
-    op_{t,j} over t.  Products run over k and the sum over t in order: the
-    roundings of a Python loop over the terms.  The band is in the
-    FactorMatrices.bands layout, which _slot_solve takes.
+    frozen f_k (row j is not read), and stack holds slot j's bands of op_{t,j}
+    over t.  Products run over k and the sum over t in order: the roundings of
+    a Python loop over the terms.  The band comes in the stack's layout and
+    memory order: from als_rank1's stack of FactorMatrices.lower_bands, held
+    column by column, the Fortran-order lower band that _slot_solve factors in
+    place.
     """
     scale = []
     for coef, rows in form.slot_rows[j]:
@@ -360,19 +366,20 @@ def _slot_hessian(form: EnergyForm, forms, stack: np.ndarray, j: int) -> np.ndar
 
 def _slot_solve(band: np.ndarray, b: np.ndarray, j: int):
     """Minimizer u of 1/2 u.Hu - b.u and the minimum J = -1/2 b.u, for H given
-    by its upper band in the LAPACK dpbtrf layout.
+    by its lower band in the LAPACK dpbtrf lower-band layout.
 
-    One dpbtrf factorisation and one dpbtrs solve, with no finiteness check
-    on the way in: a NaN or inf in the band or in b passes through LAPACK,
-    and since b.u is finite only when b and u both are, the check on J
-    catches it.  Raises AlsError when H is not positive definite or J is
-    not finite.
+    One lower-band dpbsv, banded Cholesky and both substitutions, with no
+    finiteness check on the way in: a NaN or inf in the band or in b passes
+    through LAPACK, and since b.u is finite only when b and u both are, the
+    check on J catches it.  A Fortran-order band, as _slot_hessian returns
+    on als_rank1's stack, is overwritten by its factor; any other is copied
+    first.  Raises AlsError when H is not positive definite or J is not
+    finite.
     """
-    factor, info = dpbtrf(band)
+    _, u, info = dpbsv(band, b, lower=1, overwrite_ab=1)
     if info != 0:
         raise AlsError(f"slot {j} system not positive definite: "
                        f"leading minor of order {info} is not positive")
-    u, _ = dpbtrs(factor, b)
     j_val = -0.5 * float(b @ u)
     if not math.isfinite(j_val):
         raise AlsError(f"slot {j} solve is not finite: J = {j_val!r}")
@@ -384,7 +391,7 @@ def als_rank1(form: EnergyForm, mats, rhs: Functional, init: SeparatedFunction,
     """Alternating minimization of J(u) = 1/2 a(u,u) - rhs(u) over rank-one u.
 
     Each slot solve is a symmetric positive-definite banded system in the
-    LAPACK dpbtrf upper-band layout, factored by banded Cholesky in O(ndof)
+    LAPACK lower-band layout, solved by one banded Cholesky dpbsv in O(ndof)
     (_slot_solve).  Sweeps stop once |J_prev - J| <= tol (1 + |J|) between
     the J of consecutive sweeps, a test that is absolute once |J| << 1, or
     after max_sweeps, which is logged at INFO.  Returns (term, J) with the
@@ -408,8 +415,11 @@ def als_rank1(form: EnergyForm, mats, rhs: Functional, init: SeparatedFunction,
     forms, norms = forms.tolist(), norms.tolist()
     mass = FORM_ROW[MASS]
     # per slot: j, the quad_forms of its basis, and its operators op_{t,j} over
-    # the terms as one stack of their upper bands
-    slots = [(j, m.quad_forms, np.array([m.bands[name] for name in names]))
+    # the terms as one stack of their lower bands, each held column by column
+    # so that _slot_hessian's einsum, which keeps the memory order, returns the
+    # Fortran-order band that dpbsv factors in place
+    slots = [(j, m.quad_forms,
+              np.array([m.lower_bands[name].T for name in names]).transpose(0, 2, 1))
              for j, (m, names) in enumerate(zip(mats, zip(*(ops for _, ops in form.terms))))]
     slot_vector = rhs.slot_vector
     j_prev = j_val = change = math.inf

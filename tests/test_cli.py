@@ -979,32 +979,37 @@ def test_log_variable_takes_level_names_only(tmp_path):
 
 
 def test_outputs_are_the_same_bytes_at_any_blas_thread_count(tmp_path):
-    # an oga-n3-shaped solve (N = 3, P2, n_el 20, 20 rows): the error's train
-    # has a 23 x 23 x 23 core, contracted in batches of gemms each below the
-    # size at which OpenBLAS splits a product across threads, while a sum
-    # whose rounding followed such a split would move err_energy.
+    # oga-n3-shaped solves (N = 3, P2, n_el 20, 20 and 30 rows): the error's
+    # train has a 23 x 23 x 23 and a 33 x 33 x 33 core, contracted in batches
+    # of gemms each below the size at which OpenBLAS splits a product across
+    # threads, while a sum whose rounding followed such a split would move
+    # err_energy: at R = 33, one 33 x 1089 x 33 gemm per environment rounds
+    # differently at one and two threads.  Every slot solve is a dpbsv at
+    # both thread counts.
     # OpenBLAS runs no more threads than there are CPUs, so on a one-CPU
     # machine both runs take one thread and this only shows that a rerun
     # repeats.
     src = Path(cli.__file__).resolve().parent.parent
     code = "import sys; from greedy_ou import cli; sys.exit(cli.main(sys.argv[1:]))"
-    raw = base_config(n_factors=3, mesh={"n_el": 20}, algorithm="oga", tol_stop=1e-12, n_max=20,
-                      als={"tol": 1e-10, "max_sweeps": 60, "restarts": 1, "seed": 680645901},
-                      target={"kind": "manufactured", "coefficients": [0.8, 0.5, 0.3],
-                              "seed": 4133142942})
-    config_path = write_config(tmp_path, raw)
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        done = subprocess.run(
-            [sys.executable, "-c", code, "solve", "--config", config_path, "--out", str(out)],
-            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads},
-            capture_output=True, text=True)
-        record = json.loads((out / "runrecord.json").read_text())
-        del record["wall_clock_s"]
-        outputs.append((done.returncode, (out / "solve.csv").read_bytes(), record))
-    assert outputs[0][2]["n_iterations"] == 20
-    assert outputs[0] == outputs[1]
+    for n_max in (20, 30):
+        raw = base_config(n_factors=3, mesh={"n_el": 20}, algorithm="oga", tol_stop=1e-12,
+                          n_max=n_max,
+                          als={"tol": 1e-10, "max_sweeps": 60, "restarts": 1, "seed": 680645901},
+                          target={"kind": "manufactured", "coefficients": [0.8, 0.5, 0.3],
+                                  "seed": 4133142942})
+        config_path = write_config(tmp_path, raw, f"config-{n_max}.json")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{n_max}-{threads}"
+            done = subprocess.run(
+                [sys.executable, "-c", code, "solve", "--config", config_path, "--out", str(out)],
+                env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True)
+            record = json.loads((out / "runrecord.json").read_text())
+            del record["wall_clock_s"]
+            outputs.append((done.returncode, (out / "solve.csv").read_bytes(), record))
+        assert outputs[0][2]["n_iterations"] == n_max
+        assert outputs[0] == outputs[1], n_max
 
 
 def test_readme_library_example_runs():

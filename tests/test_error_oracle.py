@@ -13,9 +13,11 @@ whose operators agree left of a factor share one environment through it;
 the planted cancellations run that pass up to N = 4 against the dense
 oracle (couplings with non-adjacent pairs are in tests/test_greedy.py), and
 at N = 6 and 8, past the oracle's reach, each row's square must match the
-Gram sum of tau - u_n's columns.  The loops' residuals, kept as re-weighted
-applied columns, are checked against residuals applied from scratch the
-same way.
+Gram sum of tau - u_n's columns.  Each term enters the pass at its last
+non-mass slot, read from the form's table, which must give the arrays a
+scan of the term's operators gives, bit for bit, up to N = 8.  The loops'
+residuals, kept as re-weighted applied columns, are checked against
+residuals applied from scratch the same way.
 """
 
 from functools import reduce
@@ -25,10 +27,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dtbtrs
 
 from greedy_ou import cli, greedy
 from greedy_ou.config import build_problem, build_target, validate_config
-from greedy_ou.fem import assemble, build_mesh
+from greedy_ou.fem import GRAD, GRAD_T, MASS, STIFFNESS, assemble, band_matmul, build_mesh
 from greedy_ou.greedy import (EnergyForm, Functional, SeparatedFunction, energy_norm, rank_one,
                               run_oga, run_pga)
 from greedy_ou.springs import CPAIL, FENE, SpringModel, normalize
@@ -201,6 +204,45 @@ def test_energy_norm_extends_given_bases(n):
             head = SeparatedFunction(f.weights[:k], [u[:, :k] for u in f.factors])
             fresh = energy_norm(form, mats, head)
             assert abs(energy_norm(form, mats, head, bases) - fresh) <= 1e-14 * scale, k
+
+
+def reference_factored(form, mats, factors):
+    """_factored with each term's last non-mass slot found by a scan of its
+    operators at every factor, not read from the form's table."""
+    lead, envs = np.ones((factors[0].shape[1], 1)), {}
+    for k, m in reversed(list(enumerate(mats))):
+        a = band_matmul(m.mass_factor, None, factors[k])
+        order = np.argsort(-np.abs(a).max(axis=1, initial=0.0), kind="stable")
+        q, r = np.linalg.qr(a[order])
+        q[order] = q.copy()
+        q, _ = dtbtrs(m.mass_factor, q)
+        kq, gq = (np.einsum("ki,kj->ij", q, m.apply(op, q)) for op in (STIFFNESS, GRAD))
+        proj = {MASS: np.eye(len(r)), STIFFNESS: kq, GRAD: gq, GRAD_T: gq.T}
+        for coef, ops in form.terms:
+            if max((i for i, op in enumerate(ops) if op != MASS), default=0) == k:
+                envs[ops[:k + 1]] = envs.get(ops[:k + 1], 0.0) + coef * np.eye(lead.shape[1])
+        if k == 0:
+            return r, lead, np.array([proj[ops[0]] for ops in envs]), np.array(list(envs.values()))
+        q, t = np.linalg.qr((lead[:, :, None] * r.T[:, None, :]).reshape(len(lead), -1).T)
+        core = q.reshape(lead.shape[1], len(r), len(t)).transpose(0, 2, 1)
+        lead, contracted = t.T, {}
+        for ops, env in envs.items():
+            x = env.T @ (core @ proj[ops[k]].T).transpose(1, 0, 2)
+            x = (x.transpose(1, 0, 2) @ core.transpose(0, 2, 1)).sum(axis=0)
+            contracted[ops[:k]] = contracted.get(ops[:k], 0.0) + x
+        envs = contracted
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_factored_reads_each_terms_last_slot_from_the_form(n):
+    # the form's table of last non-mass slots starts every term where a scan
+    # of its operators would: the same arrays, bit for bit
+    mats = [small_factor((FENE, CPAIL)[k % 2], 2) for k in range(n)]
+    form = EnergyForm(np.eye(n) - 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1)), wi=0.8, c=1.2)
+    rng = np.random.default_rng(50 + n)
+    stack = [rng.standard_normal((m.ndof, 7)) for m in mats]
+    got, want = greedy._factored(form, mats, stack), reference_factored(form, mats, stack)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 @pytest.mark.parametrize("model", [SpringModel(FENE, 700.0), SpringModel(CPAIL, 900.0)],
