@@ -129,7 +129,7 @@ def fourier_coeffs(tau: SeparatedFunction, eigens, box) -> CoeffTensor:
     # each sum is at most two ndof-long products, N factors and 2R terms deep
     abs_mass_u = []
     for m, u in zip(mats, tau.factors):
-        abs_band = np.abs(m.bands[MASS])  # symmetric: the lower band is the upper one
+        abs_band = np.abs(m.bands[MASS])  # symmetric: its own transpose band
         abs_mass_u.append(band_matmul(abs_band, abs_band, np.abs(u)))
     abs_w = np.abs(tau.weights)
     abs_values = _outer_sum(abs_w, [np.abs(v).T @ f for v, f in zip(vectors, abs_mass_u)])

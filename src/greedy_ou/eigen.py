@@ -13,8 +13,8 @@ index, so a refinement gate marks how far a mesh can be trusted.
 
 Both matrices of the pencil have bandwidth equal to the element degree.  On
 bases of at least BANDED_MIN_NDOF dofs the k smallest pairs come from
-standard-mode Lanczos (ARPACK) on U^-T mass U^-1, where
-stiffness + mass = U^T U is one banded Cholesky factorization: its largest
+standard-mode Lanczos (ARPACK) on L^-1 mass L^-T, where
+stiffness + mass = L L^T is one lower-band Cholesky factorization: its largest
 eigenvalues are the reciprocals of the smallest of the pencil, and each
 Lanczos step is two banded triangular solves and one banded product on the
 bands of the basis, O(ndof) instead of the O(ndof^3) of dense eigh.  Its
@@ -108,14 +108,14 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def _cholesky_lanczos_eigens(upper_m: np.ndarray, upper_h: np.ndarray, k: int,
+def _cholesky_lanczos_eigens(band_m: np.ndarray, band_h: np.ndarray, k: int,
                              vectors: bool):
-    """k smallest pairs of the pencil by ARPACK Lanczos on U^-T mass U^-1.
+    """k smallest pairs of the pencil by ARPACK Lanczos on L^-1 mass L^-T.
 
-    upper_m and upper_h are the upper bands of mass and of
-    H = stiffness + mass.  With H = U^T U (LAPACK dpbtrf), the eigenpairs
-    (theta, y) of the symmetric U^-T mass U^-1 give lambda = 1 / theta and
-    the mass-orthonormal e = sqrt(lambda) U^-1 y, so the k largest theta
+    band_m and band_h are the lower bands of mass and of
+    H = stiffness + mass.  With H = L L^T (LAPACK dpbtrf, lower), the eigenpairs
+    (theta, y) of the symmetric L^-1 mass L^-T give lambda = 1 / theta and
+    the mass-orthonormal e = sqrt(lambda) L^-T y, so the k largest theta
     give the k smallest lambda.  Without vectors the second item is None.
     A solve with vectors runs to ARPACK's tol=0; one without stops at a
     residual of VALUE_ONLY_TOL relative to theta, which bounds each
@@ -127,21 +127,21 @@ def _cholesky_lanczos_eigens(upper_m: np.ndarray, upper_h: np.ndarray, k: int,
     # process, and solves with manufactured targets never get here
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    p, n = upper_h.shape[0] - 1, upper_h.shape[1]
-    factor, info = dpbtrf(upper_h)
+    p, n = band_h.shape[0] - 1, band_h.shape[1]
+    factor, info = dpbtrf(band_h, lower=1)
     if info != 0:
         raise EigenError(f"factor eigensolve failed: stiffness + mass not positive definite "
                          f"(leading minor of order {info})")
     # column-major once here; f2py would copy a row-major band on every call
-    mass = np.asfortranarray(upper_m)
+    mass = np.asfortranarray(band_m)
 
     products = 0
 
     def matvec(y):
         nonlocal products
         products += 1
-        x = dtbsv(p, factor, y.ravel())
-        return dtbsv(p, factor, dsbmv(p, 1.0, mass, x), trans=1, overwrite_x=1)
+        x = dtbsv(p, factor, y.ravel(), lower=1, trans=1)
+        return dtbsv(p, factor, dsbmv(p, 1.0, mass, x, lower=1), lower=1, overwrite_x=1)
 
     # fixed, so repeated solves agree bitwise, and generic, so no wanted
     # eigenvector is missing from the start vector
@@ -159,7 +159,7 @@ def _cholesky_lanczos_eigens(upper_m: np.ndarray, upper_h: np.ndarray, k: int,
     values = 1.0 / theta[order]
     if not vectors:
         return values, None
-    e, _ = dtbtrs(factor, y[:, order])
+    e, _ = dtbtrs(factor, y[:, order], uplo="L", trans="T")
     return values, e * np.sqrt(values)
 
 
@@ -171,16 +171,16 @@ def solve_factor_eigens(mats: FactorMatrices, k: int, vectors: bool = True) -> F
     """
     if not 1 <= k <= mats.ndof:
         raise ValueError(f"k must be in [1, {mats.ndof}], got {k}")
-    upper_m = mats.bands[MASS]
-    upper_h = mats.bands[STIFFNESS] + upper_m
+    band_m = mats.bands[MASS]
+    band_h = mats.bands[STIFFNESS] + band_m
     # eigh would refuse a NaN with a bare ValueError, and LAPACK's banded
     # routines let it through; a NaN or inf in the mass band carries into
     # the sum, so this one check covers both matrices of the pencil
-    if not np.isfinite(upper_h).all():
+    if not np.isfinite(band_h).all():
         raise EigenError("factor eigensolve failed: stiffness + mass has non-finite entries")
     try:
         if mats.ndof >= BANDED_MIN_NDOF and 2 * k + 1 < mats.ndof:
-            values, vecs = _cholesky_lanczos_eigens(upper_m, upper_h, k, vectors)
+            values, vecs = _cholesky_lanczos_eigens(band_m, band_h, k, vectors)
         else:
             result = eigh(mats.stiffness + mats.mass, mats.mass,
                           eigvals_only=not vectors, subset_by_index=[0, k - 1])

@@ -13,22 +13,23 @@ contains the constants, and the weight itself supplies the boundary decay.
 At large b it underflows there, and assembly refuses a mass band left
 without a banded Cholesky factor on any mesh, and keeps the factor.
 
-The matrices have bandwidth equal to the element degree p, and their
-storage is four upper bands, named MASS, STIFFNESS, GRAD and GRAD_T (the
-transpose of GRAD) here and nowhere else, in the layout that LAPACK's
-banded routines take.  Quadratic forms f . op f come in rows FORM_ROW of one
-product of a cached band stack with the shifted products f_i f_(i+d) at
+The matrices have bandwidth equal to the element degree p.  The four
+operators, named MASS, STIFFNESS, GRAD and GRAD_T (the transpose of GRAD)
+here and nowhere else, are each stored once, as a band whose row d holds the
+entries (i, i + d): LAPACK's lower-band layout for the symmetric mass and
+stiffness.  LAPACK's unblocked lower-band Cholesky hands each column's rank-1
+update a unit-stride vector, where the upper-band one strides by the
+bandwidth, so the ALS slot solves, the mass factor and the eigensolve all
+factor in that layout.  Quadratic forms f . op f come in rows FORM_ROW of
+one product of a cached band stack with the shifted products f_i f_(i+d) at
 every size, gathered from f behind a cached read-only zero pad, so a call
-allocates no pad of its own.  Operator-applied stacks op X come from 2p + 1
-slice multiply-adds (band_matmul) on bases of at least BANDED_MIN_NDOF
-dofs.  Below that size the stacks use dense BLAS, which is faster there, on
-dense matrices that are views built from the bands on first use; the dense
-eigensolve and the Kronecker oracle read them too.  The ALS slot solves
-read a second copy of each band, moved as it is into LAPACK's lower-band
-layout (FactorMatrices.lower_bands): LAPACK's unblocked lower-band
-Cholesky hands each column's rank-1 update a unit-stride vector, where
-the upper-band one strides by the bandwidth.  Bands, copies and views are
-read-only, so they can never disagree.
+allocates no pad of its own.
+Operator-applied stacks op X come from 2p + 1 slice multiply-adds
+(band_matmul) on bases of at least BANDED_MIN_NDOF dofs.  Below that size
+the stacks use dense BLAS, which is faster there, on dense matrices that are
+views built from the bands on first use; the dense eigensolve and the
+Kronecker oracle read them too.  Bands and views are read-only, so they can
+never disagree.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ GRAD = "grad_coupling"
 GRAD_T = "grad_coupling_t"
 FORM_ROW = {MASS: 0, STIFFNESS: 1, GRAD: 2, GRAD_T: 2}
 
-# the operator whose upper band is the lower band of each named operator
+# the operator whose band holds the other triangle of each named operator
 _TRANSPOSE = {MASS: MASS, STIFFNESS: STIFFNESS, GRAD: GRAD_T, GRAD_T: GRAD}
 
 
@@ -119,16 +120,14 @@ class FactorMatrices:
     """Weighted mass/stiffness/gradient-coupling matrices for one factor.
 
     bands maps each operator name (MASS, STIFFNESS, GRAD, GRAD_T) to its
-    upper band, (degree + 1) x ndof in the LAPACK dpbtrf upper-band layout:
-    bands[name][degree - d, i + d] = op[i, i + d].  The lower band of an
-    operator is the upper band of its transpose.  quad_forms and apply
-    compute from the bands; the dense attributes of the same names are
-    read-only views built on first read, which apply uses below
-    BANDED_MIN_NDOF dofs.  lower_bands holds each band moved as it is into
-    LAPACK's lower-band layout, built on first read for the ALS slot
-    solves, whose lower-band Cholesky updates each column at unit stride.
-    Derived arrays are cached on the instance, which compares and hashes by
-    identity.
+    band, (degree + 1) x ndof: bands[name][d, i] = op[i, i + d], with zeros
+    in the last d entries of row d.  That is the LAPACK dpbtrf lower-band
+    layout of op for the symmetric mass and stiffness, and of op^T for the
+    gradient couplings; the band of _TRANSPOSE[name] holds op's other
+    triangle.  quad_forms and apply compute from the bands; the dense
+    attributes of the same names are read-only views built on first read,
+    which apply uses below BANDED_MIN_NDOF dofs.  Derived arrays are cached
+    on the instance, which compares and hashes by identity.
     """
 
     bands: dict
@@ -141,18 +140,18 @@ class FactorMatrices:
         return self.bands[MASS].shape[1]
 
     def _dense(self, name: str, t_name: str) -> np.ndarray:
-        """Read-only dense matrix with upper band bands[name] and lower band
-        taken from bands[t_name]."""
+        """Read-only dense matrix with upper triangle from bands[name] and lower
+        triangle from bands[t_name]."""
         p, n = self.degree, self.ndof
-        upper, lower = self.bands[name], self.bands[t_name]
+        band, band_t = self.bands[name], self.bands[t_name]
         dense = np.zeros((n, n))
         flat = dense.reshape(-1)
         # diagonal d holds (i, i + d) at flat d + i (n + 1), and -d holds
         # (i + d, i) = transpose entry (i, i + d) at flat d n + i (n + 1)
         for d in range(p + 1):
-            flat[d::n + 1][:n - d] = upper[p - d, d:]
+            flat[d::n + 1][:n - d] = band[d, :n - d]
             if d:
-                flat[d * n::n + 1][:n - d] = lower[p - d, d:]
+                flat[d * n::n + 1][:n - d] = band_t[d, :n - d]
         dense.setflags(write=False)
         return dense
 
@@ -173,31 +172,15 @@ class FactorMatrices:
         return self.grad_coupling.T
 
     @cached_property
-    def lower_bands(self) -> dict:
-        """Each band moved as it is into the LAPACK dpbtrf lower-band layout, read-only:
-        lower_bands[name][d, i] = bands[name][degree - d, i + d] = op[i, i + d], the lower
-        band of op^T (GRAD_T's for GRAD), with zeros past the end.  A slot Hessian summed
-        from them holds the upper-band one's sums, moved, and its lower-band Cholesky
-        factor is the upper one's transpose, bit for bit."""
-        p, n = self.degree, self.ndof
-        lower = {}
-        for name, upper in self.bands.items():
-            band = np.zeros((p + 1, n))
-            for d in range(p + 1):
-                band[d, :n - d] = upper[p - d, d:]
-            band.setflags(write=False)
-            lower[name] = band
-        return lower
-
-    @cached_property
     def mass_factor(self) -> np.ndarray:
-        """Upper band of the Cholesky factor C of the mass, M = C^T C (LAPACK dpbtrf),
-        read-only; a mass band without one is an AssemblyError."""
+        """Band of the Cholesky factor L of the mass, M = L L^T (LAPACK dpbtrf, lower),
+        read-only; read as a bands entry it is the upper-triangular L^T.  A mass band
+        without one is an AssemblyError."""
         mass = self.bands[MASS]
-        factor, info = dpbtrf(mass)
+        factor, info = dpbtrf(mass, lower=1)
         if info != 0:
             raise AssemblyError(f"mass matrix not positive definite on {self.mesh.n_el} elements: "
-                                f"the boundary mass M[0, 0] = {mass[-1, 0]:.3g} underflows")
+                                f"the boundary mass M[0, 0] = {mass[0, 0]:.3g} underflows")
         factor.setflags(write=False)
         return factor
 
@@ -212,11 +195,16 @@ class FactorMatrices:
 
     @cached_property
     def _form_stack(self) -> np.ndarray:
-        """Upper bands of mass, stiffness and (grad_coupling + grad_coupling_t) / 2,
-        off-diagonal rows doubled, as the rows of a 3 x (degree + 1) ndof matrix."""
-        b, p = self.bands, self.degree
-        stack = np.stack([b[MASS], b[STIFFNESS], 0.5 * (b[GRAD] + b[GRAD_T])])
-        stack[:, :p] *= 2.0
+        """Bands of mass, stiffness and (grad_coupling + grad_coupling_t) / 2, off-diagonal
+        rows doubled, as the rows of a 3 x (degree + 1) ndof matrix.  Band row d sits in
+        row p - d, shifted right by d, so op[i, i + d] is at column i + d, where _windows
+        gathers f_i f_(i+d): the gemv sums each form in the order the ALS results pin."""
+        b, p, n = self.bands, self.degree, self.ndof
+        sym = np.stack([b[MASS], b[STIFFNESS], 0.5 * (b[GRAD] + b[GRAD_T])])
+        sym[:, 1:] *= 2.0
+        stack = np.zeros((3, p + 1, n))
+        for d in range(p + 1):
+            stack[:, p - d, d:] = sym[:, d, :n - d]
         return stack.reshape(3, -1)
 
     @cached_property
@@ -235,8 +223,8 @@ class FactorMatrices:
     def quad_forms(self, f: np.ndarray) -> np.ndarray:
         """f . op f for each operator, in row FORM_ROW[name] of one gemv's result.
 
-        The shifted products f_i f_(i+d) sit where op[i, i + d] sits in the
-        bands, so each form is one row of _form_stack times them; one gather
+        The shifted products f_i f_(i+d) sit where op[i, i + d] sits in
+        _form_stack, so each form is one row of it times them; one gather
         from f behind the cached zeros _pad (_windows) reads them all.  Only
         the symmetric part of an operator enters its form, so GRAD and GRAD_T
         share a row.
@@ -245,20 +233,21 @@ class FactorMatrices:
         return self._form_stack @ shifted.reshape(-1)
 
 
-def band_matmul(upper: np.ndarray, lower: np.ndarray | None, x: np.ndarray) -> np.ndarray:
-    """op @ x for the operator with upper band upper and lower band lower.
+def band_matmul(band: np.ndarray, band_t: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """op @ x for the operator with band band and transpose band band_t.
 
-    Both bands are in the FactorMatrices.bands layout, so lower is the upper
-    band of op^T (None for a triangular op).  x is a vector or an ndof x R
-    stack; the product is one slice multiply-add per diagonal.
+    Both are in the FactorMatrices.bands layout, band[d, i] = op[i, i + d]
+    and band_t[d, i] = op[i + d, i] (None for an upper-triangular op).  x is
+    a vector or an ndof x R stack; the product is one slice multiply-add per
+    diagonal.
     """
-    p, n = upper.shape[0] - 1, upper.shape[1]
+    p, n = band.shape[0] - 1, band.shape[1]
     rows = (slice(None),) + (None,) * (x.ndim - 1)
-    out = upper[p][rows] * x
+    out = band[0][rows] * x
     for d in range(1, p + 1):
-        out[:n - d] += upper[p - d, d:][rows] * x[d:]
-        if lower is not None:
-            out[d:] += lower[p - d, d:][rows] * x[:n - d]
+        out[:n - d] += band[d, :n - d][rows] * x[d:]
+        if band_t is not None:
+            out[d:] += band_t[d, :n - d][rows] * x[:n - d]
     return out
 
 
@@ -315,7 +304,7 @@ def assemble(mesh: FactorMesh, weight: MaxwellianWeight, basis_degree: int = 2) 
     Quadrature per panel is Gauss-Legendre with basis_degree + 4 points,
     exact beyond degree 2*basis_degree + 6 against the smooth part of the
     weight.  All panels are evaluated in one batch and scattered straight
-    into the upper bands.  A mass band without a banded Cholesky factor is an
+    into the bands.  A mass band without a banded Cholesky factor is an
     AssemblyError naming the element count and the boundary mass.
     """
     if basis_degree not in (1, 2):
@@ -345,12 +334,12 @@ def assemble(mesh: FactorMesh, weight: MaxwellianWeight, basis_degree: int = 2) 
     dofs = p * elem + np.arange(p + 1)[:, None]
     rows = np.broadcast_to(dofs[:, None], (p + 1,) + dofs.shape).ravel()
     cols = np.broadcast_to(dofs[None, :], (p + 1,) + dofs.shape).ravel()
-    # entry (r, c) with c >= r sits at flat (p - (c - r)) ndof + c of the
-    # upper band.  np.bincount adds the panel values in the flattened
-    # (k, l, panel) order, the order np.add.at uses on a dense matrix, so
-    # each entry is the same sequential sum as a dense scatter gives.
+    # entry (r, c) with c >= r sits at flat (c - r) ndof + r of the band.
+    # np.bincount adds the panel values in the flattened (k, l, panel)
+    # order, the order np.add.at uses on a dense matrix, so each entry is
+    # the same sequential sum as a dense scatter gives.
     upper = cols >= rows
-    at = ((p - (cols - rows)) * ndof + cols)[upper]
+    at = ((cols - rows) * ndof + rows)[upper]
 
     def band(values):
         out = np.bincount(at, values.ravel()[upper], minlength=(p + 1) * ndof)

@@ -30,8 +30,9 @@ The rank-one subproblem min_u J_f(u) = 1/2 a(u,u) - f(u) is solved by
 alternating sweeps: freezing all factors but slot j leaves a small symmetric
 positive-definite system in the slot-j coefficients, whose matrix is one
 weighted sum of stacked bands, weighted from the form's term table and the
-frozen factors' forms, and solved by one lower-band banded Cholesky.  Stationary points satisfy a(r, .) = f(.) against all
-single-slot perturbations, which is what the orthogonality and
+frozen factors' forms, and solved by one lower-band banded Cholesky.
+Stationary points satisfy a(r, .) = f(.) against all single-slot
+perturbations, which is what the orthogonality and
 energy-decrease identities of both greedy loops rely on; global minimality
 of a sweep limit is not certifiable and is everywhere treated as such.
 """
@@ -265,7 +266,7 @@ def _factored(form: EnergyForm, mats, factors) -> tuple:
         order = np.argsort(-np.abs(a).max(axis=1, initial=0.0), kind="stable")
         q, r = np.linalg.qr(a[order])
         q[order] = q.copy()  # undo the row sort
-        q, _ = dtbtrs(m.mass_factor, q)
+        q, _ = dtbtrs(m.mass_factor, q, uplo="L", trans="T")
         kq, gq = (np.einsum("ki,kj->ij", q, m.apply(op, q)) for op in (STIFFNESS, GRAD))
         proj = {MASS: np.eye(len(r)), STIFFNESS: kq, GRAD: gq, GRAD_T: gq.T}
         for (coef, ops), last in zip(form.terms, form.last_slots):
@@ -351,9 +352,8 @@ def _slot_hessian(form: EnergyForm, forms, stack: np.ndarray, j: int) -> np.ndar
     frozen f_k (row j is not read), and stack holds slot j's bands of op_{t,j}
     over t.  Products run over k and the sum over t in order: the roundings of
     a Python loop over the terms.  The band comes in the stack's layout and
-    memory order: from als_rank1's stack of FactorMatrices.lower_bands, held
-    column by column, the Fortran-order lower band that _slot_solve factors in
-    place.
+    memory order: from als_rank1's stack of FactorMatrices.bands, held column
+    by column, the Fortran-order lower band that _slot_solve factors in place.
     """
     scale = []
     for coef, rows in form.slot_rows[j]:
@@ -415,11 +415,11 @@ def als_rank1(form: EnergyForm, mats, rhs: Functional, init: SeparatedFunction,
     forms, norms = forms.tolist(), norms.tolist()
     mass = FORM_ROW[MASS]
     # per slot: j, the quad_forms of its basis, and its operators op_{t,j} over
-    # the terms as one stack of their lower bands, each held column by column
-    # so that _slot_hessian's einsum, which keeps the memory order, returns the
+    # the terms as one stack of their bands, each held column by column so
+    # that _slot_hessian's einsum, which keeps the memory order, returns the
     # Fortran-order band that dpbsv factors in place
     slots = [(j, m.quad_forms,
-              np.array([m.lower_bands[name].T for name in names]).transpose(0, 2, 1))
+              np.array([m.bands[name].T for name in names]).transpose(0, 2, 1))
              for j, (m, names) in enumerate(zip(mats, zip(*(ops for _, ops in form.terms))))]
     slot_vector = rhs.slot_vector
     j_prev = j_val = change = math.inf

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky_banded
 
+from greedy_ou import fem
 from greedy_ou.fem import (
     _BOUNDARY_SPLIT,
     BANDED_MIN_NDOF,
@@ -19,7 +21,7 @@ from closed_forms import dof_coordinates
 
 EPS = np.finfo(float).eps
 
-# the lower band of each operator is the upper band of its transpose
+# the band of each operator's transpose holds the operator's lower triangle
 TRANSPOSE = {"mass": "mass", "stiffness": "stiffness",
              "grad_coupling": "grad_coupling_t", "grad_coupling_t": "grad_coupling"}
 
@@ -93,10 +95,12 @@ def add_at_assemble(mesh, weight, p):
     return mass, stiff, grad
 
 
-def upper_band(op, p):
-    band = np.zeros((p + 1, op.shape[0]))
+def band_of(op, p):
+    """Row d holds op[i, i + d], zeros in its last d entries: the FactorMatrices.bands layout."""
+    n = op.shape[0]
+    band = np.zeros((p + 1, n))
     for d in range(p + 1):
-        band[p - d, d:] = np.diagonal(op, d)
+        band[d, :n - d] = np.diagonal(op, d)
     return band
 
 
@@ -111,7 +115,7 @@ def test_banded_scatter_is_bitwise_dense_scatter(degree, kind, b, grading):
     want = {"mass": mass, "stiffness": stiff, "grad_coupling": grad, "grad_coupling_t": grad.T}
     assert set(mats.bands) == set(want)
     for name, op in want.items():
-        assert np.array_equal(mats.bands[name], upper_band(op, degree)), name
+        assert np.array_equal(mats.bands[name], band_of(op, degree)), name
         assert np.array_equal(getattr(mats, name), op), name
 
 
@@ -202,18 +206,18 @@ def test_shapes_and_symmetry(degree):
 @pytest.mark.parametrize("degree", [1, 2])
 def test_cached_bands_reproduce_dense_matrices(degree, kind, b, grading):
     mats = make_mats(kind, b, n_el=12, grading=grading, degree=degree)
-    p = degree
+    p, n = degree, mats.ndof
 
-    def from_upper_band(band):
-        assert band.shape == (p + 1, mats.ndof)
-        assert all(np.all(band[p - d, :d] == 0.0) for d in range(1, p + 1))
-        return sum(np.diag(band[p - d, d:], d) for d in range(p + 1))
+    def from_band(band):
+        assert band.shape == (p + 1, n)
+        assert all(np.all(band[d, n - d:] == 0.0) for d in range(1, p + 1))
+        return sum(np.diag(band[d, :n - d], d) for d in range(p + 1))
 
     # equality everywhere also shows that nothing lies outside bandwidth p
     assert set(mats.bands) == set(TRANSPOSE)
     for name, t_name in TRANSPOSE.items():
-        rebuilt = (from_upper_band(mats.bands[name])
-                   + np.tril(from_upper_band(mats.bands[t_name]).T, -1))
+        rebuilt = (from_band(mats.bands[name])
+                   + np.tril(from_band(mats.bands[t_name]).T, -1))
         assert np.array_equal(rebuilt, getattr(mats, name)), name
     assert mats.bands is mats.bands
 
@@ -331,6 +335,42 @@ def test_nonfinite_weight_names_first_bad_element():
 
     with pytest.raises(AssemblyError, match="element 5$"):
         assemble(mesh, Bad(), 1)
+
+
+@pytest.mark.parametrize("kind,b", [(FENE, 4.0), (CPAIL, 6.0)])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_mass_factor_is_the_lower_cholesky_band(degree, kind, b):
+    # read as a lower band the factor is L with M = L L^T, it is scipy's
+    # lower banded Cholesky of the mass band, and band_matmul applies L^T
+    mats = make_mats(kind, b, n_el=20, grading=2.0, degree=degree)
+    p, n = degree, mats.ndof
+    factor = mats.mass_factor
+    assert not factor.flags.writeable
+    assert np.array_equal(factor, cholesky_banded(mats.bands["mass"], lower=True))
+    assert all(np.all(factor[d, n - d:] == 0.0) for d in range(1, p + 1))
+    lower = sum(np.diag(factor[d, :n - d], -d) for d in range(p + 1))
+    # Cholesky backward error: |L L^T - M| <= gamma_(p+2) |L| |L^T|, p + 1 terms deep
+    tol = (p + 2) * 1.01 * EPS * (np.abs(lower) @ np.abs(lower).T)
+    assert np.all(np.abs(lower @ lower.T - mats.mass) <= tol)
+    rng = np.random.default_rng(34)
+    for x in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        # the dense product L^T x summed over the columns of L^T in order,
+        # which adds each row's band entries in band_matmul's order and exact zeros
+        want = sum(np.multiply.outer(lower.T[:, j], x[j]) for j in range(n))
+        assert band_matmul(factor, None, x).tobytes() == want.tobytes()
+
+
+def test_mass_refusal_names_the_dense_boundary_mass(monkeypatch):
+    # a healthy basis whose factorization is made to fail: the message must
+    # quote the dense M[0, 0], not another entry of the band
+    mesh, weight = build_mesh(4.0, 8), normalize(SpringModel(FENE, 4.0))
+    mass = add_at_assemble(mesh, weight, 2)[0]
+    assert f"{mass[0, 0]:.3g}" not in {f"{mass[0, d]:.3g}" for d in (1, 2)}
+    monkeypatch.setattr(fem, "dpbtrf", lambda band, lower=0: (band.copy(), 1))
+    with pytest.raises(AssemblyError) as info:
+        assemble(mesh, weight, 2)
+    assert str(info.value) == (f"mass matrix not positive definite on 8 elements: "
+                               f"the boundary mass M[0, 0] = {mass[0, 0]:.3g} underflows")
 
 
 def test_mass_band_without_cholesky_factor_refused():

@@ -223,7 +223,7 @@ def _indefinite(mats):
 
 def _nan_mass(mats):
     mass = mats.bands["mass"].copy()
-    mass[mats.degree, 5] = np.nan  # diagonal entry (5, 5)
+    mass[0, 5] = np.nan  # diagonal entry (5, 5)
     return dataclasses.replace(mats, bands={**mats.bands, "mass": mass})
 
 

@@ -215,7 +215,7 @@ def reference_factored(form, mats, factors):
         order = np.argsort(-np.abs(a).max(axis=1, initial=0.0), kind="stable")
         q, r = np.linalg.qr(a[order])
         q[order] = q.copy()
-        q, _ = dtbtrs(m.mass_factor, q)
+        q, _ = dtbtrs(m.mass_factor, q, uplo="L", trans="T")
         kq, gq = (np.einsum("ki,kj->ij", q, m.apply(op, q)) for op in (STIFFNESS, GRAD))
         proj = {MASS: np.eye(len(r)), STIFFNESS: kq, GRAD: gq, GRAD_T: gq.T}
         for coef, ops in form.terms:

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded, solve
-from scipy.linalg.lapack import dpbtrf
 from scipy.optimize import minimize
 
 from greedy_ou import greedy
@@ -93,22 +92,11 @@ def dense_quad_forms(mats_k, f):
     return forms
 
 
-def slot_stack(form, mats, j, lower=False):
-    """The stack of slot j's operator bands over the terms: their upper bands, or
-    their lower-storage copies held column by column, as als_rank1 builds it."""
+def slot_stack(form, mats, j):
+    """The stack of slot j's operator bands over the terms, each held column by
+    column, as als_rank1 builds it."""
     names = [ops[j] for _, ops in form.terms]
-    if lower:
-        return np.array([mats[j].lower_bands[name].T for name in names]).transpose(0, 2, 1)
-    return np.stack([mats[j].bands[name] for name in names])
-
-
-def moved_to_lower(band):
-    """An upper band moved into the LAPACK lower-band layout, zeros past the end."""
-    p, n = band.shape[0] - 1, band.shape[1]
-    lower = np.zeros_like(band)
-    for d in range(p + 1):
-        lower[d, :n - d] = band[p - d, d:]
-    return lower
+    return np.array([mats[j].bands[name].T for name in names]).transpose(0, 2, 1)
 
 
 def dense_slot_hessian(form, mats, frozen, j):
@@ -116,7 +104,7 @@ def dense_slot_hessian(form, mats, frozen, j):
     symmetrically from the lower band that _slot_hessian returns on
     als_rank1's stack (LAPACK dpbtrf lower-band layout)."""
     forms = np.array([dense_quad_forms(m, f) for m, f in zip(mats, frozen)])
-    band = _slot_hessian(form, forms, slot_stack(form, mats, j, lower=True), j)
+    band = _slot_hessian(form, forms, slot_stack(form, mats, j), j)
     p, n = band.shape[0] - 1, band.shape[1]
     lower = sum(np.diag(band[d, :n - d], -d) for d in range(p + 1))
     return lower + np.tril(lower, -1).T
@@ -400,7 +388,7 @@ def test_slot_solve_is_bitwise_scipy_banded_cholesky(degree):
     frozen = vectors(random_unit_term(mats, rng))
     forms = np.array([m.quad_forms(f) for m, f in zip(mats, frozen)])
     for j in range(2):
-        band = _slot_hessian(form, forms, slot_stack(form, mats, j, lower=True), j)
+        band = _slot_hessian(form, forms, slot_stack(form, mats, j), j)
         copy = band.copy()
         b = rhs.slot_vector(frozen, j)
         u, j_val = _slot_solve(band, b, j)
@@ -444,29 +432,6 @@ def test_slot_hessian_is_bitwise_the_per_term_sum(n, degree, coupling):
             assert np.array_equal(got, want), (j, np.abs(got - want).max())
 
 
-@pytest.mark.parametrize("coupling", ["rouse", "full"])
-@pytest.mark.parametrize("degree", [1, 2])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_lower_slot_hessian_and_factor_are_the_upper_ones_moved(n, degree, coupling):
-    # on als_rank1's lower-storage stack each Hessian entry is the upper
-    # stack's sum, moved, and the lower-band Cholesky factor is the upper
-    # one's transpose, so a lower-band slot solve differs from an upper-band
-    # one only in the order of its two substitutions
-    rng = np.random.default_rng(300 * n + 10 * degree + len(coupling))
-    form, mats = alternating_problem(n, degree, coupling, rng)
-    for _ in range(5):
-        frozen = [10.0 ** rng.uniform(-3, 3) * rng.standard_normal(m.ndof) for m in mats]
-        forms = np.array([m.quad_forms(f) for m, f in zip(mats, frozen)])
-        for j in range(n):
-            upper = _slot_hessian(form, forms, slot_stack(form, mats, j), j)
-            lower = _slot_hessian(form, forms, slot_stack(form, mats, j, lower=True), j)
-            assert np.array_equal(lower, moved_to_lower(upper)), j
-            upper_factor, upper_info = dpbtrf(upper)
-            lower_factor, lower_info = dpbtrf(lower, lower=1)
-            assert upper_info == lower_info == 0
-            assert np.array_equal(lower_factor, moved_to_lower(upper_factor)), j
-
-
 def reference_als_rank1(form, mats, rhs, init, tol=1e-10, max_sweeps=60):
     """als_rank1 with its norms as numpy scalars and arrays, and the slot
     vector's product over factors started at 1.0: the arithmetic als_rank1
@@ -480,7 +445,7 @@ def reference_als_rank1(form, mats, rhs, init, tol=1e-10, max_sweeps=60):
     r = greedy._vectors(init)
     forms = np.array([m.quad_forms(f) for m, f in zip(mats, r)])
     norms = np.sqrt(np.maximum(forms[:, FORM_ROW[MASS]], 0.0))
-    stacks = [slot_stack(form, mats, j, lower=True) for j in range(n)]
+    stacks = [slot_stack(form, mats, j) for j in range(n)]
     j_prev = j_val = np.inf
     for sweep in range(max_sweeps):
         for j in range(n):
@@ -561,7 +526,7 @@ def test_quad_forms_gather_is_bitwise_the_slice_loop(degree):
         for name in (MASS, STIFFNESS, GRAD, GRAD_T):
             bands[name] = rng.standard_normal((p + 1, n))
             for d in range(1, p + 1):
-                bands[name][p - d, :d] = 0.0
+                bands[name][d, n - d:] = 0.0
         m = FactorMatrices(bands=bands, mesh=None, degree=p, weight=None)
         for _ in range(5):
             f = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-150, 150, n)
